@@ -171,6 +171,16 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a plain number or array takes the other
+    operand's dtype, so a float32 graph stays float32."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, as_tensor(b, a.dtype)
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return as_tensor(a, b.dtype), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum `g` down to `shape` (reverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -189,7 +199,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
     if not _tracing(a, b):
         return Tensor(out_data)
@@ -206,7 +216,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
     if not _tracing(a, b):
         return Tensor(out_data)
@@ -223,7 +233,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
     if not _tracing(a, b):
         return Tensor(out_data)
@@ -240,7 +250,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
     if not _tracing(a, b):
         return Tensor(out_data)
@@ -505,19 +515,6 @@ def logsumexp_np(x: Array, axis: int = -1, keepdims: bool = False) -> Array:
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def softmax_stable(x) -> Array:
-    """Max-subtracted softmax of a 1-D vector; errors on empty input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty distribution")
-    return softmax_np(x, axis=-1)
-
-
-def log_sum_exp(a: float, b: float) -> float:
-    """Pairwise log(exp(a) + exp(b)); total on -inf inputs."""
-    return float(np.logaddexp(a, b))
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     s = softmax_np(a.data, axis=axis)
@@ -558,24 +555,6 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         full = out_data if keepdims else np.expand_dims(out_data, axis)
         gg = g if keepdims else np.expand_dims(g, axis)
         a._accum(np.exp(a.data - full) * gg)
-
-    out._bw = _bw
-    return out
-
-
-def logaddexp_pair(a, b) -> Tensor:
-    """log(exp(a) + exp(b)) for same-shape tensors (the outside accumulator)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.logaddexp(a.data, b.data)
-    if not _tracing(a, b):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a, b))
-
-    def _bw(g):
-        if a.requires_grad or a._prev:
-            a._accum(g * np.exp(a.data - out_data))
-        if b.requires_grad or b._prev:
-            b._accum(g * np.exp(b.data - out_data))
 
     out._bw = _bw
     return out

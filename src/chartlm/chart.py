@@ -6,60 +6,22 @@ array indices happens only at numpy boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 Span = tuple[int, int]
 
 
-def is_leaf(span: Span) -> bool:
-    return span[0] == span[1]
-
-
-@dataclass(frozen=True)
-class ParentEdge:
-    """One way a cell participates in a larger cell.
-
-    `slot` says which child of `parent` the cell is (0 = left, 1 = right);
-    the sibling span and the extension endpoint follow from parent + split.
-    """
-
-    parent: Span
-    split: int
-    slot: int
-
-    @property
-    def sibling(self) -> Span:
-        i, j = self.parent
-        return (self.split + 1, j) if self.slot == 0 else (i, self.split)
-
-
-@dataclass
-class Cell:
-    """One chart entry of a single layer."""
-
-    span: Span
-    splits: tuple[int, ...] = ()
-    inside: np.ndarray | None = None       # composed representation
-    inside_score: float | None = None      # accumulated split score
-    outside: np.ndarray | None = None      # context representation
-    outside_score: float | None = None     # accumulated parent score
-
-
 @dataclass
 class Schedule:
-    """Encoding plan: batches of spans plus the split and parent relations.
+    """Encoding plan: batches of spans plus the split relation.
 
     `batches[0]` is always the leaves; each later batch only references
-    spans from strictly earlier batches. `parents` is the exact relational
-    inverse of `splits` and is empty only at the root.
+    spans from strictly earlier batches.
     """
 
     n: int
     batches: list[list[Span]]
     splits: dict[Span, tuple[int, ...]]
-    parents: dict[Span, tuple[ParentEdge, ...]] = field(default_factory=dict)
 
     @property
     def root(self) -> Span:
@@ -73,20 +35,6 @@ class Schedule:
 
     def ordered_spans(self) -> list[Span]:
         return [s for batch in self.batches for s in batch]
-
-
-def parents_from_splits(splits: dict[Span, tuple[int, ...]]) -> dict[Span, tuple[ParentEdge, ...]]:
-    """Invert the split map: every split of (i,j) at k makes (i,j) the parent
-    of (i,k) at slot 0 and of (k+1,j) at slot 1."""
-    acc: dict[Span, list[ParentEdge]] = {}
-    for (i, j), ks in splits.items():
-        for k in ks:
-            if not (i <= k < j):
-                raise ValueError(f"split {k} outside span ({i},{j})")
-            acc.setdefault((i, k), []).append(ParentEdge((i, j), k, 0))
-            acc.setdefault((k + 1, j), []).append(ParentEdge((i, j), k, 1))
-    return {span: tuple(sorted(edges, key=lambda e: (e.parent, e.split, e.slot)))
-            for span, edges in acc.items()}
 
 
 def validate_schedule(schedule: Schedule) -> None:
@@ -116,37 +64,3 @@ def validate_schedule(schedule: Schedule) -> None:
     if n > 0 and (1, n) not in seen:
         raise ValueError("root span missing from schedule")
 
-
-class ChartLayer:
-    """Cells of one stack layer, keyed by span."""
-
-    def __init__(self, n: int, cells: dict[Span, Cell], layer: int):
-        self.n = n
-        self.layer = layer
-        self.cells = cells
-        self.root_outside: np.ndarray | None = None  # learned root vector, set by the stack
-
-    def __getitem__(self, span: Span) -> Cell:
-        return self.cells[span]
-
-    def __contains__(self, span: Span) -> bool:
-        return span in self.cells
-
-    def spans(self) -> list[Span]:
-        return list(self.cells.keys())
-
-
-def new_chart(n: int, schedule: Schedule, layer: int) -> ChartLayer:
-    """Allocate leaves for all positions plus exactly the scheduled cells."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cells: dict[Span, Cell] = {}
-    for i in range(1, n + 1):
-        cells[(i, i)] = Cell(span=(i, i))
-    for batch in schedule.batches[1:]:
-        for span in batch:
-            i, j = span
-            if not (1 <= i <= j <= n):
-                raise ValueError(f"span {span} outside [1,{n}]")
-            cells[span] = Cell(span=span, splits=schedule.splits.get(span, ()))
-    return ChartLayer(n, cells, layer)

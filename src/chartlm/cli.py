@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -161,7 +160,7 @@ def _cmd_eval_f1(args) -> int:
     for tree in preds:
         toks = [l.token or "" for l in leaves(tree)]
         pieces.append(toks if any(t.startswith("##") for t in toks) else None)
-    mean = corpus_f1(preds, golds, pieces, threads=args.threads)
+    mean = corpus_f1(preds, golds, pieces)
     print(f"F1 {mean:.2f}")
     for label, recall in label_recalls(preds, golds).items():
         if label != "X":
@@ -209,12 +208,7 @@ def _bench_one(n: int, m: int, seed: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    lengths = _parse_lengths(args.lengths)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda n: _bench_one(n, args.m, args.seed), lengths))
-    else:
-        rows = [_bench_one(n, args.m, args.seed) for n in lengths]
+    rows = [_bench_one(n, args.m, args.seed) for n in _parse_lengths(args.lengths)]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=["n", "m", "cells", "inside_steps",
@@ -306,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-f1", help="bracket F1 and per-label recall")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_eval_f1)
 
     p = sub.add_parser("bench", help="efficiency counters over sentence lengths")
@@ -314,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="doubling range lo..hi or comma list")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

@@ -1,4 +1,4 @@
-"""Grammar-induction metrics and efficiency-counter aggregation.
+"""Grammar-induction metrics.
 
 Bracket F1 follows the usual induction conventions: width-1 spans and the
 full-sentence span are excluded from both sides, and a sentence where both
@@ -9,9 +9,7 @@ Word-piece trees are collapsed to word-level spans before scoring.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
-from .inside_outside import EngineStats
 from .trees import Node, leaves
 
 Span = tuple[int, int]
@@ -103,19 +101,14 @@ def sentence_f1(pred: Node, gold: Node, pieces: list[str] | None = None) -> floa
 
 
 def corpus_f1(preds: list[Node], golds: list[Node],
-              pieces: list[list[str]] | None = None, threads: int = 1) -> float:
-    """Mean sentence F1. Sentence scores are independent, so the corpus can be
-    scored with a thread pool; results merge in input order."""
+              pieces: list[list[str]] | None = None) -> float:
+    """Mean sentence F1."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predicted trees vs {len(golds)} gold trees")
     if not preds:
         raise ValueError("empty corpus")
     piece_lists: list[list[str] | None] = pieces if pieces is not None else [None] * len(preds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(sentence_f1, preds, golds, piece_lists))
-    else:
-        scores = [sentence_f1(p, g, w) for p, g, w in zip(preds, golds, piece_lists)]
+    scores = [sentence_f1(p, g, w) for p, g, w in zip(preds, golds, piece_lists)]
     return float(sum(scores) / len(scores))
 
 
@@ -144,23 +137,3 @@ def label_recalls(preds: list[Node], golds: list[Node]) -> dict[str, float]:
     labels = sorted({lab for g in golds for lab, _ in labeled_spans(g)})
     return {lab: constituent_recall(preds, golds, lab) for lab in labels}
 
-
-def efficiency_counters(records: list[tuple[int, EngineStats, float]]) -> list[dict]:
-    """Aggregate (length, stats, wall_ms) records into per-length report rows.
-
-    Merge order is deterministic: rows are grouped by sentence length and
-    counters summed in input order, independent of how records were produced.
-    """
-    buckets: dict[int, dict] = {}
-    for n, stats, wall_ms in records:
-        row = buckets.setdefault(n, {
-            "n": n, "sentences": 0, "pairs_composed": 0, "batched_calls": 0,
-            "inside_steps": 0, "cells_encoded": 0, "wall_ms": 0.0,
-        })
-        row["sentences"] += 1
-        row["pairs_composed"] += stats.pairs_composed
-        row["batched_calls"] += stats.batched_calls
-        row["inside_steps"] += stats.inside_steps
-        row["cells_encoded"] += stats.cells_encoded
-        row["wall_ms"] += wall_ms
-    return [buckets[n] for n in sorted(buckets)]

@@ -3,9 +3,9 @@
 Each layer runs one bottom-up (inside) and one top-down (outside) sweep over
 the cells a Schedule kept. Cell vectors live in a flat arena (leaf rows first,
 then cells in batch order) so a whole batch is one gather / compose / scatter
-round; the outside sweep walks batches in reverse and folds parent-path
-candidates with the cumulative log-sum-exp update, which matches the direct
-softmax-weighted sum exactly.
+round; the outside sweep walks batches in reverse. Both sweeps pool a cell's
+candidates (one per split inside, one per parent path outside) the same way:
+a masked softmax over their scores weights the candidate vectors and scores.
 """
 
 from __future__ import annotations
@@ -46,28 +46,6 @@ class ComposeParams(Module):
         return self.block(slots + ad.reshape(self.roles, (1, 3, self.d)))
 
 
-def compose(left: Tensor, right: Tensor, third: Tensor, params: ComposeParams,
-            mode: str = "inside", target_slot: int | None = None) -> Tensor:
-    """One composition of d-vectors; `third` fills the parent slot.
-
-    Inside mode reads the parent slot; outside mode reads the slot of the
-    child being contextualized (0 = left, 1 = right).
-    """
-    slots = ad.stack([ad.reshape(left, (1, params.d)),
-                      ad.reshape(right, (1, params.d)),
-                      ad.reshape(third, (1, params.d))], axis=1)
-    out = params(slots)
-    if mode == "inside":
-        slot = ROLE_PARENT
-    elif mode == "outside":
-        if target_slot not in (ROLE_LEFT, ROLE_RIGHT):
-            raise ValueError("outside compose needs target_slot 0 or 1")
-        slot = target_slot
-    else:
-        raise ValueError(f"unknown compose mode {mode!r}")
-    return ad.reshape(out[:, slot, :], (params.d,))
-
-
 class CompatHead(Module):
     """Split/parent plausibility: MLP_L(x) . MLP_R(y) / sqrt(d).
 
@@ -91,12 +69,6 @@ class CompatHead(Module):
             raise ValueError(f"compatibility expects dim {self.d}")
         ml, mr = self.maps[head]
         return ad.tsum(ml(x) * mr(y), axis=-1) * (1.0 / np.sqrt(self.d))
-
-
-def compatibility(x: Tensor, y: Tensor, head_pair: CompatHead, head: str = "inside") -> Tensor:
-    """Scalar compatibility of two d-vectors."""
-    out = head_pair(ad.reshape(x, (1, head_pair.d)), ad.reshape(y, (1, head_pair.d)), head)
-    return ad.reshape(out, ())
 
 
 class CioStack(Module):
@@ -150,8 +122,7 @@ class BatchPlan:
     inbox: list[tuple[int, np.ndarray]] = field(default_factory=list)
     # inbox: (source batch id, rows of that batch's 2P-candidate block) pairs,
     # concatenated in arrival order to form this batch's candidate pool
-    fold_rows: np.ndarray | None = None   # (C,) arena rows folded from the pool
-    fold_pad: np.ndarray | None = None    # (C, U) pool indices, pad = pool size
+    pool_pad: np.ndarray | None = None    # (C, U) pool indices, pad = pool size
 
 
 @dataclass
@@ -163,7 +134,7 @@ class EnginePlan:
     spans: list[Span]
     row_of: dict[Span, int]
     batches: list[BatchPlan]    # non-leaf batches in execution order
-    leaves: BatchPlan | None    # fold plan for the leaf rows (inbox only)
+    leaves: BatchPlan | None    # outside pool plan for the leaf rows (inbox only)
     root_row: int
 
     @property
@@ -185,7 +156,7 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
 
     Also fixes the outside candidate routing: batch t's cells emit one
     2P-row candidate block (left-child rows then right-child rows), and each
-    earlier batch knows statically which rows of which blocks it folds.
+    earlier batch knows statically which rows of which blocks it pools.
     """
     n = schedule.n
     spans = schedule.ordered_spans()
@@ -255,8 +226,7 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
         for r in rows:
             if not per_row[r]:
                 raise ValueError(f"schedule violation: {spans[r]} has no parent candidates")
-        plan.fold_rows = np.array(rows, dtype=np.intp)
-        plan.fold_pad = _pad_matrix([per_row[r] for r in rows], pad=offset)
+        plan.pool_pad = _pad_matrix([per_row[r] for r in rows], pad=offset)
 
     for t in range(1, T + 1):
         target_plan(t, plans[t - 1])
@@ -322,6 +292,22 @@ def _pad_gather(values: Tensor, pad_value: float, pad_idx: np.ndarray) -> Tensor
     return ad.reshape(flat, pad_idx.shape + values.shape[1:])
 
 
+def _softmax_pool(vecs: Tensor, scores: Tensor, pad: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Softmax-weighted sum of candidates, one output row per row of `pad`.
+
+    vecs (R, d) and scores (R,) hold the candidates; pad (C, W) indexes them,
+    with R marking an empty slot. Returns the (C, d) vectors and the (C,)
+    expected scores.
+    """
+    if pad.shape[1] == 1:  # a one-candidate softmax weighs exactly 1
+        idx = pad[:, 0]
+        return _gather_rows(vecs, idx), _gather_rows(scores, idx)
+    w = ad.softmax(_pad_gather(scores, -np.inf, pad), axis=1)     # (C, W)
+    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * _pad_gather(vecs, 0.0, pad), axis=1)
+    score = ad.tsum(w * _pad_gather(scores, 0.0, pad), axis=1)
+    return vec, score
+
+
 def _inside_batch(plan: BatchPlan, arena: Tensor, scores: Tensor, prev_out: Tensor,
                   alpha: ComposeParams, compat: CompatHead,
                   stats: EngineStats) -> tuple[Tensor, Tensor, np.ndarray]:
@@ -334,43 +320,13 @@ def _inside_batch(plan: BatchPlan, arena: Tensor, scores: Tensor, prev_out: Tens
 
     cand = compat(left, right, "inside")
     totals = cand + _gather_rows(scores, plan.pair_left) + _gather_rows(scores, plan.pair_right)
-
-    padded = _pad_gather(totals, -np.inf, plan.score_pad)          # (C, W)
-    padded_zero = _pad_gather(totals, 0.0, plan.score_pad)
-    vecs = _pad_gather(composed, 0.0, plan.score_pad)              # (C, W, d)
-    w = ad.softmax(padded, axis=1)
-    cell_vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * vecs, axis=1)
-    cell_score = ad.tsum(w * padded_zero, axis=1)
+    cell_vec, cell_score = _softmax_pool(composed, totals, plan.score_pad)
 
     stats.pairs_composed += len(plan.pair_left)
     stats.batched_calls += 1
     stats.inside_steps += 1
     stats.cells_encoded += len(plan.spans)
     return cell_vec, cell_score, totals.data.copy()
-
-
-def _fold_candidates(pool_vecs: Tensor, pool_scores: Tensor,
-                     fold_pad: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Cumulative log-sum-exp fold of parent-path candidates (rows of
-    fold_pad are left-aligned; the accumulator starts at -inf, so the first
-    candidate is taken as-is)."""
-    svals = _pad_gather(pool_scores, -np.inf, fold_pad)   # (C, U)
-    szero = _pad_gather(pool_scores, 0.0, fold_pad)
-    vvals = _pad_gather(pool_vecs, 0.0, fold_pad)         # (C, U, d)
-
-    m = svals[:, 0]
-    vec = vvals[:, 0, :]
-    score = szero[:, 0]
-    for u in range(1, fold_pad.shape[1]):
-        s_u = svals[:, u]
-        m_new = ad.logaddexp_pair(m, s_u)
-        keep = ad.exp(m - m_new)
-        add = ad.exp(s_u - m_new)
-        vec = ad.reshape(keep, keep.shape + (1,)) * vec \
-            + ad.reshape(add, add.shape + (1,)) * vvals[:, u, :]
-        score = keep * score + add * szero[:, u]
-        m = m_new
-    return vec, score
 
 
 def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
@@ -416,7 +372,7 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
                 out_vec, out_b = root_vec, root_b
             else:
                 pool_v, pool_s = _gather_inbox(bp, emit_blocks)
-                out_vec, out_b = _fold_candidates(pool_v, pool_s, bp.fold_pad)
+                out_vec, out_b = _softmax_pool(pool_v, pool_s, bp.pool_pad)
             out_blocks[t] = (out_vec, out_b)
 
             # emit candidates: one compose per (parent, split) serves both
@@ -441,7 +397,7 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
             leaf_out, leaf_b = root_vec, root_b
         else:
             pool_v, pool_s = _gather_inbox(plan.leaves, emit_blocks)
-            leaf_out, leaf_b = _fold_candidates(pool_v, pool_s, plan.leaves.fold_pad)
+            leaf_out, leaf_b = _softmax_pool(pool_v, pool_s, plan.leaves.pool_pad)
 
         out_parts = [leaf_out] + [out_blocks[t][0] for t in range(1, T + 1)]
         out_b_parts = [leaf_b] + [out_blocks[t][1] for t in range(1, T + 1)]
@@ -468,7 +424,7 @@ def _gather_inbox(bp: BatchPlan, emit_blocks: dict[int, tuple[Tensor, Tensor]]
         v_parts.append(ad.gather(bv, idx, axis=0))
         s_parts.append(ad.gather(bs, idx, axis=0))
     if not v_parts:
-        raise ValueError("schedule violation: no parent candidates to fold")
+        raise ValueError("schedule violation: no parent candidates to pool")
     if len(v_parts) == 1:
         return v_parts[0], s_parts[0]
     return ad.concat(v_parts, axis=0), ad.concat(s_parts, axis=0)
@@ -522,22 +478,3 @@ def induce_tree(result: StackResult, tokens: list[str],
         raise ValueError(f"expected {result.plan.n} tokens, got {len(tokens)}")
     return tree_from_order(induce_order(result, forbidden), tokens)
 
-
-def cumulative_outside_reference(cands: np.ndarray, scores: np.ndarray
-                                 ) -> tuple[np.ndarray, float]:
-    """Scalar-loop form of the candidate fold, for equivalence tests.
-
-    cands (U, d), scores (U,) -> softmax(scores)-weighted vector and score,
-    accumulated one candidate at a time from a -inf accumulator.
-    """
-    m = -np.inf
-    vec = np.zeros(cands.shape[1], dtype=np.float64)
-    total = 0.0
-    for u in range(cands.shape[0]):
-        m_new = np.logaddexp(m, scores[u])
-        keep = np.exp(m - m_new) if np.isfinite(m) else 0.0
-        add = np.exp(scores[u] - m_new)
-        vec = keep * vec + add * cands[u]
-        total = keep * total + add * scores[u]
-        m = m_new
-    return vec, float(total)

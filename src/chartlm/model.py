@@ -10,7 +10,7 @@ representation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class ReCatConfig:
 @dataclass
 class ForwardOutput:
     nodes: Tensor             # (2n-1, d) contextualized node representations
-    tree: Node                # induced (or parser) tree
+    tree: Node                # induced tree (the parser's own in fast mode)
     logits: Tensor            # (n, vocab) MLM logits at terminal nodes
     parser_loss: Tensor
     mlm_loss: Tensor
@@ -133,18 +133,10 @@ class ChartLM(Module):
             raise ValueError(f"sentence length {n} exceeds configured max {self.cfg.max_len}")
         return n
 
-    def _parse(self, sentence: np.ndarray, forbidden: set[int] | None
-               ) -> tuple[Tensor, list[SplitStep]]:
-        scores = self.parser(sentence)
-        if forbidden:
-            scores = apply_nonsplittable(scores, forbidden)
-        return scores, split_order(scores.data, int(np.asarray(sentence).size))
-
     def forward_pretrain(self, sentence: np.ndarray, masked: np.ndarray | None = None,
                          target_positions: np.ndarray | None = None,
                          target_ids: np.ndarray | None = None,
                          forbidden: set[int] | None = None,
-                         schedule: Schedule | None = None,
                          token_strs: list[str] | None = None,
                          stats: "EngineStats | None" = None) -> ForwardOutput:
         """Standard (chart-search) forward pass.
@@ -153,29 +145,9 @@ class ChartLM(Module):
         source); `masked` is what the encoder sees. Targets give original ids
         at corrupted positions; with none, mlm_loss is 0 by convention.
         """
-        sentence = np.asarray(sentence)
-        n = self._check_length(sentence)
-        scores, _ = self._parse(sentence, forbidden)
-        if schedule is None:
-            schedule = build_cell_batches(
-                prune_schedule(n, self.cfg.m, split_order(scores.data, n)))
-        plan = plan_engine(schedule)
-
-        x = self.embedding(masked if masked is not None else sentence)
-        result = run_stack(x, self.cio, plan, stats)
-
-        z_order = induce_order(result, forbidden)
-        strs = token_strs if token_strs is not None else [str(t) for t in sentence]
-        tree = tree_from_order(z_order, strs)
-        parser_loss = parser_nll(scores, z_order)
-        if not isinstance(parser_loss, Tensor):  # n = 1: no decisions
-            parser_loss = Tensor(np.zeros((), dtype=x.data.dtype))
-
-        nodes, logits = self._encode_nodes(tree, result)
-        mlm_loss = self._mlm_loss(logits, target_positions, target_ids, x.data.dtype)
-        return ForwardOutput(nodes=nodes, tree=tree, logits=logits,
-                             parser_loss=parser_loss, mlm_loss=mlm_loss,
-                             result=result, order=z_order, schedule=schedule)
+        return self._forward(
+            lambda n, order: build_cell_batches(prune_schedule(n, self.cfg.m, order)),
+            sentence, masked, target_positions, target_ids, forbidden, token_strs, stats)
 
     def fast_encode(self, sentence: np.ndarray, forbidden: set[int] | None = None,
                     token_strs: list[str] | None = None,
@@ -188,25 +160,32 @@ class ChartLM(Module):
         The schedule degenerates to one split per cell, so each layer costs
         exactly 2(n-1) compositions; everything downstream is unchanged.
         """
+        return self._forward(tree_schedule, sentence, masked, target_positions, target_ids,
+                             forbidden, token_strs, stats)
+
+    def _forward(self, build_schedule, sentence, masked, target_positions, target_ids,
+                 forbidden, token_strs, stats) -> ForwardOutput:
+        """Parse, build the schedule with `build_schedule(n, order)`, run the
+        chart, and read the tree from it: in a tree schedule that is the
+        parser's own tree."""
         sentence = np.asarray(sentence)
         n = self._check_length(sentence)
-        scores, order = self._parse(sentence, forbidden)
-        plan = plan_engine(tree_schedule(n, order))
+        scores = self.parser(sentence)
+        if forbidden:
+            scores = apply_nonsplittable(scores, forbidden)
+        schedule = build_schedule(n, split_order(scores.data, n))
 
         x = self.embedding(masked if masked is not None else sentence)
-        result = run_stack(x, self.cio, plan, stats)
+        result = run_stack(x, self.cio, plan_engine(schedule), stats)
 
+        order = induce_order(result, forbidden)
         strs = token_strs if token_strs is not None else [str(t) for t in sentence]
         tree = tree_from_order(order, strs)
-        parser_loss = parser_nll(scores, order)
-        if not isinstance(parser_loss, Tensor):
-            parser_loss = Tensor(np.zeros((), dtype=x.data.dtype))
-
         nodes, logits = self._encode_nodes(tree, result)
         mlm_loss = self._mlm_loss(logits, target_positions, target_ids, x.data.dtype)
         return ForwardOutput(nodes=nodes, tree=tree, logits=logits,
-                             parser_loss=parser_loss, mlm_loss=mlm_loss,
-                             result=result, order=order, schedule=plan.schedule)
+                             parser_loss=parser_nll(scores, order), mlm_loss=mlm_loss,
+                             result=result, order=order, schedule=schedule)
 
     # ---- shared tails ------------------------------------------------------
 

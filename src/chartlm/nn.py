@@ -161,11 +161,6 @@ class AttentionBlock(Module):
         return x
 
 
-def attention_block(x: Tensor, block: AttentionBlock) -> Tensor:
-    """Functional alias used by callers that hold a block and an input."""
-    return block(x)
-
-
 class Embedding(Module):
     def __init__(self, name: str, vocab: int, d: int, rng: np.random.Generator,
                  dtype=np.float32):

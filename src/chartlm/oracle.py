@@ -163,18 +163,50 @@ def best_tree_exhaustive(split_scores: dict[Span, np.ndarray], n: int
     return [(-mk, span) for _, mk, span in (best or [])]
 
 
+@dataclass(frozen=True)
+class ParentEdge:
+    """One way a cell participates in a larger cell.
+
+    `slot` says which child of `parent` the cell is (0 = left, 1 = right);
+    the sibling span and the extension endpoint follow from parent + split.
+    """
+
+    parent: Span
+    split: int
+    slot: int
+
+    @property
+    def sibling(self) -> Span:
+        i, j = self.parent
+        return (self.split + 1, j) if self.slot == 0 else (i, self.split)
+
+
+def parents_from_splits(splits: dict[Span, tuple[int, ...]]) -> dict[Span, tuple[ParentEdge, ...]]:
+    """Invert the split map: every split of (i,j) at k makes (i,j) the parent
+    of (i,k) at slot 0 and of (k+1,j) at slot 1."""
+    acc: dict[Span, list[ParentEdge]] = {}
+    for (i, j), ks in splits.items():
+        for k in ks:
+            if not (i <= k < j):
+                raise ValueError(f"split {k} outside span ({i},{j})")
+            acc.setdefault((i, k), []).append(ParentEdge((i, j), k, 0))
+            acc.setdefault((k + 1, j), []).append(ParentEdge((i, j), k, 1))
+    return {span: tuple(sorted(edges, key=lambda e: (e.parent, e.split, e.slot)))
+            for span, edges in acc.items()}
+
+
 def direct_outside_check(result: StackResult, stack: CioStack) -> float:
-    """Max abs deviation between the engine's folded outside values and a
+    """Max abs deviation between the engine's pooled outside values and a
     direct per-cell softmax recomputation from the same layer states."""
     plan = result.plan
-    schedule = plan.schedule
+    parents = parents_from_splits(plan.schedule.splits)
     worst = 0.0
     for l, state in enumerate(result.layers):
         inside = state.inside.data
         a = state.inside_score.data
         outside = state.outside.data
         b = state.outside_score.data
-        for span, edges in schedule.parents.items():
+        for span, edges in parents.items():
             row = plan.row_of[span]
             cand_vecs, cand_scores = [], []
             for edge in edges:
@@ -198,3 +230,24 @@ def direct_outside_check(result: StackResult, stack: CioStack) -> float:
                         float(np.max(np.abs(vec - outside[row]))),
                         abs(score - float(b[row])))
     return worst
+
+
+def cumulative_outside_reference(cands: np.ndarray, scores: np.ndarray
+                                 ) -> tuple[np.ndarray, float]:
+    """Incremental log-sum-exp form of a softmax-weighted candidate sum, for
+    equivalence tests.
+
+    cands (U, d), scores (U,) -> softmax(scores)-weighted vector and score,
+    accumulated one candidate at a time from a -inf accumulator.
+    """
+    m = -np.inf
+    vec = np.zeros(cands.shape[1], dtype=np.float64)
+    total = 0.0
+    for u in range(cands.shape[0]):
+        m_new = np.logaddexp(m, scores[u])
+        keep = np.exp(m - m_new) if np.isfinite(m) else 0.0
+        add = np.exp(scores[u] - m_new)
+        vec = keep * vec + add * cands[u]
+        total = keep * total + add * scores[u]
+        m = m_new
+    return vec, float(total)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chart import Schedule, Span, parents_from_splits, validate_schedule
+from .chart import Schedule, Span, validate_schedule
 from .nn import BiLstm, Embedding, Mlp, Module
 from .trees import Node, branch, leaf
 
@@ -296,8 +296,7 @@ def build_cell_batches(result: PruneResult) -> Schedule:
         for span in wave:
             del pending[span]
 
-    schedule = Schedule(n=n, batches=batches, splits=dict(kept),
-                        parents=parents_from_splits(kept))
+    schedule = Schedule(n=n, batches=batches, splits=dict(kept))
     validate_schedule(schedule)
     return schedule
 
@@ -311,18 +310,3 @@ def tree_schedule(n: int, order: SplitOrder) -> Schedule:
     cells = {step.span: (step.split,) for step in order}
     return build_cell_batches(PruneResult(n=n, window=1, cells=cells, merge_groups=[]))
 
-
-def schedule_for_tokens(scorer: BoundaryScorer, token_ids: np.ndarray, window: int,
-                        forbidden: set[int] | None = None) -> tuple[Schedule, SplitOrder, Tensor]:
-    """Score, decode, prune, and batch in one call.
-
-    Returns the engine schedule, the decoded split order (for the tree loss
-    and for tree output), and the taped boundary scores.
-    """
-    n = int(np.asarray(token_ids).size)
-    scores = scorer(token_ids)
-    if forbidden:
-        scores = apply_nonsplittable(scores, forbidden)
-    order = split_order(scores.data, n)
-    schedule = build_cell_batches(prune_schedule(n, window, order))
-    return schedule, order, scores

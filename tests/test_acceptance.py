@@ -14,12 +14,11 @@ import pytest
 from chartlm.autodiff import Tensor, gradient_check, no_grad
 from chartlm.checkpoint import collect_parameters, load_checkpoint
 from chartlm.evaluation import corpus_f1
-from chartlm.inside_outside import (CioStack, EngineStats,
-                                    cumulative_outside_reference, induce_order,
+from chartlm.inside_outside import (CioStack, EngineStats, induce_order,
                                     plan_engine, run_stack)
 from chartlm.model import ChartLM, ReCatConfig
-from chartlm.oracle import (best_tree_exhaustive, direct_outside_check,
-                            full_chart_reference)
+from chartlm.oracle import (best_tree_exhaustive, cumulative_outside_reference,
+                            direct_outside_check, full_chart_reference)
 from chartlm.pruning import (build_cell_batches, parser_nll, prune_schedule,
                              split_order, tree_from_order)
 from chartlm.synthetic import VOCAB_TOKENS, balanced_scores, generate_corpus

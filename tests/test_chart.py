@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartlm.chart import (ParentEdge, Schedule, new_chart, parents_from_splits,
-                           validate_schedule)
+from chartlm.chart import Schedule, validate_schedule
+from chartlm.oracle import ParentEdge, parents_from_splits
 from chartlm.pruning import build_cell_batches, prune_schedule, split_order
 
 
@@ -20,8 +20,7 @@ def test_single_token_chart():
     sch = _schedule(1)
     assert sch.batches == [[(1, 1)]]
     assert sch.non_leaf_batches() == 0
-    chart = new_chart(1, sch, layer=0)
-    assert chart.spans() == [(1, 1)]
+    assert sch.ordered_spans() == [(1, 1)]
 
 
 def test_two_token_chart():
@@ -29,9 +28,7 @@ def test_two_token_chart():
     assert sch.batches == [[(1, 1), (2, 2)], [(1, 2)]]
     assert sch.splits[(1, 2)] == (1,)
     assert sch.root == (1, 2)
-    chart = new_chart(2, sch, layer=0)
-    assert set(chart.spans()) == {(1, 1), (2, 2), (1, 2)}
-    assert chart[(1, 2)].splits == (1,)
+    assert sch.ordered_spans() == [(1, 1), (2, 2), (1, 2)]
 
 
 def test_parents_invert_splits_exactly():
@@ -116,10 +113,3 @@ def test_validate_schedule_rejects_duplicates_and_bad_spans():
         validate_schedule(Schedule(
             n=2, batches=[[(1, 1), (2, 2)], [(1, 3)]], splits={(1, 3): (1,)}))
 
-
-def test_new_chart_rejects_span_out_of_range():
-    sch = Schedule(n=2, batches=[[(1, 1), (2, 2)], [(1, 5)]], splits={(1, 5): (1,)})
-    with pytest.raises(ValueError, match="outside"):
-        new_chart(2, sch, layer=0)
-    with pytest.raises(ValueError, match=">= 1"):
-        new_chart(0, _schedule(1), layer=0)

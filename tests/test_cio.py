@@ -9,12 +9,12 @@ from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT,
                                     CioStack, ComposeParams, EngineStats,
-                                    compatibility, compose,
-                                    cumulative_outside_reference, induce_order,
-                                    induce_tree, plan_engine, run_stack)
-from chartlm.oracle import (best_tree_exhaustive, direct_outside_check,
-                            full_chart_reference)
-from chartlm.pruning import build_cell_batches, prune_schedule, split_order
+                                    induce_order, induce_tree, plan_engine,
+                                    run_stack)
+from chartlm.oracle import (best_tree_exhaustive, cumulative_outside_reference,
+                            direct_outside_check, full_chart_reference)
+from chartlm.pruning import (build_cell_batches, prune_schedule, split_order,
+                             tree_schedule)
 from chartlm.trees import format_sexpr
 
 
@@ -33,6 +33,33 @@ def _run(n, stack, seed=1, stats=None):
     x = Tensor(np.random.default_rng(seed).standard_normal((n, stack.d)))
     plan = _full_plan(n)
     return x, run_stack(x, stack, plan, stats=stats)
+
+
+def compose(left, right, third, params, mode="inside", target_slot=None):
+    """One composition of d-vectors; `third` fills the parent slot.
+
+    Inside mode reads the parent slot; outside mode reads the slot of the
+    child being contextualized (0 = left, 1 = right).
+    """
+    slots = ad.stack([ad.reshape(left, (1, params.d)),
+                      ad.reshape(right, (1, params.d)),
+                      ad.reshape(third, (1, params.d))], axis=1)
+    out = params(slots)
+    if mode == "inside":
+        slot = ROLE_PARENT
+    elif mode == "outside":
+        if target_slot not in (ROLE_LEFT, ROLE_RIGHT):
+            raise ValueError("outside compose needs target_slot 0 or 1")
+        slot = target_slot
+    else:
+        raise ValueError(f"unknown compose mode {mode!r}")
+    return ad.reshape(out[:, slot, :], (params.d,))
+
+
+def compatibility(x, y, head_pair, head="inside"):
+    """Scalar compatibility of two d-vectors."""
+    out = head_pair(ad.reshape(x, (1, head_pair.d)), ad.reshape(y, (1, head_pair.d)), head)
+    return ad.reshape(out, ())
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +209,39 @@ def test_engine_direct_outside_recomputation():
     stack = _stack(layers=2, seed=9)
     _, result = _run(6, stack, seed=10)
     assert direct_outside_check(result, stack) < 1e-9
+
+
+def test_tree_schedule_outside_rows_are_the_single_candidate():
+    # in a tree schedule every cell has one split and every non-root cell one
+    # parent path, so its outside row is that path's candidate, bit for bit:
+    # the same batched compose and score, with no softmax in between
+    stack = _stack(layers=2, seed=33)
+    n = 7
+    order = split_order(np.random.default_rng(34).standard_normal(n - 1), n)
+    plan = plan_engine(tree_schedule(n, order))
+    x = Tensor(np.random.default_rng(35).standard_normal((n, stack.d)))
+    result = run_stack(x, stack, plan)
+    checked = 0
+    for l, state in enumerate(result.layers):
+        inside, a = state.inside.data, state.inside_score.data
+        outside, b = state.outside.data, state.outside_score.data
+        for bp in plan.batches:
+            left, right = Tensor(inside[bp.pair_left]), Tensor(inside[bp.pair_right])
+            parent = Tensor(outside[bp.pair_cell])
+            y = stack.beta[l](ad.stack([left, right, parent], axis=1)).data
+            b_left = a[bp.pair_right] + stack.compat(parent, right, "outside").data \
+                + b[bp.pair_cell]
+            b_right = a[bp.pair_left] + stack.compat(parent, left, "outside").data \
+                + b[bp.pair_cell]
+            np.testing.assert_array_equal(outside[bp.pair_left], y[:, ROLE_LEFT])
+            np.testing.assert_array_equal(outside[bp.pair_right], y[:, ROLE_RIGHT])
+            np.testing.assert_array_equal(b[bp.pair_left], b_left)
+            np.testing.assert_array_equal(b[bp.pair_right], b_right)
+            checked += 2 * len(bp.pair_left)
+    assert checked == stack.num_layers * 2 * (n - 1)  # every non-root cell
+    # without a softmax the vectors never reach the scores' compat head
+    ad.tsum(result.final.outside).backward()
+    assert all(p.grad is None for p in stack.compat.parameters())
 
 
 def test_leaf_conventions():

@@ -229,16 +229,6 @@ def test_bench_csv_bounds(workdir):
         assert int(r["pairs_composed"]) > 0 and float(r["wall_ms"]) >= 0
 
 
-def test_bench_thread_pool_matches_serial(workdir):
-    serial, pooled = _p(workdir, "s.csv"), _p(workdir, "p.csv")
-    assert dispatch(["bench", "--lengths", "4,6,8", "--m", "2", "--out", serial]) == 0
-    assert dispatch(["bench", "--lengths", "4,6,8", "--m", "2",
-                     "--threads", "3", "--out", pooled]) == 0
-    strip = lambda path: [{k: v for k, v in row.items() if k != "wall_ms"}
-                          for row in csv.DictReader(open(path))]
-    assert strip(serial) == strip(pooled)
-
-
 def test_bench_bad_lengths(workdir, capsys):
     assert dispatch(["bench", "--lengths", "x,y", "--m", "2"]) == 2
     assert dispatch(["bench", "--lengths", "9..4", "--m", "2"]) == 2

@@ -1,18 +1,13 @@
-"""Bracket F1, label recall, word-piece projection, counter aggregation."""
+"""Bracket F1, label recall, word-piece projection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartlm.autodiff import Tensor
 from chartlm.evaluation import (bracket_spans, collapse_spans, constituent_recall,
-                                corpus_f1, efficiency_counters, label_recalls,
-                                labeled_spans, piece_to_word, sentence_f1)
-from chartlm.inside_outside import EngineStats, plan_engine, run_stack
-from chartlm.inside_outside import CioStack
-from chartlm.pruning import build_cell_batches, prune_schedule, split_order
-from chartlm.synthetic import balanced_scores
+                                corpus_f1, label_recalls, labeled_spans,
+                                piece_to_word, sentence_f1)
 from chartlm.trees import (left_branching, parse_sexpr, random_binary,
                            right_branching)
 
@@ -99,7 +94,6 @@ def test_corpus_f1_is_mean_and_thread_safe():
     serial = corpus_f1(preds, golds)
     expected = np.mean([sentence_f1(p, g) for p, g in zip(preds, golds)])
     assert serial == pytest.approx(float(expected))
-    assert corpus_f1(preds, golds, threads=4) == pytest.approx(serial)
 
 
 def test_corpus_f1_errors():
@@ -174,36 +168,3 @@ def test_label_recalls_covers_gold_labels():
     assert list(out) == ["NP", "VP"]  # sorted; S spans only (1,5), excluded
     assert out == {"NP": 100.0, "VP": 100.0}
 
-
-# ---------------------------------------------------------------------------
-# counters
-# ---------------------------------------------------------------------------
-
-def test_efficiency_counters_group_by_length():
-    a, b, c = EngineStats(), EngineStats(), EngineStats()
-    a.pairs_composed, a.batched_calls, a.inside_steps, a.cells_encoded = 4, 2, 1, 3
-    b.pairs_composed, b.batched_calls, b.inside_steps, b.cells_encoded = 6, 3, 2, 5
-    c.pairs_composed, c.batched_calls, c.inside_steps, c.cells_encoded = 8, 4, 2, 7
-    rows = efficiency_counters([(5, b, 10.0), (3, a, 2.5), (5, c, 20.0)])
-    assert [r["n"] for r in rows] == [3, 5]
-    assert rows[0] == {"n": 3, "sentences": 1, "pairs_composed": 4,
-                       "batched_calls": 2, "inside_steps": 1,
-                       "cells_encoded": 3, "wall_ms": 2.5}
-    assert rows[1]["sentences"] == 2
-    assert rows[1]["pairs_composed"] == 14
-    assert rows[1]["wall_ms"] == pytest.approx(30.0)
-
-
-def test_counters_from_real_engine_run():
-    # two tokens, one layer: a single parent composed once per child pass
-    stack = CioStack("cio", layers=1, d=8, heads=2, depth=0, share=True,
-                     rng=np.random.default_rng(0), dtype=np.float64)
-    sch = build_cell_batches(prune_schedule(2, 2, split_order(balanced_scores(2), 2)))
-    plan = plan_engine(sch)
-    stats = EngineStats()
-    run_stack(Tensor(np.random.default_rng(1).normal(size=(2, 8))), stack, plan,
-              stats=stats)
-    rows = efficiency_counters([(2, stats, 1.0)])
-    assert rows == [{"n": 2, "sentences": 1, "pairs_composed": 2,
-                     "batched_calls": 2, "inside_steps": 1,
-                     "cells_encoded": 1, "wall_ms": 1.0}]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chartlm import autodiff as ad
+from chartlm import model as model_module
 from chartlm.autodiff import Tensor, no_grad
+from chartlm.inside_outside import run_stack
 from chartlm.model import ChartLM, ForwardOutput, ReCatConfig
 from chartlm.trees import format_sexpr, leaves, node_count
 
@@ -115,14 +117,13 @@ def test_same_schedule_gives_bit_identical_unmasked_rows():
     clean = model.forward_pretrain(ids)
     corrupted = ids.copy()
     corrupted[3] = 0
-    masked = model.forward_pretrain(ids, masked=corrupted,
-                                    schedule=clean.schedule)
     plan = clean.result.plan
+    masked = run_stack(model.embedding(corrupted), model.cio, plan)
     for span, row in plan.row_of.items():
         if span[1] < 4:
             np.testing.assert_array_equal(
                 clean.result.layers[0].inside.data[row],
-                masked.result.layers[0].inside.data[row])
+                masked.layers[0].inside.data[row])
 
 
 def test_fast_encode_minimal_case_matches_standard():
@@ -134,6 +135,32 @@ def test_fast_encode_minimal_case_matches_standard():
     np.testing.assert_allclose(std.nodes.data, fast.nodes.data, atol=1e-12)
     np.testing.assert_allclose(std.logits.data, fast.logits.data, atol=1e-12)
     assert format_sexpr(std.tree) == format_sexpr(fast.tree)
+
+
+@pytest.mark.parametrize("mode", ["forward_pretrain", "fast_encode"])
+def test_forward_decodes_the_split_order_once(mode, monkeypatch):
+    calls = []
+    decode = model_module.split_order
+
+    def counting(scores, n):
+        calls.append(n)
+        return decode(scores, n)
+
+    monkeypatch.setattr(model_module, "split_order", counting)
+    model = _model(seed=15)
+    getattr(model, mode)(np.array([1, 2, 3, 4, 5, 6]))
+    assert calls == [6]
+
+
+def test_default_config_runs_in_float32():
+    # float constants in the graph must not promote float32 operands
+    model = ChartLM(ReCatConfig(vocab_size=12), np.random.default_rng(16))
+    ids = np.array([1, 2, 3, 4, 5])
+    out = model.forward_pretrain(ids, masked=ids, target_positions=np.array([1, 3]),
+                                 target_ids=ids[[1, 3]])
+    assert out.result.final.outside.dtype == np.float32
+    assert out.logits.dtype == np.float32
+    assert out.mlm_loss.dtype == np.float32
 
 
 def test_fast_encode_follows_parser_tree():
