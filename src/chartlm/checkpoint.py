@@ -4,13 +4,17 @@ Layout: 4-byte magic, little-endian uint32 format version, uint64 header
 length, UTF-8 JSON header, then raw little-endian tensor blobs in header
 order. The header records every tensor's name/shape/dtype plus a config
 snapshot and free-form metadata, so a file is loadable without the model
-class that wrote it.
+class that wrote it. A save replaces the file whole (`replace_file`), so a
+crash mid-save leaves the previous file in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import suppress
+from typing import Iterable
 
 import numpy as np
 
@@ -18,6 +22,25 @@ from .nn import Module
 
 MAGIC = b"CLMC"
 VERSION = 1
+
+
+def replace_file(path: str, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to `path` so the file is either whole or absent: they go
+    to a temp file in the same directory, which is flushed, synced and then
+    renamed over `path`. On failure the temp file is removed and whatever
+    was at `path` before is left untouched."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict,
@@ -34,12 +57,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict,
         blobs.append(blob)
     header = json.dumps({"tensors": entries, "config": config,
                          "extra": extra or {}}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQ", VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    replace_file(path, [MAGIC, struct.pack("<IQ", VERSION, len(header)), header, *blobs])
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:

@@ -3,14 +3,17 @@
 Each layer runs one bottom-up (inside) and one top-down (outside) sweep over
 the cells a Schedule kept. Cell vectors live in a flat arena (leaf rows first,
 then cells in batch order) so a whole batch is one gather / compose / scatter
-round; the outside sweep walks batches in reverse. Both sweeps pool a cell's
-candidates (one per split inside, one per parent path outside) the same way:
-a masked softmax over their scores weights the candidate vectors and scores.
+round. The outside sweep walks batches in reverse and grows a second arena,
+of outside candidates: row 0 is the layer's learned root vector, then each
+batch appends the candidates it emits for its cells' children. Both sweeps
+pool a cell's candidates (one per split inside, one per parent path outside)
+the same way: one gather from the arena, then a masked softmax over their
+scores weights the candidate vectors and scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,11 +121,9 @@ class BatchPlan:
     pair_cell: np.ndarray       # (P,) arena row of the owning cell
     pair_cell_pos: np.ndarray   # (P,) position of the owning cell inside the batch
     pair_split: np.ndarray      # (P,) boundary value of each pair
-    score_pad: np.ndarray       # (C, W) indices into 0..P, P = padding slot
-    inbox: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    # inbox: (source batch id, rows of that batch's 2P-candidate block) pairs,
-    # concatenated in arrival order to form this batch's candidate pool
-    pool_pad: np.ndarray | None = None    # (C, U) pool indices, pad = pool size
+    score_pad: np.ndarray       # (C, W) each cell's pair indices (see _pad_matrix)
+    pool_pad: np.ndarray | None = None  # (C, U) each cell's rows of the outside
+    # candidate arena (see _pad_matrix); set once every batch is planned
 
 
 @dataclass
@@ -134,7 +135,7 @@ class EnginePlan:
     spans: list[Span]
     row_of: dict[Span, int]
     batches: list[BatchPlan]    # non-leaf batches in execution order
-    leaves: BatchPlan | None    # outside pool plan for the leaf rows (inbox only)
+    leaf_pool: np.ndarray       # (n, U) the leaves' rows of the outside candidate arena
     root_row: int
 
     @property
@@ -142,35 +143,30 @@ class EnginePlan:
         return len(self.spans)
 
 
-def _pad_matrix(groups: list[list[int]], pad: int) -> np.ndarray:
-    width = max((len(g) for g in groups), default=0)
-    width = max(width, 1)
-    out = np.full((len(groups), width), pad, dtype=np.intp)
+def _pad_matrix(groups: list[list[int]]) -> np.ndarray:
+    """One row per group, as wide as the widest; a row's empty slots repeat
+    its first index, so a gather stays in range and _softmax_pool masks them."""
+    out = np.empty((len(groups), max(len(g) for g in groups)), dtype=np.intp)
     for r, g in enumerate(groups):
         out[r, :len(g)] = g
+        out[r, len(g):] = g[0]
     return out
 
 
 def plan_engine(schedule: Schedule) -> EnginePlan:
     """Lower a Schedule to flat gather/scatter index arrays.
 
-    Also fixes the outside candidate routing: batch t's cells emit one
-    2P-row candidate block (left-child rows then right-child rows), and each
-    earlier batch knows statically which rows of which blocks it pools.
+    Also fixes the outside candidate routing. The candidate arena's row 0 is
+    the root; then each batch, last first, emits one candidate per child of
+    each of its pairs (left children then right children, in pair order), so
+    a cell's candidates are exactly the rows its parent paths emitted.
     """
     n = schedule.n
     spans = schedule.ordered_spans()
     row_of = {s: r for r, s in enumerate(spans)}
-    batch_of_row = np.zeros(len(spans), dtype=np.intp)
-    for t, batch in enumerate(schedule.batches):
-        for s in batch:
-            batch_of_row[row_of[s]] = t
-
-    if n > 1 and schedule.batches[-1] != [schedule.root]:
-        raise ValueError("last batch must contain exactly the root span")
 
     plans: list[BatchPlan] = []
-    for t, batch in enumerate(schedule.batches[1:], start=1):
+    for batch in schedule.batches[1:]:
         pl, pr, pc, pp, pk = [], [], [], [], []
         groups: list[list[int]] = []
         for pos, span in enumerate(batch):
@@ -195,45 +191,24 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
             pair_cell=np.array(pc, dtype=np.intp),
             pair_cell_pos=np.array(pp, dtype=np.intp),
             pair_split=np.array(pk, dtype=np.intp),
-            score_pad=_pad_matrix(groups, pad=len(pl)),
+            score_pad=_pad_matrix(groups),
         ))
 
-    # candidate routing: block of batch t targets rows [pair_left; pair_right]
-    T = len(plans)
-    block_targets = {t: np.concatenate([plans[t - 1].pair_left, plans[t - 1].pair_right])
-                     for t in range(1, T + 1)}
-    leaves = BatchPlan(spans=[(i, i) for i in range(1, n + 1)],
-                       cell_rows=np.arange(n, dtype=np.intp),
-                       pair_left=np.zeros(0, dtype=np.intp),
-                       pair_right=np.zeros(0, dtype=np.intp),
-                       pair_cell=np.zeros(0, dtype=np.intp),
-                       pair_cell_pos=np.zeros(0, dtype=np.intp),
-                       pair_split=np.zeros(0, dtype=np.intp),
-                       score_pad=np.zeros((0, 1), dtype=np.intp))
-
-    def target_plan(t_target: int, plan: BatchPlan) -> None:
-        per_row: dict[int, list[int]] = {int(r): [] for r in plan.cell_rows}
-        offset = 0
-        for src in range(T, t_target, -1):
-            tgt = block_targets[src]
-            idx = np.where(batch_of_row[tgt] == t_target)[0]
-            if idx.size:
-                plan.inbox.append((src, idx))
-                for pos, row in enumerate(tgt[idx]):
-                    per_row[int(row)].append(offset + pos)
-                offset += idx.size
-        rows = [int(r) for r in plan.cell_rows if spans[int(r)] != (1, n)]
-        for r in rows:
-            if not per_row[r]:
-                raise ValueError(f"schedule violation: {spans[r]} has no parent candidates")
-        plan.pool_pad = _pad_matrix([per_row[r] for r in rows], pad=offset)
-
-    for t in range(1, T + 1):
-        target_plan(t, plans[t - 1])
-    target_plan(0, leaves)
+    # candidate-arena row c pools into arena row targets[c]
+    targets = np.concatenate([[row_of[schedule.root]]] + [
+        np.concatenate([bp.pair_left, bp.pair_right]) for bp in reversed(plans)])
+    parents: list[list[int]] = [[] for _ in spans]
+    for c, r in enumerate(targets):
+        parents[r].append(c)
+    for r, cands in enumerate(parents):
+        if not cands:
+            raise ValueError(f"schedule violation: {spans[r]} has no parent candidates")
+    for bp in plans:
+        bp.pool_pad = _pad_matrix([parents[r] for r in bp.cell_rows])
 
     return EnginePlan(n=n, schedule=schedule, spans=spans, row_of=row_of,
-                      batches=plans, leaves=leaves, root_row=row_of[schedule.root])
+                      batches=plans, leaf_pool=_pad_matrix(parents[:n]),
+                      root_row=row_of[schedule.root])
 
 
 # ---------------------------------------------------------------------------
@@ -279,33 +254,24 @@ class StackResult:
         return self.layers[-1]
 
 
-def _gather_rows(arena: Tensor, rows: np.ndarray) -> Tensor:
-    return ad.gather(arena, rows, axis=0)
-
-
-def _pad_gather(values: Tensor, pad_value: float, pad_idx: np.ndarray) -> Tensor:
-    """Gather a (R, ...) tensor into pad_idx's shape with a constant pad row."""
-    pad_shape = (1,) + values.shape[1:]
-    pad = Tensor(np.full(pad_shape, pad_value, dtype=values.data.dtype))
-    ext = ad.concat([values, pad], axis=0)
-    flat = ad.gather(ext, pad_idx.reshape(-1), axis=0)
-    return ad.reshape(flat, pad_idx.shape + values.shape[1:])
-
-
 def _softmax_pool(vecs: Tensor, scores: Tensor, pad: np.ndarray) -> tuple[Tensor, Tensor]:
     """Softmax-weighted sum of candidates, one output row per row of `pad`.
 
     vecs (R, d) and scores (R,) hold the candidates; pad (C, W) indexes them,
-    with R marking an empty slot. Returns the (C, d) vectors and the (C,)
-    expected scores.
+    a row's empty slots repeating its first index (_pad_matrix). Returns the
+    (C, d) vectors and the (C,) expected scores. An empty slot's softmax
+    weight is exactly 0, so its duplicate adds exactly 0 to both outputs and
+    to every gradient.
     """
     if pad.shape[1] == 1:  # a one-candidate softmax weighs exactly 1
         idx = pad[:, 0]
-        return _gather_rows(vecs, idx), _gather_rows(scores, idx)
-    w = ad.softmax(_pad_gather(scores, -np.inf, pad), axis=1)     # (C, W)
-    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * _pad_gather(vecs, 0.0, pad), axis=1)
-    score = ad.tsum(w * _pad_gather(scores, 0.0, pad), axis=1)
-    return vec, score
+        return ad.gather(vecs, idx), ad.gather(scores, idx)
+    empty = pad == pad[:, :1]
+    empty[:, 0] = False
+    s = ad.gather(scores, pad)                                    # (C, W)
+    w = ad.softmax(s + np.where(empty, -np.inf, 0.0), axis=1)
+    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * ad.gather(vecs, pad), axis=1)
+    return vec, ad.tsum(w * s, axis=1)
 
 
 def _inside_batch(plan: BatchPlan, arena: Tensor, scores: Tensor, prev_out: Tensor,
@@ -313,13 +279,13 @@ def _inside_batch(plan: BatchPlan, arena: Tensor, scores: Tensor, prev_out: Tens
                   stats: EngineStats) -> tuple[Tensor, Tensor, np.ndarray]:
     """One batch of the inside pass; returns cell vectors, cell scores, and
     the raw per-pair totals a[k] (data only, for tree induction)."""
-    left = _gather_rows(arena, plan.pair_left)
-    right = _gather_rows(arena, plan.pair_right)
-    parent_slot = _gather_rows(prev_out, plan.pair_cell)
+    left = ad.gather(arena, plan.pair_left)
+    right = ad.gather(arena, plan.pair_right)
+    parent_slot = ad.gather(prev_out, plan.pair_cell)
     composed = alpha(ad.stack([left, right, parent_slot], axis=1))[:, ROLE_PARENT, :]
 
     cand = compat(left, right, "inside")
-    totals = cand + _gather_rows(scores, plan.pair_left) + _gather_rows(scores, plan.pair_right)
+    totals = cand + ad.gather(scores, plan.pair_left) + ad.gather(scores, plan.pair_right)
     cell_vec, cell_score = _softmax_pool(composed, totals, plan.score_pad)
 
     stats.pairs_composed += len(plan.pair_left)
@@ -356,78 +322,43 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
 
         if l == stack.num_layers - 1:
             for bp, totals in zip(plan.batches, totals_by_batch):
-                for span, group in zip(bp.spans, _split_groups(bp)):
-                    pair_scores[span] = totals[group]
+                for span, pad in zip(bp.spans, bp.score_pad):
+                    pair_scores[span] = totals[pad[:len(plan.schedule.splits[span])]]
 
         # ---- outside sweep ------------------------------------------------
-        out_blocks: dict[int, tuple[Tensor, Tensor]] = {}
-        emit_blocks: dict[int, tuple[Tensor, Tensor]] = {}
-        root_vec = ad.reshape(stack.roots[l], (1, stack.d))
-        root_b = Tensor(np.zeros(1, dtype=dtype))
-
-        T = len(plan.batches)
-        for t in range(T, 0, -1):
-            bp = plan.batches[t - 1]
-            if t == T and n > 1:
-                out_vec, out_b = root_vec, root_b
-            else:
-                pool_v, pool_s = _gather_inbox(bp, emit_blocks)
-                out_vec, out_b = _softmax_pool(pool_v, pool_s, bp.pool_pad)
-            out_blocks[t] = (out_vec, out_b)
+        cand_v = ad.reshape(stack.roots[l], (1, stack.d))
+        cand_s = Tensor(np.zeros(1, dtype=dtype))
+        out_vecs, out_scores = [], []
+        for bp in reversed(plan.batches):
+            out_vec, out_b = _softmax_pool(cand_v, cand_s, bp.pool_pad)
+            out_vecs.append(out_vec)
+            out_scores.append(out_b)
 
             # emit candidates: one compose per (parent, split) serves both
             # children through slots 0 and 1
-            left = _gather_rows(arena, bp.pair_left)
-            right = _gather_rows(arena, bp.pair_right)
-            parent_out = _gather_rows(out_vec, bp.pair_cell_pos)
-            parent_b = _gather_rows(out_b, bp.pair_cell_pos)
+            left = ad.gather(arena, bp.pair_left)
+            right = ad.gather(arena, bp.pair_right)
+            parent_out = ad.gather(out_vec, bp.pair_cell_pos)
+            parent_b = ad.gather(out_b, bp.pair_cell_pos)
             y = stack.beta[l](ad.stack([left, right, parent_out], axis=1))
-            cand_left = y[:, ROLE_LEFT, :]
-            cand_right = y[:, ROLE_RIGHT, :]
-            b_left = _gather_rows(scores, bp.pair_right) \
+            b_left = ad.gather(scores, bp.pair_right) \
                 + stack.compat(parent_out, right, "outside") + parent_b
-            b_right = _gather_rows(scores, bp.pair_left) \
+            b_right = ad.gather(scores, bp.pair_left) \
                 + stack.compat(parent_out, left, "outside") + parent_b
-            emit_blocks[t] = (ad.concat([cand_left, cand_right], axis=0),
-                              ad.concat([b_left, b_right], axis=0))
+            cand_v = ad.concat([cand_v, y[:, ROLE_LEFT, :], y[:, ROLE_RIGHT, :]], axis=0)
+            cand_s = ad.concat([cand_s, b_left, b_right], axis=0)
             stats.pairs_composed += len(bp.pair_left)
             stats.batched_calls += 1
 
-        if n == 1:
-            leaf_out, leaf_b = root_vec, root_b
-        else:
-            pool_v, pool_s = _gather_inbox(plan.leaves, emit_blocks)
-            leaf_out, leaf_b = _softmax_pool(pool_v, pool_s, plan.leaves.pool_pad)
-
-        out_parts = [leaf_out] + [out_blocks[t][0] for t in range(1, T + 1)]
-        out_b_parts = [leaf_b] + [out_blocks[t][1] for t in range(1, T + 1)]
-        outside = ad.concat(out_parts, axis=0) if len(out_parts) > 1 else out_parts[0]
-        outside_b = ad.concat(out_b_parts, axis=0) if len(out_b_parts) > 1 else out_b_parts[0]
+        leaf_out, leaf_b = _softmax_pool(cand_v, cand_s, plan.leaf_pool)
+        outside = ad.concat([leaf_out] + out_vecs[::-1], axis=0)
+        outside_b = ad.concat([leaf_b] + out_scores[::-1], axis=0)
 
         layers.append(LayerState(inside=arena, inside_score=scores,
                                  outside=outside, outside_score=outside_b))
         prev_out = outside
 
     return StackResult(plan=plan, layers=layers, pair_scores=pair_scores, stats=stats)
-
-
-def _split_groups(bp: BatchPlan) -> list[np.ndarray]:
-    return [np.where(bp.pair_cell_pos == pos)[0] for pos in range(len(bp.spans))]
-
-
-def _gather_inbox(bp: BatchPlan, emit_blocks: dict[int, tuple[Tensor, Tensor]]
-                  ) -> tuple[Tensor, Tensor]:
-    """Assemble this batch's candidate pool from the emitted blocks."""
-    v_parts, s_parts = [], []
-    for src, idx in bp.inbox:
-        bv, bs = emit_blocks[src]
-        v_parts.append(ad.gather(bv, idx, axis=0))
-        s_parts.append(ad.gather(bs, idx, axis=0))
-    if not v_parts:
-        raise ValueError("schedule violation: no parent candidates to pool")
-    if len(v_parts) == 1:
-        return v_parts[0], s_parts[0]
-    return ad.concat(v_parts, axis=0), ad.concat(s_parts, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor
 from .checkpoint import (apply_parameters, collect_parameters, load_checkpoint,
-                         save_checkpoint)
+                         replace_file, save_checkpoint)
 from .inside_outside import EngineStats
 from .model import ChartLM, ReCatConfig
 
@@ -313,6 +313,9 @@ class Trainer:
         mlm_loss = _weighted_mean(mlm_terms)  # per-masked-token cross entropy
         loss = mlm_loss if fast else mlm_loss + parser_loss
         loss.backward()
+        for p in self.model.parameters():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise FloatingPointError(f"non-finite gradient for {p.name} at step {self.step}")
         self.opt_model.step()
         if not fast:
             self.opt_parser.step()
@@ -330,11 +333,14 @@ class Trainer:
 
     def train(self, metrics_path: str | None = None) -> list[dict]:
         """Run from the current step to the configured horizon; appends one
-        JSON record per step to `metrics_path` when given."""
+        JSON record per step to `metrics_path` when given, after dropping the
+        file's records of the steps this run is about to redo."""
         total = self.cfg.epochs * len(self.batches)
         if self.cfg.max_steps:
             total = min(total, self.cfg.max_steps)
         records: list[dict] = []
+        if metrics_path and os.path.exists(metrics_path):
+            _drop_records_from(metrics_path, self.step)
         fh = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
         try:
             while self.step < total:
@@ -377,6 +383,16 @@ class Trainer:
         trainer.opt_parser.load_state_tensors(tensors, "opt_parser", extra["opt_parser_t"])
         trainer.step = int(extra["step"])
         return trainer
+
+
+def _drop_records_from(path: str, step: int) -> None:
+    """Rewrite a metrics file without its records of steps >= `step`, and
+    without a last line torn by a crash mid-write (it has no newline)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    kept = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["step"] < step]
+    if len(kept) < len(lines):
+        replace_file(path, [ln.encode("utf-8") for ln in kept])
 
 
 def _mean(terms: list[Tensor]) -> Tensor:

@@ -1,10 +1,13 @@
 """Checkpoint format: roundtrips, corruption detection, parameter loading."""
 
+import errno
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from chartlm import checkpoint
 from chartlm.checkpoint import (MAGIC, VERSION, apply_parameters,
                                 collect_parameters, load_checkpoint,
                                 save_checkpoint)
@@ -76,6 +79,50 @@ def test_truncated_blob_names_tensor(tmp_path):
     cut.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated checkpoint at tensor w"):
         load_checkpoint(str(cut))
+
+
+class _DiskFullAfter:
+    """A binary file whose writes fail with ENOSPC once `budget` bytes are in."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_save_keeps_the_previous_file_whole(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.ckpt")
+    old = {"w": np.arange(64, dtype=np.float64).reshape(8, 8)}
+    save_checkpoint(path, old, {"step": 1})
+    before = open(path, "rb").read()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return _DiskFullAfter(open(file, mode, *args, **kwargs), budget=100)
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, {"w": np.ones((8, 8))}, {"step": 2})
+    monkeypatch.undo()
+
+    assert open(path, "rb").read() == before
+    tensors, config, _ = load_checkpoint(path)
+    assert config == {"step": 1}
+    np.testing.assert_array_equal(tensors["w"], old["w"])
+    assert os.listdir(tmp_path) == ["model.ckpt"]  # no temp file left behind
 
 
 def test_apply_parameters_missing_and_shape_errors():

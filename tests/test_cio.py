@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartlm import autodiff as ad
+from chartlm import inside_outside
 from chartlm.autodiff import Tensor
+from chartlm.chart import Schedule, validate_schedule
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT,
                                     CioStack, ComposeParams, EngineStats,
                                     induce_order, induce_tree, plan_engine,
                                     run_stack)
-from chartlm.oracle import (best_tree_exhaustive, cumulative_outside_reference,
-                            direct_outside_check, full_chart_reference)
+from chartlm.oracle import (ParentEdge, best_tree_exhaustive,
+                            cumulative_outside_reference, direct_outside_check,
+                            full_chart_reference, parents_from_splits)
 from chartlm.pruning import (build_cell_batches, prune_schedule, split_order,
                              tree_schedule)
 from chartlm.trees import format_sexpr
@@ -175,6 +178,115 @@ def test_fold_single_candidate_is_identity():
     vec, total = cumulative_outside_reference(np.array([[1.0, 2.0]]), np.array([-3.0]))
     np.testing.assert_array_equal(vec, [1.0, 2.0])
     assert total == -3.0
+
+
+# ---------------------------------------------------------------------------
+# candidate pools and routing
+# ---------------------------------------------------------------------------
+
+def _pad_row_pool(vecs, scores, pad):
+    """Reference pool: empty slots (those after a row's candidates, which
+    repeat its first index) read an appended constant row instead, with a
+    -inf score for the softmax and 0 in the weighted sums."""
+    if pad.shape[1] == 1:
+        idx = pad[:, 0]
+        return ad.gather(vecs, idx), ad.gather(scores, idx)
+    empty = pad == pad[:, :1]
+    empty[:, 0] = False
+    idx = np.where(empty, scores.shape[0], pad)
+
+    def padded(values, fill):
+        row = Tensor(np.full((1,) + values.shape[1:], fill, dtype=values.dtype))
+        flat = ad.gather(ad.concat([values, row], axis=0), idx.reshape(-1))
+        return ad.reshape(flat, idx.shape + values.shape[1:])
+
+    w = ad.softmax(padded(scores, -np.inf), axis=1)
+    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * padded(vecs, 0.0), axis=1)
+    return vec, ad.tsum(w * padded(scores, 0.0), axis=1)
+
+
+def _schedules():
+    """Pruned schedules at several windows plus a tree schedule, per n."""
+    for n in (1, 2, 5, 12, 40):
+        order = split_order(np.random.default_rng(n).standard_normal(max(n - 1, 0)), n)
+        for m in sorted({2, 3, max(n, 2)}):
+            yield pytest.param(build_cell_batches(prune_schedule(n, m, order)),
+                               id=f"n{n}-m{m}")
+        yield pytest.param(tree_schedule(n, order), id=f"n{n}-tree")
+
+
+@pytest.mark.parametrize("schedule", list(_schedules()))
+def test_stack_equals_pad_row_pooling_bit_for_bit(schedule, monkeypatch):
+    # duplicate-index padding must change no bit of any output or gradient
+    def run(pool):
+        monkeypatch.setattr(inside_outside, "_softmax_pool", pool)
+        stack = _stack(layers=2, seed=36, share=False)
+        rng = np.random.default_rng(37)
+        for p in stack.parameters():
+            p.data += rng.standard_normal(p.data.shape) * 0.1
+        x = Tensor(rng.standard_normal((schedule.n, stack.d)), requires_grad=True)
+        result = run_stack(x, stack, plan_engine(schedule))
+        loss = Tensor(np.zeros(()))
+        arrays = []
+        for state in result.layers:
+            for t in (state.inside, state.inside_score, state.outside, state.outside_score):
+                loss = loss + ad.tsum(t * rng.standard_normal(t.shape))
+                arrays.append(t.data)
+        loss.backward()
+        arrays += [result.pair_scores[s] for s in sorted(result.pair_scores)]
+        return arrays + [x.grad] + [p.grad for p in stack.parameters()]
+
+    new = run(inside_outside._softmax_pool)
+    ref = run(_pad_row_pool)
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        np.testing.assert_array_equal(a, b)
+
+
+def _pool_entries(row):
+    """A pad row's candidates: its first entry and every later one that does
+    not repeat it; the repeats must all come last."""
+    first = row[0]
+    k = 1 + int(np.sum(row[1:] != first))
+    assert np.all(row[k:] == first)
+    return [int(r) for r in row[:k]]
+
+
+@pytest.mark.parametrize("schedule", list(_schedules()))
+def test_plan_routes_each_parent_edge_to_its_child(schedule):
+    # candidate-arena row 0 is the root; then each batch, last first, emits
+    # one candidate per pair for the left child, then one for the right
+    plan = plan_engine(schedule)
+    emitted = [None]
+    for bp in reversed(plan.batches):
+        for slot in (ROLE_LEFT, ROLE_RIGHT):
+            emitted += [ParentEdge(plan.spans[c], int(k), slot)
+                        for c, k in zip(bp.pair_cell, bp.pair_split)]
+    pools = {plan.spans[r]: row for r, row in enumerate(plan.leaf_pool)}
+    for bp in plan.batches:
+        assert bp.pool_pad.shape[0] == len(bp.spans)
+        pools.update(zip(bp.spans, bp.pool_pad))
+    assert sorted(pools) == sorted(plan.spans)
+    edges = parents_from_splits(schedule.splits)
+    for span, row in pools.items():
+        got = _pool_entries(row)
+        if span == schedule.root:
+            assert got == [0]
+        else:
+            assert len(set(got)) == len(got) and 0 not in got
+            assert sorted((emitted[c] for c in got),
+                          key=lambda e: (e.parent, e.split, e.slot)) == list(edges[span])
+
+
+def test_plan_rejects_a_cell_beside_the_root():
+    # (2,3) is well formed but shares the last batch with the root, so no
+    # later batch can emit its parent candidate
+    leaves = [(1, 1), (2, 2), (3, 3)]
+    schedule = Schedule(n=3, batches=[leaves, [(1, 2)], [(1, 3), (2, 3)]],
+                        splits={(1, 2): (1,), (1, 3): (2,), (2, 3): (2,)})
+    validate_schedule(schedule)
+    with pytest.raises(ValueError, match=r"\(2, 3\) has no parent candidates"):
+        plan_engine(schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import os
 import numpy as np
 import pytest
 
+from chartlm.autodiff import Tensor
 from chartlm.cli import dispatch, parse_config_file
+from chartlm.model import ChartLM
 from chartlm.trees import format_sexpr, read_tree_file
 
 MODEL_CFG = """\
@@ -160,6 +162,29 @@ def test_pretrain_vocab_size_mismatch(workdir, capsys):
                    "--config", str(cfg), "--out", _p(workdir, "run")])
     assert rc == 3
     assert "does not match" in capsys.readouterr().err
+
+
+def test_pretrain_non_finite_gradient_is_numeric_error(workdir, capsys, monkeypatch):
+    models = []
+    init, backward = ChartLM.__init__, Tensor.backward
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    def poisoned_backward(self, seed=None):
+        backward(self, seed)
+        models[-1].mlm_bias.grad[0] = np.inf
+
+    monkeypatch.setattr(ChartLM, "__init__", recording_init)
+    monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+    out = _p(workdir, "run")
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"),
+                   "--vocab", _p(workdir, "vocab.txt"),
+                   "--config", _p(workdir, "config.txt"), "--out", out])
+    assert rc == 3
+    assert "non-finite gradient for mlm.bias at step 0" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "model.ckpt"))
 
 
 # ---------------------------------------------------------------------------

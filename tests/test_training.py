@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chartlm.autodiff import Parameter
+from chartlm.autodiff import Parameter, Tensor
 from chartlm.model import ChartLM, ReCatConfig
 from chartlm.training import (MASK_TOKEN, AdamW, TrainConfig, Trainer, Vocab,
                               batches_by_length, forbidden_boundaries,
@@ -334,6 +334,40 @@ def test_resume_equals_uninterrupted(tmp_path):
                     sorted(resumed.model.parameters(), key=lambda t: t.name)):
         assert p.name == q.name
         np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_resume_does_not_repeat_metric_records(tmp_path):
+    out = str(tmp_path)
+    path = str(tmp_path / "metrics.jsonl")
+    model = ChartLM(_tiny_cfg(), np.random.default_rng(14))
+    first = Trainer(model, TrainConfig(epochs=2, batch_tokens=24, seed=14,
+                                       checkpoint_every=2), _corpus(8, seed=6), VOCAB, out)
+    first.train(metrics_path=path)
+    total = first.step
+    assert total > 3
+
+    resumed = Trainer.resume(str(tmp_path / "step000002.ckpt"), _corpus(8, seed=6), out)
+    resumed.train(metrics_path=path)
+    lines = [json.loads(l) for l in open(path)]
+    assert [r["step"] for r in lines] == list(range(total))
+
+
+def test_non_finite_gradient_stops_before_the_optimizer(monkeypatch):
+    tr = _trainer(seed=15, max_steps=1)
+    target = tr.model.model_parameters()[0]
+    backward = Tensor.backward
+
+    def poisoned_backward(self, seed=None):
+        backward(self, seed)
+        target.grad[(0,) * target.grad.ndim] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+    before = [p.data.copy() for p in tr.model.parameters()]
+    with pytest.raises(FloatingPointError,
+                       match=f"non-finite gradient for {target.name} at step 0"):
+        tr.train()
+    for p, old in zip(tr.model.parameters(), before):
+        np.testing.assert_array_equal(p.data, old)
 
 
 def test_saved_model_reloads_and_parses(tmp_path):
