@@ -6,6 +6,13 @@ topological order and accumulates gradients into `.grad`. Reductions delegate
 to numpy's deterministic pairwise summation, so replaying a forward pass with
 identical inputs reproduces identical bits, which the determinism tests rely
 on. Training runs in float32; oracle and gradient checks build float64 graphs.
+
+The op contract: an op computes its output array, then returns
+`_node(data, inputs, vjp)`. `vjp(g)` maps the output's gradient `g` to one
+gradient per input, in `inputs` order, constants included. `_node` alone
+decides whether the result is recorded, and `Tensor.backward` alone decides
+which inputs receive their gradient and adds it up, so an op (a fused one
+too) is its forward plus one VJP.
 """
 
 from __future__ import annotations
@@ -32,10 +39,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def _tracing(*tensors: "Tensor") -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 class Tensor:
@@ -99,12 +102,14 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._prev:
-                if id(p) not in seen and (p.requires_grad or p._prev):
+                if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self._accum(seed)
         for node in reversed(topo):
-            if node._bw is not None and node.grad is not None:
-                node._bw(node.grad)
+            if node._bw is not None:
+                for p, g in zip(node._prev, node._bw(node.grad)):
+                    if p.requires_grad:
+                        p._accum(g)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -181,6 +186,14 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
+def _node(data, inputs: tuple[Tensor, ...], vjp: Callable[[Array], Sequence[Array]]) -> Tensor:
+    """The op result `data`, recorded on the tape with `vjp` when grad is on
+    and some input requires grad; a plain constant otherwise."""
+    if _grad_enabled and any(t.requires_grad for t in inputs):
+        return Tensor(data, True, inputs, vjp)
+    return Tensor(data)
+
+
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum `g` down to `shape` (reverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -200,92 +213,35 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out_data = a.data + b.data
-    if not _tracing(a, b):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a, b))
-
-    def _bw(g):
-        if a.requires_grad or a._prev:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._prev:
-            b._accum(_unbroadcast(g, b.shape))
-
-    out._bw = _bw
-    return out
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out_data = a.data - b.data
-    if not _tracing(a, b):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a, b))
-
-    def _bw(g):
-        if a.requires_grad or a._prev:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._prev:
-            b._accum(_unbroadcast(-g, b.shape))
-
-    out._bw = _bw
-    return out
+    return _node(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out_data = a.data * b.data
-    if not _tracing(a, b):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a, b))
-
-    def _bw(g):
-        if a.requires_grad or a._prev:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._prev:
-            b._accum(_unbroadcast(g * a.data, b.shape))
-
-    out._bw = _bw
-    return out
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.shape),
+                            _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out_data = a.data / b.data
-    if not _tracing(a, b):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a, b))
-
-    def _bw(g):
-        if a.requires_grad or a._prev:
-            a._accum(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad or b._prev:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    out._bw = _bw
-    return out
+    return _node(a.data / b.data, (a, b),
+                 lambda g: (_unbroadcast(g / b.data, a.shape),
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def _unary(a, fwd: Callable[[Array], Array], dfd: Callable[[Array, Array], Array]) -> Tensor:
+    """Elementwise op whose derivative `dfd(x, y)` reads its input and output."""
     a = as_tensor(a)
     out_data = fwd(a.data)
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
-
-    def _bw(g):
-        a._accum(g * dfd(a.data, out_data))
-
-    out._bw = _bw
-    return out
-
-
-def exp(a) -> Tensor:
-    return _unary(a, np.exp, lambda x, y: y)
-
-
-def log(a) -> Tensor:
-    return _unary(a, np.log, lambda x, y: 1.0 / x)
+    return _node(out_data, (a,), lambda g: (g * dfd(a.data, out_data),))
 
 
 def tanh(a) -> Tensor:
@@ -309,82 +265,51 @@ def gelu(a) -> Tensor:
     )
 
 
-def power(a, exponent: float) -> Tensor:
-    return _unary(a, lambda x: x ** exponent, lambda x, y: exponent * x ** (exponent - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
-    out._bw = lambda g: a._accum(g.reshape(a.shape))
-    return out
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    out_data = np.transpose(a.data, axes)
-    if not _tracing(a):
-        return Tensor(out_data)
-    inv = np.argsort(axes)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
-    out._bw = lambda g: a._accum(np.transpose(g, inv))
-    return out
+    return _node(np.transpose(a.data, axes), (a,),
+                 lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
-    out_data = np.broadcast_to(a.data, shape)
-    if not _tracing(a):
-        return Tensor(np.array(out_data))
-    out = Tensor(np.array(out_data), requires_grad=True, _prev=(a,))
-    out._bw = lambda g: a._accum(_unbroadcast(g, a.shape))
-    return out
+    return _node(np.array(np.broadcast_to(a.data, shape)), (a,),
+                 lambda g: (_unbroadcast(g, a.shape),))
 
 
 def index(a, key) -> Tensor:
     """Basic indexing (ints/slices); returns a copy, scatters grad back."""
     a = as_tensor(a)
-    out_data = np.array(a.data[key])
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
 
-    def _bw(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        a._accum(full)
+        return (full,)
 
-    out._bw = _bw
-    return out
+    return _node(np.array(a.data[key]), (a,), vjp)
 
 
-def gather(a, idx, axis: int = 0) -> Tensor:
-    """Integer-array take along `axis`; duplicate indices accumulate grads."""
+def gather(a, idx) -> Tensor:
+    """Rows of `a` at the integer array `idx` (any shape); duplicate indices
+    accumulate grads."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out_data = np.take(a.data, idx, axis=axis)
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
 
-    def _bw(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
-        if axis == 0:
-            np.add.at(full, idx, g)
-        else:
-            moved = np.moveaxis(full, axis, 0)  # view: writes land in full
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-        a._accum(full)
+        np.add.at(full, idx, g)
+        return (full,)
 
-    out._bw = _bw
-    return out
+    return _node(np.take(a.data, idx, axis=0), (a,), vjp)
 
 
 def take_pairs(a, rows, cols) -> Tensor:
@@ -392,55 +317,26 @@ def take_pairs(a, rows, cols) -> Tensor:
     a = as_tensor(a)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    out_data = a.data[rows, cols]
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
 
-    def _bw(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         np.add.at(full, (rows, cols), g)
-        a._accum(full)
+        return (full,)
 
-    out._bw = _bw
-    return out
+    return _node(a.data[rows, cols], (a,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not (_grad_enabled and any(t.requires_grad for t in tensors)):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._prev:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
-
-    out._bw = _bw
-    return out
+    tensors = tuple(as_tensor(t) for t in tensors)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, np.cumsum([t.shape[axis] for t in tensors[:-1]]),
+                                    axis=axis))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    if not (_grad_enabled and any(t.requires_grad for t in tensors)):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=tuple(tensors))
-
-    def _bw(g):
-        slices = np.moveaxis(g, axis, 0)
-        for t, gs in zip(tensors, slices):
-            if t.requires_grad or t._prev:
-                t._accum(gs)
-
-    out._bw = _bw
-    return out
+    tensors = tuple(as_tensor(t) for t in tensors)
+    return _node(np.stack([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.moveaxis(g, axis, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +345,13 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
 
-    def _bw(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.shape))
-            return
-        if not keepdims:
+    def vjp(g):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.shape))
+        return (np.broadcast_to(g, a.shape),)
 
-    out._bw = _bw
-    return out
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -477,21 +365,9 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or a.ndim != b.ndim:
         raise ValueError(f"matmul needs equal ndim >= 2, got {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-    if not _tracing(a, b):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a, b))
-
-    def _bw(g):
-        if a.requires_grad or a._prev:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accum(ga if ga.shape == a.shape else _unbroadcast(ga, a.shape))
-        if b.requires_grad or b._prev:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accum(gb if gb.shape == b.shape else _unbroadcast(gb, b.shape))
-
-    out._bw = _bw
-    return out
+    return _node(a.data @ b.data, (a, b),
+                 lambda g: (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,46 +394,13 @@ def logsumexp_np(x: Array, axis: int = -1, keepdims: bool = False) -> Array:
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     s = softmax_np(a.data, axis=axis)
-    if not _tracing(a):
-        return Tensor(s)
-    out = Tensor(s, requires_grad=True, _prev=(a,))
-
-    def _bw(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        a._accum(s * (g - dot))
-
-    out._bw = _bw
-    return out
+    return _node(s, (a,), lambda g: (s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     ls = a.data - logsumexp_np(a.data, axis=axis, keepdims=True)
-    if not _tracing(a):
-        return Tensor(ls)
-    out = Tensor(ls, requires_grad=True, _prev=(a,))
-
-    def _bw(g):
-        a._accum(g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-
-    out._bw = _bw
-    return out
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out_data = logsumexp_np(a.data, axis=axis, keepdims=keepdims)
-    if not _tracing(a):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(a,))
-
-    def _bw(g):
-        full = out_data if keepdims else np.expand_dims(out_data, axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        a._accum(np.exp(a.data - full) * gg)
-
-    out._bw = _bw
-    return out
+    return _node(ls, (a,), lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -568,25 +411,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
-    if not _tracing(x, gain, bias):
-        return Tensor(out_data)
-    out = Tensor(out_data, requires_grad=True, _prev=(x, gain, bias))
-    d = x.shape[-1]
 
-    def _bw(g):
-        if gain.requires_grad or gain._prev:
-            gain._accum(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad or bias._prev:
-            bias._accum(_unbroadcast(g, bias.shape))
-        if x.requires_grad or x._prev:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * term)
+    def vjp(g):
+        dxhat = g * gain.data
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv * term, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
-    out._bw = _bw
-    return out
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

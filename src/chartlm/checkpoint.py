@@ -61,20 +61,33 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict,
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
+    """Read a checkpoint; a truncated or malformed file raises ValueError."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        fixed = fh.read(12)
+        if len(fixed) != 12:
+            raise ValueError("truncated checkpoint: no version and header length")
+        version, header_len = struct.unpack("<IQ", fixed)
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION})")
+        if header_len > size - fh.tell():
+            raise ValueError(f"truncated checkpoint header: {header_len} bytes declared, "
+                             f"{size - fh.tell()} present")
         header = json.loads(fh.read(header_len).decode("utf-8"))
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
+            try:
+                dtype = np.dtype(entry["dtype"])
+            except TypeError:
+                raise ValueError(f"unknown dtype {entry['dtype']!r} "
+                                 f"for tensor {entry['name']}") from None
             blob = fh.read(entry["nbytes"])
             if len(blob) != entry["nbytes"]:
                 raise ValueError(f"truncated checkpoint at tensor {entry['name']}")
-            arr = np.frombuffer(blob, dtype=np.dtype(entry["dtype"]))
+            arr = np.frombuffer(blob, dtype=dtype)
             tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
     return tensors, header["config"], header["extra"]
 
@@ -83,14 +96,10 @@ def collect_parameters(module: Module) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in module.parameter_map().items()}
 
 
-def apply_parameters(module: Module, tensors: dict[str, np.ndarray],
-                     prefix_filter: str | None = None) -> None:
+def apply_parameters(module: Module, tensors: dict[str, np.ndarray]) -> None:
     """Load arrays into the module's parameters by name; every parameter must
     be present with the exact shape."""
-    pmap = module.parameter_map()
-    if prefix_filter is not None:
-        tensors = {k: v for k, v in tensors.items() if k.startswith(prefix_filter)}
-    for name, p in pmap.items():
+    for name, p in module.parameter_map().items():
         if name not in tensors:
             raise ValueError(f"checkpoint missing parameter {name}")
         arr = tensors[name]

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .model import ChartLM, ReCatConfig
 from .pruning import build_cell_batches, prune_schedule, split_order
 from .synthetic import balanced_scores
 from .training import (TrainConfig, Trainer, Vocab, forbidden_boundaries,
-                       load_model, read_corpus)
+                       load_model, numbered_sentences, read_corpus)
 from .trees import (format_sexpr, leaves, left_branching, random_binary,
                     read_tree_file, right_branching, write_tree_file)
 
@@ -137,16 +138,16 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_parse(args) -> int:
     model, vocab, _ = load_model(args.ckpt)
-    sentences = read_corpus(args.input)
+    sentences = list(numbered_sentences(args.input))
+    forward = model.fast_encode if args.mode == "fast" else model.forward_pretrain
     trees = []
     with no_grad():
-        for tokens in sentences:
-            ids = vocab.encode(tokens)
-            forbidden = forbidden_boundaries(tokens)
-            if args.mode == "fast":
-                out = model.fast_encode(ids, forbidden=forbidden, token_strs=tokens)
-            else:
-                out = model.forward_pretrain(ids, forbidden=forbidden, token_strs=tokens)
+        for line_no, tokens in sentences:
+            try:
+                out = forward(vocab.encode(tokens), forbidden=forbidden_boundaries(tokens),
+                              token_strs=tokens)
+            except ValueError as exc:  # unknown token or over-long sentence
+                raise ValueError(f"{args.input}:{line_no}: {exc}") from None
             trees.append(out.tree)
     write_tree_file(args.out, trees)
     print(f"wrote {len(trees)} trees to {args.out}")
@@ -256,15 +257,17 @@ def _cmd_gradcheck(args) -> int:
     targets = sentence[positions]
     masked[positions] = rng.integers(0, mcfg.vocab_size, size=2)
 
-    def build_loss():
-        out = model.forward_pretrain(sentence, masked=masked,
-                                     target_positions=positions, target_ids=targets)
+    def build_loss(forward):
+        out = forward(sentence, masked=masked, target_positions=positions, target_ids=targets)
         return out.parser_loss + out.mlm_loss
 
-    report = gradient_check(build_loss, model.parameters(), rng, samples_per_param=3)
-    worst_name = max(report, key=report.get)
-    worst = report[worst_name]
-    print(f"max relative error {worst:.3e} ({worst_name})")
+    worst = 0.0
+    for mode, forward in (("full", model.forward_pretrain), ("fast", model.fast_encode)):
+        report = gradient_check(partial(build_loss, forward), model.parameters(), rng,
+                                samples_per_param=3)
+        name = max(report, key=report.get)
+        print(f"{mode} mode: max relative error {report[name]:.3e} ({name})")
+        worst = max(worst, report[name])
     if worst >= 1e-3:
         print("gradcheck FAILED", file=sys.stderr)
         return 3

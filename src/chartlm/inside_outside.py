@@ -366,7 +366,7 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
 # ---------------------------------------------------------------------------
 
 def induce_order(result: StackResult, forbidden: set[int] | None = None):
-    """Recursive best-split readout of the last layer's inside scores.
+    """Best-split readout of the last layer's inside scores.
 
     From the root, each cell picks argmax over its kept splits' cumulative
     scores a[k], ties to the smaller boundary; returns preorder SplitSteps.
@@ -378,11 +378,12 @@ def induce_order(result: StackResult, forbidden: set[int] | None = None):
     n = result.plan.n
     splits = result.plan.schedule.splits
     steps: list[SplitStep] = []
-
-    def walk(span: Span) -> None:
+    todo = [(1, n)]
+    while todo:
+        span = todo.pop()
         i, j = span
         if i == j:
-            return
+            continue
         ks = splits[span]
         scores = result.pair_scores[span]
         pick = int(np.argmax(scores))
@@ -392,11 +393,7 @@ def induce_order(result: StackResult, forbidden: set[int] | None = None):
                 pick = ok[int(np.argmax(scores[ok]))]
         k = ks[pick]
         steps.append(SplitStep(k, span))
-        walk((i, k))
-        walk((k + 1, j))
-
-    if n > 1:
-        walk((1, n))
+        todo += [(k + 1, j), (i, k)]  # left child popped first: preorder
     return steps
 
 

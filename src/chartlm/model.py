@@ -198,13 +198,13 @@ class ChartLM(Module):
         if len(ordered) != 2 * n - 1:
             raise ValueError(f"expected {2 * n - 1} nodes, got {len(ordered)}")
         rows = np.array([result.plan.row_of[node.span] for node in ordered], dtype=np.intp)
-        gathered = ad.gather(result.final.outside, rows, axis=0)
+        gathered = ad.gather(result.final.outside, rows)
         encoded = self.encoder(ad.reshape(gathered, (1,) + gathered.shape))
         encoded = ad.reshape(encoded, gathered.shape)
 
         term_idx = np.array([p for p, node in enumerate(ordered) if node.is_leaf],
                             dtype=np.intp)
-        terminals = ad.gather(encoded, term_idx, axis=0)
+        terminals = ad.gather(encoded, term_idx)
         if self.mlm_head is not None:
             logits = self.mlm_head(terminals)
         else:
@@ -220,7 +220,7 @@ class ChartLM(Module):
         targets = np.asarray(targets, dtype=np.intp)
         if positions.shape != targets.shape:
             raise ValueError("positions/targets length mismatch")
-        rows = ad.gather(logits, positions, axis=0)
+        rows = ad.gather(logits, positions)
         logp = ad.log_softmax(rows, axis=-1)
         picked = ad.take_pairs(logp, np.arange(len(positions)), targets)
         return -ad.tmean(picked)

@@ -13,6 +13,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, asdict
+from typing import Iterator
 
 import numpy as np
 
@@ -82,15 +83,18 @@ class Vocab:
                 fh.write(f"{tok} {i}\n")
 
 
-def read_corpus(path: str) -> list[list[str]]:
-    """One sentence per line, whitespace-tokenized; blank lines skipped."""
-    out = []
+def numbered_sentences(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of each non-blank line, whitespace-tokenized."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             toks = line.split()
             if toks:
-                out.append(toks)
-    return out
+                yield line_no, toks
+
+
+def read_corpus(path: str) -> list[list[str]]:
+    """One sentence per line, whitespace-tokenized; blank lines skipped."""
+    return [toks for _, toks in numbered_sentences(path)]
 
 
 def forbidden_boundaries(tokens: list[str]) -> set[int]:

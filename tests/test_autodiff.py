@@ -140,7 +140,7 @@ def _check(build, params, seed=0, tol=1e-6):
 
 def test_elementwise_op_gradients():
     rng = np.random.default_rng(0)
-    a = Parameter("a", rng.standard_normal((3, 4)) + 2.5)  # keep log/power safe
+    a = Parameter("a", rng.standard_normal((3, 4)) + 2.5)  # keep b / a away from a = 0
     b = Parameter("b", rng.standard_normal((3, 4)))
 
     cases = {
@@ -148,12 +148,9 @@ def test_elementwise_op_gradients():
         "sub": lambda: ad.tsum(a - b),
         "mul": lambda: ad.tsum(a * b),
         "div": lambda: ad.tsum(b / a),
-        "exp": lambda: ad.tsum(ad.exp(b)),
-        "log": lambda: ad.tsum(ad.log(a)),
         "tanh": lambda: ad.tsum(ad.tanh(b)),
         "sigmoid": lambda: ad.tsum(ad.sigmoid(b)),
         "gelu": lambda: ad.tsum(ad.gelu(b)),
-        "power": lambda: ad.tsum(ad.power(a, 1.5)),
         "mean": lambda: ad.tmean(a * b),
     }
     for name, build in cases.items():
@@ -185,9 +182,9 @@ def test_gather_duplicate_indices_gradient():
     a = Parameter("a", rng.standard_normal((5, 3)))
     idx = np.array([0, 2, 2, 4, 0, 0])
     w = rng.standard_normal((6, 3))
-    _check(lambda: ad.tsum(ad.gather(a, idx, axis=0) * w), [a])
+    _check(lambda: ad.tsum(ad.gather(a, idx) * w), [a])
     a.grad = None  # duplicate rows must sum, not overwrite
-    ad.tsum(ad.gather(a, idx, axis=0)).backward()
+    ad.tsum(ad.gather(a, idx)).backward()
     np.testing.assert_array_equal(a.grad[:, 0], [3.0, 0.0, 2.0, 0.0, 1.0])
 
 
@@ -209,6 +206,35 @@ def test_concat_stack_gradients():
     _check(lambda: ad.tsum(ad.stack([a, b], axis=0) * w7), [a, b])
 
 
+def test_concat_stack_axis_1_gradients():
+    rng = np.random.default_rng(10)
+    a = Parameter("a", rng.standard_normal((2, 3)))
+    b = Parameter("b", rng.standard_normal((2, 1)))
+    c = Parameter("c", rng.standard_normal((2, 3)))
+    w = rng.standard_normal((2, 7))
+    _check(lambda: ad.tsum(ad.concat([a, b, c], axis=1) * w), [a, b, c])
+    w = rng.standard_normal((2, 2, 3))
+    _check(lambda: ad.tsum(ad.stack([a, c], axis=1) * w), [a, c])
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "tensor"])
+@pytest.mark.parametrize("param_first", [True, False], ids=["param_first", "const_first"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul"])
+def test_constant_operand_gets_no_grad(op, param_first, as_array):
+    rng = np.random.default_rng(11)
+    p = Parameter("p", rng.standard_normal((3, 3)) + 3.0)
+    data = rng.standard_normal((3, 3)) + 3.0
+    const = data if as_array else Tensor(data)
+    operands = (p, const) if param_first else (const, p)
+    w = rng.standard_normal((3, 3))
+    _check(lambda: ad.tsum(getattr(ad, op)(*operands) * w), [p])
+    p.grad = None
+    out = getattr(ad, op)(*operands)
+    ad.tsum(out * w).backward()
+    assert p.grad is not None
+    assert out._prev[1 if param_first else 0].grad is None
+
+
 def test_matmul_gradient():
     rng = np.random.default_rng(6)
     a = Parameter("a", rng.standard_normal((3, 4)))
@@ -226,10 +252,8 @@ def test_softmax_family_gradients():
     rng = np.random.default_rng(7)
     a = Parameter("a", rng.standard_normal((3, 5)) * 3)
     w = rng.standard_normal((3, 5))
-    w1 = rng.standard_normal((3, 1))
     _check(lambda: ad.tsum(ad.softmax(a, axis=-1) * w), [a])
     _check(lambda: ad.tsum(ad.log_softmax(a, axis=-1) * w), [a])
-    _check(lambda: ad.tsum(ad.logsumexp(a, axis=-1, keepdims=True) * w1), [a])
 
 
 def test_softmax_handles_minus_inf_pads():

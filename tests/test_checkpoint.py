@@ -1,6 +1,7 @@
 """Checkpoint format: roundtrips, corruption detection, parameter loading."""
 
 import errno
+import json
 import os
 import struct
 
@@ -79,6 +80,28 @@ def test_truncated_blob_names_tensor(tmp_path):
     cut.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated checkpoint at tensor w"):
         load_checkpoint(str(cut))
+
+
+def test_every_truncation_raises_value_error(tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(2, dtype=np.float32)},
+                    {"d": 3}, {"step": 1})
+    blob = open(path, "rb").read()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError):
+            load_checkpoint(str(cut))
+
+
+def test_unknown_dtype_is_value_error(tmp_path):
+    header = json.dumps({"tensors": [{"name": "w", "shape": [1], "dtype": "<q9",
+                                      "nbytes": 8}],
+                         "config": {}, "extra": {}}).encode("utf-8")
+    path = tmp_path / "dtype.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header + b"\0" * 8)
+    with pytest.raises(ValueError, match="unknown dtype '<q9' for tensor w"):
+        load_checkpoint(str(path))
 
 
 class _DiskFullAfter:

@@ -8,9 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
 from chartlm.cli import dispatch, parse_config_file
 from chartlm.model import ChartLM
+from chartlm.training import Trainer, Vocab
 from chartlm.trees import format_sexpr, read_tree_file
 
 MODEL_CFG = """\
@@ -187,6 +189,40 @@ def test_pretrain_non_finite_gradient_is_numeric_error(workdir, capsys, monkeypa
     assert not os.path.exists(os.path.join(out, "model.ckpt"))
 
 
+def _untrained_ckpt(workdir):
+    """A checkpoint of a fresh model with max_len = 4."""
+    cfg = workdir / "short.txt"
+    cfg.write_text(MODEL_CFG + "max_len = 4\n" + TRAIN_CFG)
+    mcfg, tcfg = parse_config_file(str(cfg))
+    vocab = Vocab.from_file(_p(workdir, "vocab.txt"))
+    path = _p(workdir, "short.ckpt")
+    Trainer(ChartLM(mcfg, np.random.default_rng(0)), tcfg, [["a"]], vocab).save(path)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["full", "fast"])
+@pytest.mark.parametrize("bad_line, message", [
+    ("a zebra b", "unknown token 'zebra'"),
+    ("a b c d e", "sentence length 5 exceeds configured max 4"),
+], ids=["unknown_token", "too_long"])
+def test_parse_names_the_bad_input_line(workdir, capsys, bad_line, message, mode):
+    inp = workdir / "in.txt"
+    inp.write_text(f"a b\n\n{bad_line}\nc d\n")  # the blank line still counts
+    rc = dispatch(["parse", "--ckpt", _untrained_ckpt(workdir), "--input", str(inp),
+                   "--mode", mode, "--out", _p(workdir, "trees.txt")])
+    assert rc == 3
+    assert f"error: {inp}:3: {message}" in capsys.readouterr().err
+
+
+def test_parse_truncated_checkpoint_is_numeric_error(workdir, capsys):
+    cut = workdir / "cut.ckpt"
+    cut.write_bytes(open(_untrained_ckpt(workdir), "rb").read()[:9])
+    rc = dispatch(["parse", "--ckpt", str(cut), "--input", _p(workdir, "corpus.txt"),
+                   "--out", _p(workdir, "trees.txt")])
+    assert rc == 3
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # baselines and scoring
 # ---------------------------------------------------------------------------
@@ -264,4 +300,21 @@ def test_gradcheck_passes_on_small_config(workdir, capsys):
                    "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 0, out
+    assert "full mode: max relative error" in out
+    assert "fast mode: max relative error" in out
     assert "gradcheck passed" in out
+
+
+def test_gradcheck_fails_on_a_wrong_fast_mode_gradient(workdir, capsys, monkeypatch):
+    fast_encode = ChartLM.fast_encode
+
+    def doubled_mlm_gradient(self, *args, **kwargs):
+        out = fast_encode(self, *args, **kwargs)
+        loss = out.mlm_loss
+        out.mlm_loss = ad._node(loss.data, (loss,), lambda g: (2.0 * g,))
+        return out
+
+    monkeypatch.setattr(ChartLM, "fast_encode", doubled_mlm_gradient)
+    rc = dispatch(["gradcheck", "--config", _p(workdir, "config.txt"), "--seed", "0"])
+    assert rc == 3
+    assert "fast mode: max relative error 5.000e-01" in capsys.readouterr().out

@@ -1,12 +1,14 @@
 """End-to-end model tests: conventions, isolation, and both encode modes."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from chartlm import autodiff as ad
 from chartlm import model as model_module
 from chartlm.autodiff import Tensor, no_grad
-from chartlm.inside_outside import run_stack
+from chartlm.inside_outside import StackResult, run_stack
 from chartlm.model import ChartLM, ForwardOutput, ReCatConfig
 from chartlm.trees import format_sexpr, leaves, node_count
 
@@ -250,3 +252,16 @@ def test_forward_is_deterministic():
     b = model.forward_pretrain(ids)
     np.testing.assert_array_equal(a.logits.data, b.logits.data)
     np.testing.assert_array_equal(a.nodes.data, b.nodes.data)
+
+
+def test_forward_tape_is_freed_without_the_cycle_collector():
+    model = _model(seed=15)
+    gc.collect()
+    gc.disable()
+    try:
+        out = model.forward_pretrain(np.array([5, 1, 7, 3, 2, 9]))
+        assert out.mlm_loss is not None and isinstance(out.result, StackResult)
+        del out
+        assert not any(isinstance(o, StackResult) for o in gc.get_objects())
+    finally:
+        gc.enable()
