@@ -60,6 +60,25 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict,
     replace_file(path, [MAGIC, struct.pack("<IQ", VERSION, len(header)), header, *blobs])
 
 
+_ENTRY_FIELDS = {"name": str, "shape": list, "dtype": str, "nbytes": int}
+
+
+def _check_header(header) -> None:
+    """Raise ValueError unless `header` is valid JSON of the layout that
+    `save_checkpoint` writes."""
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("config"), dict)
+            and isinstance(header.get("extra"), dict)):
+        raise ValueError("malformed checkpoint header: expected an object with "
+                         "'tensors', 'config' and 'extra'")
+    for entry in header["tensors"]:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), kind) for key, kind in _ENTRY_FIELDS.items())
+                and all(isinstance(d, int) for d in entry["shape"])):
+            raise ValueError(f"malformed checkpoint header entry {entry!r}: expected "
+                             "'name', 'shape', 'dtype' and 'nbytes'")
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
     """Read a checkpoint; a truncated or malformed file raises ValueError."""
     with open(path, "rb") as fh:
@@ -77,6 +96,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
             raise ValueError(f"truncated checkpoint header: {header_len} bytes declared, "
                              f"{size - fh.tell()} present")
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        _check_header(header)
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
             try:

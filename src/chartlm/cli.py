@@ -229,12 +229,7 @@ def _cmd_export_trees(args) -> int:
     builders = {"random": lambda toks: random_binary(toks, rng),
                 "left": left_branching, "right": right_branching}
     build = builders[args.baseline]
-    trees = []
-    for tokens in sentences:
-        if len(tokens) == 1:
-            trees.append(left_branching(tokens))
-        else:
-            trees.append(build(tokens))
+    trees = [build(tokens) for tokens in sentences]
     write_tree_file(args.out, trees)
     print(f"wrote {len(trees)} {args.baseline}-baseline trees to {args.out}")
     return 0

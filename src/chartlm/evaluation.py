@@ -18,18 +18,18 @@ Span = tuple[int, int]
 def _spans_with_labels(root: Node) -> tuple[list[tuple[str, Span]], int]:
     """All internal-node spans (recomputed from leaf order) and the length."""
     found: list[tuple[str, Span]] = []
-
-    def walk(node: Node, start: int) -> int:
+    pos = 1
+    stack: list[tuple[Node, int]] = [(root, 0)]  # (node, start once expanded)
+    while stack:
+        node, start = stack.pop()
         if node.is_leaf:
-            return start + 1
-        pos = start
-        for child in node.children:
-            pos = walk(child, pos)
-        found.append((node.label, (start, pos - 1)))
-        return pos
-
-    n = walk(root, 1) - 1
-    return found, n
+            pos += 1
+        elif start:
+            found.append((node.label, (start, pos - 1)))
+        else:
+            stack.append((node, pos))
+            stack.extend((child, 0) for child in reversed(node.children))
+    return found, pos - 1
 
 
 def bracket_spans(root: Node) -> set[Span]:

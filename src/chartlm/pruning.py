@@ -9,7 +9,6 @@ length for a fixed window m.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .chart import Schedule, Span, validate_schedule
 from .nn import BiLstm, Embedding, Mlp, Module
-from .trees import Node, branch, leaf
+from .trees import Node, tree_from_splits
 
 
 @dataclass(frozen=True)
@@ -70,104 +69,76 @@ class BoundaryScorer(Module):
 def apply_nonsplittable(scores, forbidden: set[int] | frozenset[int]):
     """Force boundaries in `forbidden` (1-based) to -inf.
 
-    Works on a plain array or a taped tensor; taped masking is additive so
-    gradients still reach the admissible positions. Raises when nothing
+    Works on a plain array or a taped tensor alike: the -inf mask is added,
+    so gradients still reach the admissible positions. Raises when nothing
     admissible remains for a multi-token sentence.
     """
     data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n_boundaries = data.shape[0]
     if n_boundaries and forbidden >= set(range(1, n_boundaries + 1)):
         raise ValueError("no admissible tree: every boundary is non-splittable")
-    bad = [k for k in forbidden if 1 <= k <= n_boundaries]
+    bad = [k - 1 for k in forbidden if 1 <= k <= n_boundaries]
     if not bad:
         return scores
     mask = np.zeros(n_boundaries, dtype=data.dtype)
-    mask[np.asarray(bad) - 1] = -np.inf
-    if isinstance(scores, Tensor):
-        return scores + Tensor(mask)
-    out = data.copy()
-    out[np.asarray(bad) - 1] = -np.inf
-    return out
+    mask[bad] = -np.inf
+    return scores + mask
 
 
 def split_order(scores: np.ndarray, n: int) -> SplitOrder:
     """Top-down greedy decoding of boundary scores into an ordered tree.
 
     The sentence span picks its argmax boundary, then each sub-span does the
-    same; decisions are emitted in descending score order (a child's chosen
-    score never exceeds its parent's, so this is a global sort). Ties go to
-    the smaller boundary index.
+    same; decisions are emitted in descending score order, ties to the
+    smaller boundary index. A child's pick never outranks its parent's, so
+    sorting all picks gives the order a best-first search would pop them in.
     """
     v = np.asarray(scores, dtype=np.float64)
     if v.shape != (n - 1,):
         raise ValueError(f"expected {n - 1} boundary scores, got shape {v.shape}")
-    order: SplitOrder = []
-    if n == 1:
-        return order
-    heap: list[tuple[float, int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
+    picks: list[tuple[float, int, Span]] = []
+    stack: list[Span] = [(1, n)]
+    while stack:
+        i, j = stack.pop()
         if j > i:
             seg = v[i - 1:j - 1]
             k = i + int(np.argmax(seg))
-            heapq.heappush(heap, (-float(seg[k - i]), k, i, j))
-
-    push(1, n)
-    while heap:
-        _, k, i, j = heapq.heappop(heap)
-        order.append(SplitStep(k, (i, j)))
-        push(i, k)
-        push(k + 1, j)
-    return order
+            picks.append((-float(seg[k - i]), k, (i, j)))
+            stack += [(i, k), (k + 1, j)]
+    return [SplitStep(k, span) for _, k, span in sorted(picks)]
 
 
 def tree_from_order(order: SplitOrder, tokens: list[str]) -> Node:
     """Materialize the binary tree described by a split order."""
-    n = len(tokens)
-    if n == 1:
-        return leaf(tokens[0], 1)
-    split_of = {step.span: step.split for step in order}
-
-    def build(i: int, j: int) -> Node:
-        if i == j:
-            return leaf(tokens[i - 1], i)
-        k = split_of[(i, j)]
-        return branch([build(i, k), build(k + 1, j)])
-
-    return build(1, n)
+    return tree_from_splits({step.span: step.split for step in order}, tokens)
 
 
 def parser_nll(scores, order: SplitOrder) -> Tensor | float:
     """Negative log-likelihood of a split order under boundary scores.
 
     Each tree node contributes -log softmax over the boundaries inside its
-    span; the sum is invariant to the order the nodes are visited in. Spans
-    whose boundaries are all -inf (forced single moves) contribute zero.
+    span. Spans whose boundaries are all -inf (forced single moves)
+    contribute zero. A plain array is scored as a float64 tensor and gives a
+    float. The sum is mathematically invariant to the order the nodes are
+    visited in, but its terms are added in `order`, left to right: training
+    depends on the float32 accumulation order.
     """
     taped = isinstance(scores, Tensor)
-    data = scores.data if taped else np.asarray(scores, dtype=np.float64)
-    terms = []
-    total = 0.0
+    if not taped:
+        scores = Tensor(np.asarray(scores, dtype=np.float64))
+    total = None
     for step in order:
         i, j = step.span
-        seg = data[i - 1:j - 1]
+        seg = scores.data[i - 1:j - 1]
         if not np.isfinite(seg).any():
             continue
         if not np.isfinite(seg[step.split - i]):
             raise ValueError(f"target split {step.split} of span {step.span} is forbidden")
-        if taped:
-            lp = ad.log_softmax(scores[i - 1:j - 1], axis=0)
-            terms.append(-lp[step.split - i])
-        else:
-            total -= float(seg[step.split - i] - ad.logsumexp_np(seg, axis=0))
-    if taped:
-        if not terms:
-            return Tensor(np.zeros((), dtype=data.dtype))
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
-        return out
-    return total
+        term = -ad.log_softmax(scores[i - 1:j - 1], axis=0)[step.split - i]
+        total = term if total is None else total + term
+    if total is None:
+        total = Tensor(np.zeros((), dtype=scores.dtype))
+    return total if taped else float(total.data)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +155,6 @@ class PruneResult:
     """
 
     n: int
-    window: int
     cells: dict[Span, tuple[int, ...]]
     merge_groups: list[list[int]]
 
@@ -251,7 +221,7 @@ def prune_schedule(n: int, window: int, order: SplitOrder) -> PruneResult:
 
     if (1, n) not in cells and n > 1:
         raise ValueError("pruning never encoded the sentence span")
-    return PruneResult(n=n, window=window, cells=cells, merge_groups=merge_groups)
+    return PruneResult(n=n, cells=cells, merge_groups=merge_groups)
 
 
 def build_cell_batches(result: PruneResult) -> Schedule:
@@ -262,41 +232,35 @@ def build_cell_batches(result: PruneResult) -> Schedule:
     waves: a cell joins the first batch in which every span its splits touch
     is already available.
     """
-    n = result.n
+    n, cells = result.n, result.cells
     root: Span = (1, n)
-    kept = dict(result.cells)
-
-    changed = True
-    while changed:
-        changed = False
-        referenced: set[Span] = set()
-        for (i, j), splits in kept.items():
-            for k in splits:
-                referenced.add((i, k))
-                referenced.add((k + 1, j))
-        for span in list(kept):
-            if span != root and span not in referenced:
-                del kept[span]
-                changed = True
-
-    if n > 1 and root not in kept:
+    if n > 1 and root not in cells:
         raise ValueError("sentence span missing from pruned cells")
+    # a cell is read only by wider cells, so one widest-first pass from the
+    # root finds every cell that a kept cell reads
+    read = {root}
+    for span in sorted(cells, key=lambda s: s[0] - s[1]):
+        if span in read:
+            i, j = span
+            for k in cells[span]:
+                read.update(((i, k), (k + 1, j)))
+    splits = {span: ks for span, ks in cells.items() if span in read}
 
-    ready: set[Span] = {(i, i) for i in range(1, n + 1)}
-    batches: list[list[Span]] = [sorted(ready)]
-    pending = dict(kept)
-    while pending:
-        wave = [span for span, splits in pending.items()
-                if all((span[0], k) in ready and (k + 1, span[1]) in ready for k in splits)]
-        if not wave:
-            raise ValueError("cyclic or unsatisfiable cell dependencies")
-        wave.sort()
-        batches.append(wave)
-        ready.update(wave)
-        for span in wave:
-            del pending[span]
+    # narrowest first: a cell's wave is one past the latest wave it reads
+    wave = {(i, i): 0 for i in range(1, n + 1)}
+    for span in sorted(splits, key=lambda s: s[1] - s[0]):
+        i, j = span
+        try:
+            wave[span] = 1 + max((max(wave[(i, k)], wave[(k + 1, j)]) for k in splits[span]),
+                                 default=0)
+        except KeyError as exc:
+            raise ValueError(f"cell {span} reads {exc.args[0]}, "
+                             "which is neither a leaf nor a cell") from None
+    batches: list[list[Span]] = [[] for _ in range(1 + max(wave.values(), default=0))]
+    for span in sorted(wave):
+        batches[wave[span]].append(span)
 
-    schedule = Schedule(n=n, batches=batches, splits=dict(kept))
+    schedule = Schedule(n=n, batches=batches, splits=splits)
     validate_schedule(schedule)
     return schedule
 
@@ -308,5 +272,5 @@ def tree_schedule(n: int, order: SplitOrder) -> Schedule:
     each layer runs n-1 inside and n-1 outside compositions.
     """
     cells = {step.span: (step.split,) for step in order}
-    return build_cell_batches(PruneResult(n=n, window=1, cells=cells, merge_groups=[]))
+    return build_cell_batches(PruneResult(n=n, cells=cells, merge_groups=[]))
 

@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .checkpoint import (apply_parameters, collect_parameters, load_checkpoint,
                          replace_file, save_checkpoint)
@@ -289,32 +290,29 @@ class Trainer:
         self.opt_parser.zero_grad()
         stats = EngineStats()
         fast = self.cfg.phase == "fast"
+        forward = self.model.fast_encode if fast else self.model.forward_pretrain
 
-        parser_terms: list[Tensor] = []
-        mlm_terms: list[tuple[Tensor, int]] = []
+        terms: list[Tensor] = []
+        mlm: list[Tensor] = []
+        counts: list[int] = []
         for idx in batch:
             ids = self.sentences[idx]
             x, positions, targets = mask_tokens(ids, self.model.cfg.mask_rate, rng,
                                                 self.vocab.mask_id, len(self.vocab))
-            if fast:
-                out = self.model.fast_encode(ids, masked=x, target_positions=positions,
-                                             target_ids=targets, stats=stats,
-                                             forbidden=self.forbidden[idx])
-            else:
-                out = self.model.forward_pretrain(ids, masked=x,
-                                                  target_positions=positions,
-                                                  target_ids=targets, stats=stats,
-                                                  forbidden=self.forbidden[idx])
+            out = forward(ids, masked=x, target_positions=positions, target_ids=targets,
+                          stats=stats, forbidden=self.forbidden[idx])
             for name, val in (("parser", out.parser_loss), ("mlm", out.mlm_loss)):
                 if not np.isfinite(val.data):
                     raise FloatingPointError(
                         f"non-finite {name} loss at step {self.step} on sentence "
                         f"{idx}: ids={np.asarray(ids).tolist()}")
-            parser_terms.append(out.parser_loss)
-            mlm_terms.append((out.mlm_loss, len(positions)))
+            terms.append(out.parser_loss)
+            mlm.append(out.mlm_loss)
+            counts.append(len(positions))
 
-        parser_loss = _mean(parser_terms)
-        mlm_loss = _weighted_mean(mlm_terms)  # per-masked-token cross entropy
+        parser_loss = ad.tmean(ad.stack(terms))
+        # per-masked-token cross entropy over the whole batch
+        mlm_loss = ad.tsum(ad.stack(mlm) * counts) / max(sum(counts), 1)
         loss = mlm_loss if fast else mlm_loss + parser_loss
         loss.backward()
         for p in self.model.parameters():
@@ -397,28 +395,6 @@ def _drop_records_from(path: str, step: int) -> None:
     kept = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["step"] < step]
     if len(kept) < len(lines):
         replace_file(path, [ln.encode("utf-8") for ln in kept])
-
-
-def _mean(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total / float(len(terms))
-
-
-def _weighted_mean(terms: list[tuple[Tensor, int]]) -> Tensor:
-    """Mean weighted by masked-position counts, i.e. per-token cross entropy
-    over the whole batch; zero-count sentences contribute nothing."""
-    count = sum(k for _, k in terms)
-    if count == 0:
-        return Tensor(np.zeros((), dtype=terms[0][0].data.dtype))
-    total = None
-    for t, k in terms:
-        if k == 0:
-            continue
-        piece = t * float(k)
-        total = piece if total is None else total + piece
-    return total / float(count)
 
 
 def model_from_checkpoint(tensors: dict[str, np.ndarray], config: dict,

@@ -71,19 +71,27 @@ def leaves(root: Node) -> list[Node]:
 def in_order(root: Node) -> list[Node]:
     """Left subtree, node, right subtree; binary trees only."""
     out: list[Node] = []
-
-    def walk(node: Node) -> None:
-        if node.is_leaf:
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.is_leaf or expanded:
             out.append(node)
-            return
+            continue
         if len(node.children) != 2:
             raise ValueError(f"in_order needs a binary tree, node has {len(node.children)} children")
-        walk(node.children[0])
-        out.append(node)
-        walk(node.children[1])
-
-    walk(root)
+        left, right = node.children
+        stack += [(right, False), (node, True), (left, False)]
     return out
+
+
+def tree_from_splits(split_of: dict[Span, int], tokens: list[str]) -> Node:
+    """Binary tree over `tokens` in which span (i, j) splits after token
+    split_of[(i, j)]; built narrowest span first, so a deep tree needs no
+    recursion."""
+    node = {(i, i): leaf(tok, i) for i, tok in enumerate(tokens, start=1)}
+    for (i, j), k in sorted(split_of.items(), key=lambda item: item[0][1] - item[0][0]):
+        node[(i, j)] = branch([node[(i, k)], node[(k + 1, j)]])
+    return node[(1, len(tokens))]
 
 
 def node_count(root: Node) -> int:
@@ -203,11 +211,12 @@ def right_branching(tokens: list[str]) -> Node:
 
 def random_binary(tokens: list[str], rng: np.random.Generator) -> Node:
     """Uniformly random split at every level."""
-
-    def build(lo: int, hi: int) -> Node:
-        if lo == hi:
-            return leaf(tokens[lo - 1], lo)
-        k = lo + int(rng.integers(0, hi - lo))  # split in [lo, hi)
-        return branch([build(lo, k), build(k + 1, hi)])
-
-    return build(1, len(tokens))
+    split_of: dict[Span, int] = {}
+    stack: list[Span] = [(1, len(tokens))]
+    while stack:  # preorder, left subtree first: a seed's trees rest on this draw order
+        lo, hi = stack.pop()
+        if lo < hi:
+            k = lo + int(rng.integers(0, hi - lo))  # split in [lo, hi)
+            split_of[(lo, hi)] = k
+            stack += [(k + 1, hi), (lo, k)]
+    return tree_from_splits(split_of, tokens)

@@ -104,6 +104,24 @@ def test_unknown_dtype_is_value_error(tmp_path):
         load_checkpoint(str(path))
 
 
+def _write_header(path, header):
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(raw)) + raw + b"\0" * 8)
+
+
+@pytest.mark.parametrize("header", [
+    {},
+    [1, 2],
+    {"tensors": [{"name": "w", "shape": [1], "nbytes": 8}], "config": {}, "extra": {}},
+    {"tensors": ["w"], "config": {}, "extra": {}},
+], ids=["empty_object", "list", "entry_without_dtype", "entry_not_an_object"])
+def test_malformed_header_is_value_error(tmp_path, header):
+    path = tmp_path / "bad.ckpt"
+    _write_header(path, header)
+    with pytest.raises(ValueError, match="malformed checkpoint header"):
+        load_checkpoint(str(path))
+
+
 class _DiskFullAfter:
     """A binary file whose writes fail with ENOSPC once `budget` bytes are in."""
 

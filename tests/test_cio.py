@@ -252,8 +252,9 @@ def _pool_entries(row):
     return [int(r) for r in row[:k]]
 
 
-@pytest.mark.parametrize("schedule", list(_schedules()))
-def test_plan_routes_each_parent_edge_to_its_child(schedule):
+def assert_plan_routes_each_parent_edge(schedule):
+    """Each cell's outside pool holds exactly its parent edges, the root's
+    only entry is arena row 0."""
     # candidate-arena row 0 is the root; then each batch, last first, emits
     # one candidate per pair for the left child, then one for the right
     plan = plan_engine(schedule)
@@ -276,6 +277,11 @@ def test_plan_routes_each_parent_edge_to_its_child(schedule):
             assert len(set(got)) == len(got) and 0 not in got
             assert sorted((emitted[c] for c in got),
                           key=lambda e: (e.parent, e.split, e.slot)) == list(edges[span])
+
+
+@pytest.mark.parametrize("schedule", list(_schedules()))
+def test_plan_routes_each_parent_edge_to_its_child(schedule):
+    assert_plan_routes_each_parent_edge(schedule)
 
 
 def test_plan_rejects_a_cell_beside_the_root():

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from chartlm.autodiff import Tensor
 from chartlm.cli import dispatch, parse_config_file
 from chartlm.model import ChartLM
 from chartlm.training import Trainer, Vocab
-from chartlm.trees import format_sexpr, read_tree_file
+from chartlm.trees import format_sexpr, left_branching, read_tree_file
 
 MODEL_CFG = """\
 layers = 1
@@ -223,6 +224,16 @@ def test_parse_truncated_checkpoint_is_numeric_error(workdir, capsys):
     assert "truncated checkpoint" in capsys.readouterr().err
 
 
+def test_parse_malformed_checkpoint_header_is_numeric_error(workdir, capsys):
+    header = json.dumps({"tensors": [{"name": "w"}], "config": {}, "extra": {}}).encode()
+    bad = workdir / "bad.ckpt"
+    bad.write_bytes(b"CLMC" + struct.pack("<IQ", 1, len(header)) + header)
+    rc = dispatch(["parse", "--ckpt", str(bad), "--input", _p(workdir, "corpus.txt"),
+                   "--out", _p(workdir, "trees.txt")])
+    assert rc == 3
+    assert "malformed checkpoint header" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # baselines and scoring
 # ---------------------------------------------------------------------------
@@ -247,6 +258,14 @@ def test_export_random_trees_deterministic(workdir):
                        "--out", path, "--baseline", "random", "--seed", "5"])
         assert rc == 0
     assert open(a).read() == open(b).read()
+
+
+def test_eval_f1_on_a_deep_tree(workdir, capsys):
+    # 1500 tokens, left-branching: the tree is as deep as the sentence is long
+    path = workdir / "deep.txt"
+    path.write_text(format_sexpr(left_branching([f"w{i}" for i in range(1500)])) + "\n")
+    assert dispatch(["eval-f1", "--pred", str(path), "--gold", str(path)]) == 0
+    assert "F1 100.00" in capsys.readouterr().out
 
 
 def test_eval_f1_mismatched_trees(workdir, capsys):

@@ -1,5 +1,7 @@
 """Parser scoring, top-down decoding, and chart pruning tests."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
-from chartlm.chart import validate_schedule
-from chartlm.pruning import (BoundaryScorer, SplitStep, apply_nonsplittable,
-                             build_cell_batches, parser_nll, prune_schedule,
-                             split_order, tree_from_order, tree_schedule)
-from chartlm.trees import format_sexpr, leaves
+from chartlm.chart import Schedule, validate_schedule
+from chartlm.pruning import (BoundaryScorer, PruneResult, SplitStep,
+                             apply_nonsplittable, build_cell_batches, parser_nll,
+                             prune_schedule, split_order, tree_from_order,
+                             tree_schedule)
+from chartlm.trees import format_sexpr, in_order, leaves
+from test_cio import assert_plan_routes_each_parent_edge
 
 
 def _tokens(n):
@@ -175,6 +179,16 @@ def test_split_order_spans_nest(n, seed):
         seen.add((step.split + 1, j))
 
 
+def test_long_chain_tree_needs_no_recursion():
+    # a right-branching chain is as deep as the sentence is long
+    n = 1100
+    order = split_order(np.arange(n - 1, 0, -1, dtype=float), n)
+    nodes = in_order(tree_from_order(order, _tokens(n)))
+    expect = [span for i in range(1, n) for span in ((i, i), (i, n))] + [(n, n)]
+    assert [node.span for node in nodes] == expect
+    assert [node.token for node in nodes if node.is_leaf] == _tokens(n)
+
+
 # ---------------------------------------------------------------------------
 # parser NLL
 # ---------------------------------------------------------------------------
@@ -212,6 +226,21 @@ def test_parser_nll_matches_stable_softmax_oracle(n, seed):
     assert got == pytest.approx(expect, abs=1e-9)
     taped = parser_nll(Tensor(scores), order)
     assert float(taped.data) == pytest.approx(expect, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10 ** 6))
+def test_parser_nll_array_equals_its_float64_tensor_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal(n - 1) * 5
+    if n > 2:
+        scores = apply_nonsplittable(scores, {int(rng.integers(1, n))})
+    order = split_order(scores, n)
+    got = parser_nll(scores, order)
+    assert isinstance(got, float)
+    taped = parser_nll(Tensor(scores), order)
+    assert taped.data.dtype == np.float64
+    assert np.float64(got).tobytes() == taped.data.tobytes()
 
 
 def test_parser_nll_taped_gradient():
@@ -300,3 +329,88 @@ def test_tree_schedule_is_minimal():
     non_leaves = [s for b in sch.batches[1:] for s in b]
     assert len(non_leaves) == 3  # exactly n-1 cells, one split each
     assert all(len(sch.splits[s]) == 1 for s in non_leaves)
+
+
+# ---------------------------------------------------------------------------
+# references: the best-first heap decoder and the drop-until-stable batcher
+# ---------------------------------------------------------------------------
+
+def _heap_split_order(scores, n):
+    v = np.asarray(scores, dtype=np.float64)
+    heap, order = [], []
+
+    def push(i, j):
+        if j > i:
+            seg = v[i - 1:j - 1]
+            k = i + int(np.argmax(seg))
+            heapq.heappush(heap, (-float(seg[k - i]), k, i, j))
+
+    push(1, n)
+    while heap:
+        _, k, i, j = heapq.heappop(heap)
+        order.append(SplitStep(k, (i, j)))
+        push(i, k)
+        push(k + 1, j)
+    return order
+
+
+def _drop_loop_batches(result):
+    n = result.n
+    root = (1, n)
+    kept = dict(result.cells)
+    changed = True
+    while changed:
+        changed = False
+        referenced = set()
+        for (i, j), splits in kept.items():
+            for k in splits:
+                referenced.add((i, k))
+                referenced.add((k + 1, j))
+        for span in list(kept):
+            if span != root and span not in referenced:
+                del kept[span]
+                changed = True
+    ready = {(i, i) for i in range(1, n + 1)}
+    batches = [sorted(ready)]
+    pending = dict(kept)
+    while pending:
+        wave = sorted(span for span, splits in pending.items()
+                      if all((span[0], k) in ready and (k + 1, span[1]) in ready
+                             for k in splits))
+        assert wave, "cyclic or unsatisfiable cell dependencies"
+        batches.append(wave)
+        ready.update(wave)
+        for span in wave:
+            del pending[span]
+    return Schedule(n=n, batches=batches, splits=dict(kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 6), st.integers(0, 10 ** 6),
+       st.booleans(), st.booleans())
+def test_sort_and_ordered_passes_match_the_references(n, m, seed, ties, forbid):
+    rng = np.random.default_rng(seed)
+    # small integer scores tie often; ties must break the same way
+    scores = (rng.integers(-2, 3, n - 1).astype(float) if ties
+              else rng.standard_normal(n - 1))
+    if forbid and n > 2:
+        size = int(rng.integers(1, n - 1))  # leaves at least one boundary
+        scores = apply_nonsplittable(scores, {int(k) for k in rng.choice(
+            np.arange(1, n), size=size, replace=False)})
+    order = split_order(scores, n)
+    assert order == _heap_split_order(scores, n)
+    tree_cells = PruneResult(n=n, cells={s.span: (s.split,) for s in order}, merge_groups=[])
+    for got, result in ((build_cell_batches(prune_schedule(n, m, order)),
+                         prune_schedule(n, m, order)),
+                        (tree_schedule(n, order), tree_cells)):
+        want = _drop_loop_batches(result)
+        assert got.batches == want.batches
+        assert list(got.splits.items()) == list(want.splits.items())
+        validate_schedule(got)
+        assert_plan_routes_each_parent_edge(got)
+
+
+def test_split_child_neither_leaf_nor_cell_is_value_error():
+    result = PruneResult(n=4, cells={(1, 4): (2,), (3, 4): (3,)}, merge_groups=[])
+    with pytest.raises(ValueError, match=r"\(1, 2\), which is neither a leaf nor a cell"):
+        build_cell_batches(result)

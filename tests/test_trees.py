@@ -107,3 +107,25 @@ def test_deep_tree_survives_iteration():
     assert node_count(t) == 9999
     back = parse_sexpr(format_sexpr(t))
     assert back.span == (1, 5000)
+
+
+def _recursive_random_binary(tokens, rng):
+    def build(lo, hi):
+        if lo == hi:
+            return leaf(tokens[lo - 1], lo)
+        k = lo + int(rng.integers(0, hi - lo))
+        return branch([build(lo, k), build(k + 1, hi)])
+
+    return build(1, len(tokens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10 ** 6))
+def test_random_binary_draws_like_the_recursive_builder(n, seed):
+    # same trees and the same rng stream after them
+    a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    a = random_binary(_tokens(n), a_rng)
+    b = _recursive_random_binary(_tokens(n), b_rng)
+    assert format_sexpr(a) == format_sexpr(b)
+    assert [node.span for node in in_order(a)] == [node.span for node in in_order(b)]
+    assert a_rng.integers(0, 10 ** 9) == b_rng.integers(0, 10 ** 9)
