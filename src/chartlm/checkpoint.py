@@ -11,6 +11,7 @@ crash mid-save leaves the previous file in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import suppress
@@ -63,6 +64,10 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict,
 _ENTRY_FIELDS = {"name": str, "shape": list, "dtype": str, "nbytes": int}
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _check_header(header) -> None:
     """Raise ValueError unless `header` is valid JSON of the layout that
     `save_checkpoint` writes."""
@@ -74,9 +79,9 @@ def _check_header(header) -> None:
     for entry in header["tensors"]:
         if not (isinstance(entry, dict)
                 and all(isinstance(entry.get(key), kind) for key, kind in _ENTRY_FIELDS.items())
-                and all(isinstance(d, int) for d in entry["shape"])):
+                and _is_count(entry["nbytes"]) and all(map(_is_count, entry["shape"]))):
             raise ValueError(f"malformed checkpoint header entry {entry!r}: expected "
-                             "'name', 'shape', 'dtype' and 'nbytes'")
+                             "'name', 'shape', 'dtype' and 'nbytes' (counts >= 0)")
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
@@ -99,16 +104,18 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
         _check_header(header)
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            try:
+            name, nbytes = entry["name"], entry["nbytes"]
+            try:  # numpy parses some strings as Python (",f4" is a SyntaxError)
                 dtype = np.dtype(entry["dtype"])
-            except TypeError:
-                raise ValueError(f"unknown dtype {entry['dtype']!r} "
-                                 f"for tensor {entry['name']}") from None
-            blob = fh.read(entry["nbytes"])
-            if len(blob) != entry["nbytes"]:
-                raise ValueError(f"truncated checkpoint at tensor {entry['name']}")
-            arr = np.frombuffer(blob, dtype=dtype)
-            tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            except Exception:
+                raise ValueError(f"unknown dtype {entry['dtype']!r} for tensor {name}") from None
+            if nbytes > size - fh.tell():
+                raise ValueError(f"truncated checkpoint at tensor {name}")
+            if nbytes != math.prod(entry["shape"]) * dtype.itemsize:
+                raise ValueError(f"tensor {name}: {nbytes} bytes declared for shape "
+                                 f"{entry['shape']} of {dtype}")
+            arr = np.frombuffer(fh.read(nbytes), dtype=dtype)
+            tensors[name] = arr.reshape(entry["shape"]).copy()
     return tensors, header["config"], header["extra"]
 
 

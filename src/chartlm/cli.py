@@ -1,5 +1,4 @@
-"""Command-line surface: pretrain, parse, eval-f1, bench, export-trees,
-gradcheck.
+"""Command-line surface: pretrain, parse, eval-f1, export-trees, gradcheck.
 
 Exit codes are a stable contract: 0 success, 2 usage errors (bad flags,
 missing files, malformed config), 3 numeric or validation failures.
@@ -8,26 +7,22 @@ missing files, malformed config), 3 numeric or validation failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
-import time
 from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, gradient_check, no_grad
+from .autodiff import gradient_check, no_grad
+from .checkpoint import load_checkpoint
 from .evaluation import corpus_f1, label_recalls
-from .inside_outside import CioStack, EngineStats, plan_engine, run_stack
 from .model import ChartLM, ReCatConfig
-from .pruning import build_cell_batches, prune_schedule, split_order
-from .synthetic import balanced_scores
 from .training import (TrainConfig, Trainer, Vocab, forbidden_boundaries,
                        load_model, numbered_sentences, read_corpus)
-from .trees import (format_sexpr, leaves, left_branching, random_binary,
-                    read_tree_file, right_branching, write_tree_file)
+from .trees import (leaves, left_branching, random_binary, read_tree_file,
+                    right_branching, write_tree_file)
 
 
 class UsageError(Exception):
@@ -95,16 +90,23 @@ def blob_sha1(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_pretrain(args) -> int:
-    corpus = read_corpus(args.corpus)
+    if not args.resume and not (args.config and args.vocab):
+        raise UsageError("pretrain needs --config and --vocab (or --resume)")
+    vocab = (Vocab(load_checkpoint(args.resume)[2]["vocab"]) if args.resume
+             else Vocab.from_file(args.vocab))
+    corpus = []
+    for line_no, tokens in numbered_sentences(args.corpus):
+        try:
+            vocab.encode(tokens)
+        except ValueError as exc:  # unknown token
+            raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
+        corpus.append(tokens)
     if args.resume:
         trainer = Trainer.resume(args.resume, corpus, out_dir=args.out)
     else:
-        if not args.config or not args.vocab:
-            raise UsageError("pretrain needs --config and --vocab (or --resume)")
         mcfg, tcfg = parse_config_file(args.config)
         if args.seed is not None:
             tcfg.seed = args.seed
-        vocab = Vocab.from_file(args.vocab)
         if mcfg.vocab_size != len(vocab):
             raise ValueError(f"config vocab_size {mcfg.vocab_size} does not match "
                              f"vocabulary size {len(vocab)}")
@@ -166,60 +168,6 @@ def _cmd_eval_f1(args) -> int:
     for label, recall in label_recalls(preds, golds).items():
         if label != "X":
             print(f"{label} {recall:.2f}")
-    return 0
-
-
-def _parse_lengths(spec: str) -> list[int]:
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 2 or hi < lo:
-            raise UsageError(f"bad length range {spec!r}")
-        out = []
-        n = lo
-        while n <= hi:  # doubling ladder, the usual scaling plot
-            out.append(n)
-            n *= 2
-        return out
-    try:
-        return [int(s) for s in spec.split(",") if s]
-    except ValueError:
-        raise UsageError(f"bad length list {spec!r}") from None
-
-
-def _bench_one(n: int, m: int, seed: int) -> dict:
-    order = split_order(balanced_scores(n), n)
-    schedule = build_cell_batches(prune_schedule(n, m, order))
-    rng = np.random.default_rng([seed, n])
-    d = 32
-    stack = CioStack("cio", layers=1, d=d, heads=4, depth=1, share=True,
-                     rng=rng, dtype=np.float32)
-    plan = plan_engine(schedule)
-    x = Tensor(rng.standard_normal((n, d)).astype(np.float32))
-    stats = EngineStats()
-    t0 = time.perf_counter()
-    with no_grad():
-        run_stack(x, stack, plan, stats)
-    wall = (time.perf_counter() - t0) * 1000.0
-    return {"n": n, "m": m, "cells": schedule.cell_count(),
-            "inside_steps": stats.inside_steps,
-            "pairs_composed": stats.pairs_composed,
-            "batched_calls": stats.batched_calls,
-            "wall_ms": round(wall, 3)}
-
-
-def _cmd_bench(args) -> int:
-    rows = [_bench_one(n, args.m, args.seed) for n in _parse_lengths(args.lengths)]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=["n", "m", "cells", "inside_steps",
-                                                 "pairs_composed", "batched_calls",
-                                                 "wall_ms"])
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -299,14 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.set_defaults(func=_cmd_eval_f1)
-
-    p = sub.add_parser("bench", help="efficiency counters over sentence lengths")
-    p.add_argument("--lengths", required=True,
-                   help="doubling range lo..hi or comma list")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("export-trees", help="baseline trees for a token file")
     p.add_argument("--input", required=True)

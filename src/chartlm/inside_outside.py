@@ -115,12 +115,10 @@ class BatchPlan:
     """Precomputed index arrays for one cell batch."""
 
     spans: list[Span]
-    cell_rows: np.ndarray       # (C,) arena rows of the batch's cells
     pair_left: np.ndarray       # (P,) arena row of each split's left child
     pair_right: np.ndarray      # (P,)
     pair_cell: np.ndarray       # (P,) arena row of the owning cell
     pair_cell_pos: np.ndarray   # (P,) position of the owning cell inside the batch
-    pair_split: np.ndarray      # (P,) boundary value of each pair
     score_pad: np.ndarray       # (C, W) each cell's pair indices (see _pad_matrix)
     pool_pad: np.ndarray | None = None  # (C, U) each cell's rows of the outside
     # candidate arena (see _pad_matrix); set once every batch is planned
@@ -136,7 +134,6 @@ class EnginePlan:
     row_of: dict[Span, int]
     batches: list[BatchPlan]    # non-leaf batches in execution order
     leaf_pool: np.ndarray       # (n, U) the leaves' rows of the outside candidate arena
-    root_row: int
 
     @property
     def rows(self) -> int:
@@ -167,7 +164,7 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
 
     plans: list[BatchPlan] = []
     for batch in schedule.batches[1:]:
-        pl, pr, pc, pp, pk = [], [], [], [], []
+        pl, pr, pc, pp = [], [], [], []
         groups: list[list[int]] = []
         for pos, span in enumerate(batch):
             i, j = span
@@ -181,16 +178,13 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
                 pr.append(row_of[(k + 1, j)])
                 pc.append(row_of[span])
                 pp.append(pos)
-                pk.append(k)
             groups.append(group)
         plans.append(BatchPlan(
             spans=list(batch),
-            cell_rows=np.array([row_of[s] for s in batch], dtype=np.intp),
             pair_left=np.array(pl, dtype=np.intp),
             pair_right=np.array(pr, dtype=np.intp),
             pair_cell=np.array(pc, dtype=np.intp),
             pair_cell_pos=np.array(pp, dtype=np.intp),
-            pair_split=np.array(pk, dtype=np.intp),
             score_pad=_pad_matrix(groups),
         ))
 
@@ -204,11 +198,10 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
         if not cands:
             raise ValueError(f"schedule violation: {spans[r]} has no parent candidates")
     for bp in plans:
-        bp.pool_pad = _pad_matrix([parents[r] for r in bp.cell_rows])
+        bp.pool_pad = _pad_matrix([parents[row_of[s]] for s in bp.spans])
 
     return EnginePlan(n=n, schedule=schedule, spans=spans, row_of=row_of,
-                      batches=plans, leaf_pool=_pad_matrix(parents[:n]),
-                      root_row=row_of[schedule.root])
+                      batches=plans, leaf_pool=_pad_matrix(parents[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +210,13 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
 
 @dataclass
 class EngineStats:
-    """Efficiency counters: compose units ("MLP runs"), batched calls,
-    non-leaf batches per inside pass ("inside steps"), cells encoded."""
+    """Efficiency counters, summed over every run_stack call that shares
+    this object: compose pairs ("MLP runs"), batched compose calls, and
+    non-leaf cells encoded. run_stack reads them off its plan."""
 
     pairs_composed: int = 0
     batched_calls: int = 0
-    inside_steps: int = 0
     cells_encoded: int = 0
-
-    def add(self, other: "EngineStats") -> None:
-        self.pairs_composed += other.pairs_composed
-        self.batched_calls += other.batched_calls
-        self.inside_steps += other.inside_steps
-        self.cells_encoded += other.cells_encoded
 
 
 @dataclass
@@ -274,27 +261,6 @@ def _softmax_pool(vecs: Tensor, scores: Tensor, pad: np.ndarray) -> tuple[Tensor
     return vec, ad.tsum(w * s, axis=1)
 
 
-def _inside_batch(plan: BatchPlan, arena: Tensor, scores: Tensor, prev_out: Tensor,
-                  alpha: ComposeParams, compat: CompatHead,
-                  stats: EngineStats) -> tuple[Tensor, Tensor, np.ndarray]:
-    """One batch of the inside pass; returns cell vectors, cell scores, and
-    the raw per-pair totals a[k] (data only, for tree induction)."""
-    left = ad.gather(arena, plan.pair_left)
-    right = ad.gather(arena, plan.pair_right)
-    parent_slot = ad.gather(prev_out, plan.pair_cell)
-    composed = alpha(ad.stack([left, right, parent_slot], axis=1))[:, ROLE_PARENT, :]
-
-    cand = compat(left, right, "inside")
-    totals = cand + ad.gather(scores, plan.pair_left) + ad.gather(scores, plan.pair_right)
-    cell_vec, cell_score = _softmax_pool(composed, totals, plan.score_pad)
-
-    stats.pairs_composed += len(plan.pair_left)
-    stats.batched_calls += 1
-    stats.inside_steps += 1
-    stats.cells_encoded += len(plan.spans)
-    return cell_vec, cell_score, totals.data.copy()
-
-
 def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
               stats: EngineStats | None = None) -> StackResult:
     """Run all layers on leaf embeddings x (n, d) under the given plan."""
@@ -303,27 +269,29 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
         raise ValueError(f"expected ({n}, {stack.d}) leaf embeddings, got {x.shape}")
     dtype = x.data.dtype
     rows = plan.rows
-    stats = stats if stats is not None else EngineStats()
     layers: list[LayerState] = []
     pair_scores: dict[Span, np.ndarray] = {}
 
     prev_out = ad.broadcast_to(ad.reshape(stack.outside0, (1, stack.d)), (rows, stack.d))
     for l in range(stack.num_layers):
-        # ---- inside sweep -------------------------------------------------
+        last = l == stack.num_layers - 1
+        # ---- inside sweep: each batch's cells pool their splits' candidates
         arena = x
         scores = Tensor(np.zeros(n, dtype=dtype))
-        totals_by_batch: list[np.ndarray] = []
         for bp in plan.batches:
-            cell_vec, cell_score, totals = _inside_batch(
-                bp, arena, scores, prev_out, stack.alpha[l], stack.compat, stats)
+            left = ad.gather(arena, bp.pair_left)
+            right = ad.gather(arena, bp.pair_right)
+            parent_slot = ad.gather(prev_out, bp.pair_cell)
+            slots = stack.alpha[l](ad.stack([left, right, parent_slot], axis=1))
+            composed = slots[:, ROLE_PARENT, :]
+            totals = stack.compat(left, right, "inside") \
+                + ad.gather(scores, bp.pair_left) + ad.gather(scores, bp.pair_right)
+            cell_vec, cell_score = _softmax_pool(composed, totals, bp.score_pad)
             arena = ad.concat([arena, cell_vec], axis=0)
             scores = ad.concat([scores, cell_score], axis=0)
-            totals_by_batch.append(totals)
-
-        if l == stack.num_layers - 1:
-            for bp, totals in zip(plan.batches, totals_by_batch):
+            if last:  # the raw a[k] of each kept split, for tree induction
                 for span, pad in zip(bp.spans, bp.score_pad):
-                    pair_scores[span] = totals[pad[:len(plan.schedule.splits[span])]]
+                    pair_scores[span] = totals.data[pad[:len(plan.schedule.splits[span])]]
 
         # ---- outside sweep ------------------------------------------------
         cand_v = ad.reshape(stack.roots[l], (1, stack.d))
@@ -347,8 +315,6 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
                 + stack.compat(parent_out, left, "outside") + parent_b
             cand_v = ad.concat([cand_v, y[:, ROLE_LEFT, :], y[:, ROLE_RIGHT, :]], axis=0)
             cand_s = ad.concat([cand_s, b_left, b_right], axis=0)
-            stats.pairs_composed += len(bp.pair_left)
-            stats.batched_calls += 1
 
         leaf_out, leaf_b = _softmax_pool(cand_v, cand_s, plan.leaf_pool)
         outside = ad.concat([leaf_out] + out_vecs[::-1], axis=0)
@@ -358,6 +324,11 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
                                  outside=outside, outside_score=outside_b))
         prev_out = outside
 
+    # per layer: one inside and one outside compose call per batch
+    stats = stats if stats is not None else EngineStats()
+    stats.batched_calls += 2 * stack.num_layers * len(plan.batches)
+    stats.pairs_composed += 2 * stack.num_layers * sum(len(bp.pair_left) for bp in plan.batches)
+    stats.cells_encoded += stack.num_layers * (rows - n)
     return StackResult(plan=plan, layers=layers, pair_scores=pair_scores, stats=stats)
 
 

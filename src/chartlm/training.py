@@ -66,10 +66,12 @@ class Vocab:
                 line = line.strip()
                 if not line:
                     continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{line_no}: expected 'token id'")
-                pairs.append((parts[0], int(parts[1])))
+                try:
+                    token, token_id = line.split()
+                    pairs.append((token, int(token_id)))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: expected 'token id', "
+                                     f"got {line!r}") from None
         ids = sorted(i for _, i in pairs)
         if ids != list(range(len(pairs))):
             raise ValueError("vocabulary ids must be dense, starting at 0")

@@ -181,8 +181,16 @@ def parse_sexpr(text: str) -> Node:
 
 
 def read_tree_file(path: str) -> list[Node]:
+    """One tree per non-blank line; a bad line raises ValueError naming its path:line."""
+    trees = []
     with open(path, encoding="utf-8") as fh:
-        return [parse_sexpr(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    trees.append(parse_sexpr(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return trees
 
 
 def write_tree_file(path: str, roots: list[Node]) -> None:

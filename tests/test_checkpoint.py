@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chartlm import checkpoint
 from chartlm.checkpoint import (MAGIC, VERSION, apply_parameters,
@@ -95,13 +97,14 @@ def test_every_truncation_raises_value_error(tmp_path):
 
 
 def test_unknown_dtype_is_value_error(tmp_path):
-    header = json.dumps({"tensors": [{"name": "w", "shape": [1], "dtype": "<q9",
-                                      "nbytes": 8}],
-                         "config": {}, "extra": {}}).encode("utf-8")
-    path = tmp_path / "dtype.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header + b"\0" * 8)
-    with pytest.raises(ValueError, match="unknown dtype '<q9' for tensor w"):
-        load_checkpoint(str(path))
+    for dtype in ("<q9", ",f4"):  # numpy raises TypeError, then SyntaxError
+        header = json.dumps({"tensors": [{"name": "w", "shape": [1], "dtype": dtype,
+                                          "nbytes": 8}],
+                             "config": {}, "extra": {}}).encode("utf-8")
+        path = tmp_path / "dtype.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header + b"\0" * 8)
+        with pytest.raises(ValueError, match=f"unknown dtype '{dtype}' for tensor w"):
+            load_checkpoint(str(path))
 
 
 def _write_header(path, header):
@@ -114,12 +117,60 @@ def _write_header(path, header):
     [1, 2],
     {"tensors": [{"name": "w", "shape": [1], "nbytes": 8}], "config": {}, "extra": {}},
     {"tensors": ["w"], "config": {}, "extra": {}},
-], ids=["empty_object", "list", "entry_without_dtype", "entry_not_an_object"])
+    {"tensors": [{"name": "w", "shape": [True, 1], "dtype": "<f8", "nbytes": 8}],
+     "config": {}, "extra": {}},
+    {"tensors": [{"name": "w", "shape": [-1, 1], "dtype": "<f8", "nbytes": 8}],
+     "config": {}, "extra": {}},
+    {"tensors": [{"name": "w", "shape": [1], "dtype": "<f8", "nbytes": True}],
+     "config": {}, "extra": {}},
+], ids=["empty_object", "list", "entry_without_dtype", "entry_not_an_object",
+        "bool_dimension", "negative_dimension", "bool_nbytes"])
 def test_malformed_header_is_value_error(tmp_path, header):
     path = tmp_path / "bad.ckpt"
     _write_header(path, header)
     with pytest.raises(ValueError, match="malformed checkpoint header"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("nbytes, message", [
+    (10 ** 13, "truncated checkpoint at tensor w"),  # checked before any read
+    (4, "tensor w: 4 bytes declared for shape"),
+], ids=["past_the_end", "not_the_shape"])
+def test_nbytes_that_lies_is_value_error(tmp_path, nbytes, message):
+    path = tmp_path / "lie.ckpt"
+    _write_header(path, {"tensors": [{"name": "w", "shape": [1], "dtype": "<f8",
+                                      "nbytes": nbytes}], "config": {}, "extra": {}})
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(str(path))
+
+
+def _fuzz_blob(tmp_path):
+    path = str(tmp_path / "ok.ckpt")
+    save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "step": np.array(3, dtype=np.int64), "b": np.ones(2)},
+                    {"d": 3}, {"step": 1, "vocab": ["a", "b"]})
+    blob = open(path, "rb").read()
+    header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+    return blob, header_end
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_or_bit_flipped_header_loads_or_is_value_error(tmp_path, data):
+    blob, header_end = _fuzz_blob(tmp_path)
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, header_end), label="size")]
+    else:
+        bit = data.draw(st.integers(0, 8 * header_end - 1), label="bit")
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(bytes(bad))
+    try:
+        load_checkpoint(str(path))
+    except ValueError:  # any other exception fails the test
+        pass
 
 
 class _DiskFullAfter:

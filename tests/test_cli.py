@@ -1,17 +1,18 @@
 """End-to-end command tests: exit codes, files produced, stdout contracts."""
 
-import csv
+import argparse
 import json
-import math
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
-from chartlm.cli import dispatch, parse_config_file
+from chartlm.cli import _build_parser, dispatch, parse_config_file
 from chartlm.model import ChartLM
 from chartlm.training import Trainer, Vocab
 from chartlm.trees import format_sexpr, left_branching, read_tree_file
@@ -72,6 +73,16 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
                    "--out", _p(tmp_path, "o.txt")])
     assert rc == 2
     assert "missing file" in capsys.readouterr().err
+
+
+def test_readme_documents_exactly_the_cli_subcommands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    documented = {cmd for block in blocks
+                  for cmd in re.findall(r"^chartlm ([\w-]+)", block, flags=re.M)}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
 
 
 def test_config_file_parsing(tmp_path):
@@ -215,6 +226,26 @@ def test_parse_names_the_bad_input_line(workdir, capsys, bad_line, message, mode
     assert f"error: {inp}:3: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_pretrain_names_the_unknown_token_line(workdir, capsys, resume):
+    corpus = workdir / "zz.txt"
+    corpus.write_text("a b\n\nc zz d\n")  # the blank line still counts
+    source = (["--resume", _untrained_ckpt(workdir)] if resume else
+              ["--vocab", _p(workdir, "vocab.txt"), "--config", _p(workdir, "config.txt")])
+    rc = dispatch(["pretrain", "--corpus", str(corpus), *source, "--out", _p(workdir, "run")])
+    assert rc == 3
+    assert f"error: {corpus}:3: unknown token 'zz'" in capsys.readouterr().err
+
+
+def test_pretrain_names_the_bad_vocabulary_line(workdir, capsys):
+    vocab = workdir / "bad_vocab.txt"
+    vocab.write_text("[MASK] 0\na x\n")
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--vocab", str(vocab),
+                   "--config", _p(workdir, "config.txt"), "--out", _p(workdir, "run")])
+    assert rc == 3
+    assert f"error: {vocab}:2: expected 'token id'" in capsys.readouterr().err
+
+
 def test_parse_truncated_checkpoint_is_numeric_error(workdir, capsys):
     cut = workdir / "cut.ckpt"
     cut.write_bytes(open(_untrained_ckpt(workdir), "rb").read()[:9])
@@ -232,6 +263,21 @@ def test_parse_malformed_checkpoint_header_is_numeric_error(workdir, capsys):
                    "--out", _p(workdir, "trees.txt")])
     assert rc == 3
     assert "malformed checkpoint header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"shape": [], "dtype": "<f4", "nbytes": 10 ** 13}, "truncated checkpoint at tensor w"),
+    ({"shape": [2], "dtype": ",f4", "nbytes": 8}, "unknown dtype ',f4' for tensor w"),
+], ids=["nbytes", "dtype"])
+def test_parse_checkpoint_header_that_lies_is_numeric_error(workdir, capsys, entry, message):
+    header = json.dumps({"tensors": [{"name": "w", **entry}], "config": {},
+                         "extra": {}}).encode()
+    bad = workdir / "lie.ckpt"
+    bad.write_bytes(b"CLMC" + struct.pack("<IQ", 1, len(header)) + header + b"\0" * 8)
+    rc = dispatch(["parse", "--ckpt", str(bad), "--input", _p(workdir, "corpus.txt"),
+                   "--out", _p(workdir, "trees.txt")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +314,13 @@ def test_eval_f1_on_a_deep_tree(workdir, capsys):
     assert "F1 100.00" in capsys.readouterr().out
 
 
+def test_eval_f1_names_the_bad_tree_line(workdir, capsys):
+    pred = workdir / "pred.txt"
+    pred.write_text("(X a b)\n\n(X (X a b) c\n")
+    assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(pred)]) == 3
+    assert f"error: {pred}:3: unbalanced tree string" in capsys.readouterr().err
+
+
 def test_eval_f1_mismatched_trees(workdir, capsys):
     left, right = _p(workdir, "l.txt"), _p(workdir, "r.txt")
     dispatch(["export-trees", "--input", _p(workdir, "corpus.txt"),
@@ -293,26 +346,8 @@ def test_eval_f1_reports_label_recall(workdir, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench and gradcheck
+# gradcheck
 # ---------------------------------------------------------------------------
-
-def test_bench_csv_bounds(workdir):
-    out = _p(workdir, "bench.csv")
-    rc = dispatch(["bench", "--lengths", "4..16", "--m", "2", "--out", out])
-    assert rc == 0
-    rows = list(csv.DictReader(open(out)))
-    assert [int(r["n"]) for r in rows] == [4, 8, 16]
-    for r in rows:
-        n, m = int(r["n"]), int(r["m"])
-        assert int(r["cells"]) <= 2 * m * n
-        assert int(r["inside_steps"]) <= (m - 1) + 2 * math.ceil(math.log2(n))
-        assert int(r["pairs_composed"]) > 0 and float(r["wall_ms"]) >= 0
-
-
-def test_bench_bad_lengths(workdir, capsys):
-    assert dispatch(["bench", "--lengths", "x,y", "--m", "2"]) == 2
-    assert dispatch(["bench", "--lengths", "9..4", "--m", "2"]) == 2
-
 
 def test_gradcheck_passes_on_small_config(workdir, capsys):
     rc = dispatch(["gradcheck", "--config", _p(workdir, "config.txt"),

@@ -8,7 +8,7 @@ import pytest
 from chartlm import autodiff as ad
 from chartlm import model as model_module
 from chartlm.autodiff import Tensor, no_grad
-from chartlm.inside_outside import StackResult, run_stack
+from chartlm.inside_outside import ComposeParams, EngineStats, StackResult, run_stack
 from chartlm.model import ChartLM, ForwardOutput, ReCatConfig
 from chartlm.trees import format_sexpr, leaves, node_count
 
@@ -152,6 +152,31 @@ def test_forward_decodes_the_split_order_once(mode, monkeypatch):
     model = _model(seed=15)
     getattr(model, mode)(np.array([1, 2, 3, 4, 5, 6]))
     assert calls == [6]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("share", [True, False])
+@pytest.mark.parametrize("mode", ["forward_pretrain", "fast_encode"])
+def test_engine_counters_equal_the_compose_calls_made(mode, share, layers, monkeypatch):
+    # run_stack reads its counters off the plan; these are the calls it makes
+    pairs_per_call = []
+    compose = ComposeParams.__call__
+
+    def counting_compose(self, slots):
+        pairs_per_call.append(slots.shape[0])
+        return compose(self, slots)
+
+    monkeypatch.setattr(ComposeParams, "__call__", counting_compose)
+    model = _model(seed=3, layers=layers, share=share)
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 6, 11):
+        pairs_per_call.clear()
+        stats = EngineStats()
+        out = getattr(model, mode)(rng.integers(0, 12, size=n), stats=stats)
+        assert out.result.stats is stats
+        assert len(pairs_per_call) == stats.batched_calls
+        assert sum(pairs_per_call) == stats.pairs_composed
+        assert stats.cells_encoded == layers * (out.result.plan.rows - n)
 
 
 def test_default_config_runs_in_float32():

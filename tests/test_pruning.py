@@ -314,10 +314,11 @@ def test_chain_tree_schedule_cannot_batch():
     assert sch.non_leaf_batches() >= n - 1
 
 
-def test_balanced_schedule_batches_logarithmically():
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_balanced_schedule_batches_logarithmically(n):
     from chartlm.synthetic import balanced_scores
-    n = 8
     sch = build_cell_batches(prune_schedule(n, 2, split_order(balanced_scores(n), n)))
+    assert sch.cell_count() <= 2 * 2 * n
     assert sch.non_leaf_batches() <= 1 + 2 * int(np.ceil(np.log2(n)))
     assert sch.batches[-1] == [(1, n)]
 
