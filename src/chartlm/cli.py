@@ -92,19 +92,28 @@ def blob_sha1(path: str) -> str:
 def _cmd_pretrain(args) -> int:
     if not args.resume and not (args.config and args.vocab):
         raise UsageError("pretrain needs --config and --vocab (or --resume)")
-    vocab = (Vocab(load_checkpoint(args.resume)[2]["vocab"]) if args.resume
-             else Vocab.from_file(args.vocab))
+    if args.resume:  # the checkpoint's configs, not the flags, govern a resumed run
+        tensors, config, extra = load_checkpoint(args.resume)
+        mcfg, tcfg = ReCatConfig.from_dict(config["model"]), TrainConfig.from_dict(config["train"])
+        vocab = Vocab(extra["vocab"])
+    else:
+        mcfg, tcfg = parse_config_file(args.config)
+        vocab = Vocab.from_file(args.vocab)
+    max_len, budget = mcfg.max_len, tcfg.batch_tokens
     corpus = []
     for line_no, tokens in numbered_sentences(args.corpus):
         try:
             vocab.encode(tokens)
-        except ValueError as exc:  # unknown token
+            if len(tokens) > max_len:
+                raise ValueError(f"sentence length {len(tokens)} exceeds configured max {max_len}")
+            if len(tokens) > budget:
+                raise ValueError(f"sentence has {len(tokens)} tokens, over the batch budget {budget}")
+        except ValueError as exc:
             raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
         corpus.append(tokens)
     if args.resume:
-        trainer = Trainer.resume(args.resume, corpus, out_dir=args.out)
+        trainer = Trainer.from_checkpoint(tensors, config, extra, corpus, out_dir=args.out)
     else:
-        mcfg, tcfg = parse_config_file(args.config)
         if args.seed is not None:
             tcfg.seed = args.seed
         if mcfg.vocab_size != len(vocab):

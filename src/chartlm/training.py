@@ -9,9 +9,11 @@ replays exactly what an uninterrupted run would have done.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from typing import Iterator
 
@@ -217,6 +219,21 @@ class AdamW:
 # training loop
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def collector_paused():
+    """Pause automatic cyclic garbage collection inside the block, then put
+    the collector back as it was, also after an exception. Nothing is
+    collected on exit: a train step's tape has no cycles, so refcounting
+    frees it (`tests/test_training.py` pins that a step leaves none)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass
 class TrainConfig:
     lr_model: float = 1e-3
@@ -285,7 +302,16 @@ class Trainer:
         return rng.permutation(len(self.batches))
 
     def train_step(self, batch: list[int]) -> dict:
-        """One forward/backward/update over a batch of sentence indices."""
+        """One forward/backward/update over a batch of sentence indices.
+
+        The step records thousands of tape nodes, and each allocation of them
+        counts toward the cyclic collector's next scan, which would rescan
+        the live tape many times per step. The collector is paused until the
+        step body has returned and its tape is freed."""
+        with collector_paused():
+            return self._step(batch)
+
+    def _step(self, batch: list[int]) -> dict:
         t0 = time.perf_counter()
         rng = np.random.default_rng([self.cfg.seed, self.step])
         self.opt_model.zero_grad()
@@ -379,7 +405,13 @@ class Trainer:
     @classmethod
     def resume(cls, path: str, corpus: list[list[str]],
                out_dir: str | None = None) -> "Trainer":
-        tensors, config, extra = load_checkpoint(path)
+        return cls.from_checkpoint(*load_checkpoint(path), corpus, out_dir)
+
+    @classmethod
+    def from_checkpoint(cls, tensors: dict[str, np.ndarray], config: dict,
+                        extra: dict, corpus: list[list[str]],
+                        out_dir: str | None = None) -> "Trainer":
+        """A trainer that continues from loaded checkpoint contents."""
         model, vocab = model_from_checkpoint(tensors, config, extra)
         trainer = cls(model, TrainConfig.from_dict(config["train"]), corpus,
                       vocab, out_dir)
@@ -391,10 +423,22 @@ class Trainer:
 
 def _drop_records_from(path: str, step: int) -> None:
     """Rewrite a metrics file without its records of steps >= `step`, and
-    without a last line torn by a crash mid-write (it has no newline)."""
+    without a last line torn by a crash mid-write (it has no newline). A
+    whole line that is not a record raises ValueError naming `path:line:`."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
-    kept = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["step"] < step]
+    kept = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.endswith("\n"):
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: not a JSON record: {exc}") from None
+        if not isinstance(record, dict) or type(record.get("step")) is not int:
+            raise ValueError(f"{path}:{line_no}: record has no integer 'step'")
+        if record["step"] < step:
+            kept.append(line)
     if len(kept) < len(lines):
         replace_file(path, [ln.encode("utf-8") for ln in kept])
 

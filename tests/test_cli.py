@@ -237,6 +237,67 @@ def test_pretrain_names_the_unknown_token_line(workdir, capsys, resume):
     assert f"error: {corpus}:3: unknown token 'zz'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit, message", [
+    ("max_len = 4", "sentence length 6 exceeds configured max 4"),
+    ("batch_tokens = 5", "sentence has 6 tokens, over the batch budget 5"),
+], ids=["max_len", "batch_tokens"])
+def test_pretrain_rejects_an_over_long_line_before_any_work(workdir, capsys, limit, message):
+    corpus = workdir / "corpus.txt"
+    corpus.write_text("a b c\n\na b c d e f\n")  # the blank line still counts
+    cfg = workdir / "limited.txt"
+    cfg.write_text(MODEL_CFG + TRAIN_CFG + limit + "\n")
+    out = workdir / "run"
+    rc = dispatch(["pretrain", "--corpus", str(corpus), "--vocab", _p(workdir, "vocab.txt"),
+                   "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    assert f"error: {corpus}:3: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_pretrain_resume_checks_lines_against_the_checkpoint_config(workdir, capsys):
+    corpus = workdir / "corpus.txt"
+    corpus.write_text("a b c\n\na b c d e f\n")
+    rc = dispatch(["pretrain", "--corpus", str(corpus), "--resume", _untrained_ckpt(workdir),
+                   "--out", _p(workdir, "run")])
+    assert rc == 3
+    assert (f"error: {corpus}:3: sentence length 6 exceeds configured max 4"
+            in capsys.readouterr().err)
+
+
+def _finished_run(workdir):
+    """A two-step pretrain run; returns its checkpoint and metrics paths."""
+    out = _p(workdir, "run")
+    assert dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"),
+                     "--vocab", _p(workdir, "vocab.txt"),
+                     "--config", _p(workdir, "config.txt"), "--out", out]) == 0
+    return os.path.join(out, "model.ckpt"), os.path.join(out, "metrics.jsonl")
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("not json", "not a JSON record"),
+    ('{"loss": 1}', "record has no integer 'step'"),
+], ids=["not_json", "no_step"])
+def test_resume_names_the_bad_metrics_line(workdir, capsys, bad_line, message):
+    ckpt, metrics = _finished_run(workdir)
+    with open(metrics, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    capsys.readouterr()
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--resume", ckpt,
+                   "--out", os.path.dirname(ckpt)])
+    assert rc == 3
+    assert f"error: {metrics}:3: {message}" in capsys.readouterr().err
+
+
+def test_resume_drops_a_torn_last_metrics_line(workdir, capsys):
+    ckpt, metrics = _finished_run(workdir)
+    with open(metrics, "a", encoding="utf-8") as fh:
+        fh.write('{"step": 2, "mlm')  # a write cut short: no newline
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--resume", ckpt,
+                   "--out", os.path.dirname(ckpt)])
+    assert rc == 0
+    assert [json.loads(l)["step"] for l in open(metrics)] == [0, 1]
+
+
 def test_pretrain_names_the_bad_vocabulary_line(workdir, capsys):
     vocab = workdir / "bad_vocab.txt"
     vocab.write_text("[MASK] 0\na x\n")

@@ -1,5 +1,6 @@
 """Training-loop tests: data plumbing, optimizer, determinism, resume."""
 
+import gc
 import json
 
 import numpy as np
@@ -366,8 +367,50 @@ def test_non_finite_gradient_stops_before_the_optimizer(monkeypatch):
     with pytest.raises(FloatingPointError,
                        match=f"non-finite gradient for {target.name} at step 0"):
         tr.train()
+    assert gc.isenabled()  # the step's collector pause ends on a raise too
     for p, old in zip(tr.model.parameters(), before):
         np.testing.assert_array_equal(p.data, old)
+
+
+def test_train_step_pauses_the_collector_and_restores_it(monkeypatch):
+    tr = _trainer(seed=16)
+    seen = []
+    backward = Tensor.backward
+
+    def recording_backward(self, seed=None):
+        seen.append(gc.isenabled())
+        backward(self, seed)
+
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    tr.train_step(tr.batches[0])
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_train_step_keeps_a_disabled_collector_disabled():
+    tr = _trainer(seed=16)
+    gc.disable()
+    try:
+        tr.train_step(tr.batches[0])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("phase", ["masked", "fast"])
+def test_train_step_leaves_no_cyclic_garbage(phase):
+    # the step runs with the collector paused, so refcounting alone must free
+    # its tape. The collector stays off until the explicit collection: once
+    # re-enabled, its first automatic scan would free a cycle unseen.
+    tr = _trainer(seed=17, phase=phase)
+    gc.collect()
+    gc.disable()
+    try:
+        tr.train_step(tr.batches[0])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_saved_model_reloads_and_parses(tmp_path):
