@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,7 @@ from .autodiff import gradient_check, no_grad
 from .checkpoint import load_checkpoint
 from .evaluation import corpus_f1, label_recalls
 from .model import ChartLM, ReCatConfig
-from .training import (TrainConfig, Trainer, Vocab, forbidden_boundaries,
+from .training import (TrainConfig, Trainer, Vocab, decode_run, forbidden_boundaries,
                        load_model, numbered_sentences, read_corpus)
 from .trees import (leaves, left_branching, random_binary, read_tree_file,
                     right_branching, write_tree_file)
@@ -40,7 +41,7 @@ def _coerce(value: str, default) -> object:
             return True
         if low in ("false", "0", "no"):
             return False
-        raise UsageError(f"expected a boolean, got {value!r}")
+        raise ValueError(f"expected a boolean, got {value!r}")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
@@ -49,10 +50,8 @@ def _coerce(value: str, default) -> object:
 
 
 def parse_config_file(path: str) -> tuple[ReCatConfig, TrainConfig]:
-    model_defaults = ReCatConfig()
-    train_defaults = TrainConfig()
-    mdict: dict = {}
-    tdict: dict = {}
+    sections: dict[type, dict] = {ReCatConfig: {}, TrainConfig: {}}
+    defaults = {f.name: (cls, f.default) for cls in sections for f in fields(cls)}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -62,18 +61,15 @@ def parse_config_file(path: str) -> tuple[ReCatConfig, TrainConfig]:
                 raise UsageError(f"{path}:{line_no}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key not in defaults:
+                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            cls, default = defaults[key]
             try:
-                if hasattr(model_defaults, key):
-                    mdict[key] = _coerce(value, getattr(model_defaults, key))
-                elif hasattr(train_defaults, key):
-                    tdict[key] = _coerce(value, getattr(train_defaults, key))
-                else:
-                    raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            except (ValueError, UsageError) as exc:
-                if isinstance(exc, UsageError):
-                    raise
+                sections[cls][key] = _coerce(value, default)
+            except ValueError as exc:
                 raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
-    return ReCatConfig.from_dict(mdict), TrainConfig.from_dict(tdict)
+    return (ReCatConfig.from_dict(sections[ReCatConfig]),
+            TrainConfig.from_dict(sections[TrainConfig]))
 
 
 def blob_sha1(path: str) -> str:
@@ -90,16 +86,21 @@ def blob_sha1(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_pretrain(args) -> int:
-    if not args.resume and not (args.config and args.vocab):
-        raise UsageError("pretrain needs --config and --vocab (or --resume)")
-    if args.resume:  # the checkpoint's configs, not the flags, govern a resumed run
+    if args.resume:  # the checkpoint's configs and vocabulary govern a resumed run
+        if args.config or args.vocab:
+            raise UsageError("pretrain --resume takes no --config or --vocab")
         tensors, config, extra = load_checkpoint(args.resume)
-        mcfg, tcfg = ReCatConfig.from_dict(config["model"]), TrainConfig.from_dict(config["train"])
-        vocab = Vocab(extra["vocab"])
-    else:
+        model, tcfg, vocab = decode_run(tensors, config, extra)
+    elif args.config and args.vocab:
         mcfg, tcfg = parse_config_file(args.config)
         vocab = Vocab.from_file(args.vocab)
-    max_len, budget = mcfg.max_len, tcfg.batch_tokens
+        if mcfg.vocab_size != len(vocab):
+            raise ValueError(f"config vocab_size {mcfg.vocab_size} does not match "
+                             f"vocabulary size {len(vocab)}")
+        model = ChartLM(mcfg, np.random.default_rng(tcfg.seed))
+    else:
+        raise UsageError("pretrain needs --config and --vocab (or --resume)")
+    max_len, budget = model.cfg.max_len, tcfg.batch_tokens
     corpus = []
     for line_no, tokens in numbered_sentences(args.corpus):
         try:
@@ -111,16 +112,9 @@ def _cmd_pretrain(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
         corpus.append(tokens)
+    trainer = Trainer(model, tcfg, corpus, vocab, out_dir=args.out)
     if args.resume:
-        trainer = Trainer.from_checkpoint(tensors, config, extra, corpus, out_dir=args.out)
-    else:
-        if args.seed is not None:
-            tcfg.seed = args.seed
-        if mcfg.vocab_size != len(vocab):
-            raise ValueError(f"config vocab_size {mcfg.vocab_size} does not match "
-                             f"vocabulary size {len(vocab)}")
-        model = ChartLM(mcfg, np.random.default_rng(tcfg.seed))
-        trainer = Trainer(model, tcfg, corpus, vocab, out_dir=args.out)
+        trainer.restore(tensors, extra)
 
     os.makedirs(args.out, exist_ok=True)
     manifest = {
@@ -196,7 +190,7 @@ def _cmd_gradcheck(args) -> int:
     mcfg, tcfg = parse_config_file(args.config)
     mcfg.dtype = "float64"  # finite differences need the headroom
     mcfg.validate()
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(tcfg.seed)
     model = ChartLM(mcfg, rng)
     for p in model.parameters():  # move zero-initialized taps off the origin
         if not np.abs(p.data).sum():
@@ -241,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(func=_cmd_pretrain)
 
@@ -266,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     return top

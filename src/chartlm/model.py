@@ -10,7 +10,8 @@ representation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,17 +20,59 @@ from .autodiff import Parameter, Tensor
 from .chart import Schedule
 from .inside_outside import (CioStack, EngineStats, StackResult, induce_order,
                              plan_engine, run_stack)
-from .nn import AttentionBlock, Embedding, Linear, Module
+from .nn import AttentionBlock, Embedding, Module
 from .pruning import (BoundaryScorer, SplitStep, apply_nonsplittable,
                       parser_nll, split_order, tree_from_order, tree_schedule,
                       prune_schedule, build_cell_batches)
 from .trees import Node, in_order
 
 
+def _typed(key: str, value, default):
+    """`value` as the type of `default`; an int is accepted for a float, but
+    a bool is not an int."""
+    kind = type(default)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(f"config key {key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+class Config:
+    """The one decoder of the config dataclasses: each defines `validate`
+    and may name retired keys, with the one value each is still read at."""
+
+    retired: ClassVar[dict] = {}
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Decode and validate `d`. An unknown key, or a value whose type is
+        not its field default's, raises ValueError naming the key. A retired
+        key is dropped at its old value (checkpoints still carry it) and
+        rejected at any other."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults) - set(cls.retired)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, old in cls.retired.items():
+            if key in d and _typed(key, d[key], old) != old:
+                raise ValueError(f"retired config key {key}: only its old value "
+                                 f"{old!r} can be read, got {d[key]!r}")
+        cfg = cls(**{key: _typed(key, value, defaults[key])
+                     for key, value in d.items() if key in defaults})
+        cfg.validate()
+        return cfg
+
+
 @dataclass
-class ReCatConfig:
+class ReCatConfig(Config):
     """Model shape knobs; the [i, j, k] triple is (layers, compose_depth,
     transformer_depth)."""
+
+    retired = {"tie_mlm": True, "parser_layers": 1}
 
     layers: int = 2
     compose_depth: int = 1
@@ -41,15 +84,13 @@ class ReCatConfig:
     m: int = 2
     mask_rate: float = 0.15
     max_len: int = 256
-    tie_mlm: bool = True
     parser_dim: int = 64
     parser_hidden: int = 64
-    parser_layers: int = 1
     dtype: str = "float32"
 
     def validate(self) -> None:
         positive = ["layers", "compose_depth", "d", "heads", "vocab_size", "m",
-                    "max_len", "parser_dim", "parser_hidden", "parser_layers"]
+                    "max_len", "parser_dim", "parser_hidden"]
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
@@ -61,24 +102,12 @@ class ReCatConfig:
             raise ValueError("mask_rate must lie in (0, 1)")
         if self.d % self.heads != 0:
             raise ValueError(f"model dim {self.d} not divisible by {self.heads} heads")
-        np.dtype(self.dtype)
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"config field dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReCatConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -107,12 +136,8 @@ class ChartLM(Module):
         self.encoder = self._child(AttentionBlock("encoder", cfg.d, cfg.heads,
                                                   cfg.transformer_depth, rng, dt))
         self.mlm_bias = self._param("mlm.bias", np.zeros(cfg.vocab_size, dtype=dt))
-        self.mlm_head: Linear | None = None
-        if not cfg.tie_mlm:
-            self.mlm_head = self._child(Linear("mlm.head", cfg.d, cfg.vocab_size, rng, dt))
         self.parser = self._child(BoundaryScorer("parser", cfg.vocab_size, cfg.parser_dim,
-                                                 cfg.parser_hidden, cfg.parser_layers,
-                                                 rng, dt))
+                                                 cfg.parser_hidden, rng, dt))
 
     # ---- parameter groups (hard-EM: optimized by separate losses) ---------
 
@@ -205,11 +230,7 @@ class ChartLM(Module):
         term_idx = np.array([p for p, node in enumerate(ordered) if node.is_leaf],
                             dtype=np.intp)
         terminals = ad.gather(encoded, term_idx)
-        if self.mlm_head is not None:
-            logits = self.mlm_head(terminals)
-        else:
-            logits = ad.matmul(terminals, ad.transpose(self.embedding.table, (1, 0)))
-        logits = logits + self.mlm_bias
+        logits = ad.matmul(terminals, ad.transpose(self.embedding.table, (1, 0))) + self.mlm_bias
         return encoded, logits
 
     def _mlm_loss(self, logits: Tensor, positions: np.ndarray | None,

@@ -172,26 +172,21 @@ class Embedding(Module):
 
 
 class BiLstm(Module):
-    """Bidirectional multi-layer LSTM returning per-position [fwd; bwd] states."""
+    """Bidirectional LSTM returning per-position [fwd; bwd] states."""
 
-    def __init__(self, name: str, din: int, hidden: int, layers: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, name: str, din: int, hidden: int, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         self.hidden = hidden
-        self.layers = layers
         self.dtype = dtype
-        self.cells: list[list[dict]] = []
-        for l in range(layers):
-            d_in = din if l == 0 else 2 * hidden
-            row = []
-            for direction in ("f", "b"):
-                prefix = f"{name}.{l}.{direction}"
-                row.append({
-                    "wx": self._param(f"{prefix}.wx", _normal(rng, (d_in, 4 * hidden), dtype)),
-                    "wh": self._param(f"{prefix}.wh", _normal(rng, (hidden, 4 * hidden), dtype)),
-                    "b": self._param(f"{prefix}.b", np.zeros(4 * hidden, dtype=dtype)),
-                })
-            self.cells.append(row)
+        self.cells: list[dict] = []
+        for direction in ("f", "b"):
+            prefix = f"{name}.0.{direction}"  # the names checkpoints address
+            self.cells.append({
+                "wx": self._param(f"{prefix}.wx", _normal(rng, (din, 4 * hidden), dtype)),
+                "wh": self._param(f"{prefix}.wh", _normal(rng, (hidden, 4 * hidden), dtype)),
+                "b": self._param(f"{prefix}.b", np.zeros(4 * hidden, dtype=dtype)),
+            })
 
     def _run_direction(self, x: Tensor, cell: dict, reverse: bool) -> Tensor:
         n = x.shape[0]
@@ -213,8 +208,6 @@ class BiLstm(Module):
         return ad.concat(outs, axis=0)  # (n, h)
 
     def __call__(self, x: Tensor) -> Tensor:
-        for l in range(self.layers):
-            fwd = self._run_direction(x, self.cells[l][0], reverse=False)
-            bwd = self._run_direction(x, self.cells[l][1], reverse=True)
-            x = ad.concat([fwd, bwd], axis=1)  # (n, 2h)
-        return x
+        fwd = self._run_direction(x, self.cells[0], reverse=False)
+        bwd = self._run_direction(x, self.cells[1], reverse=True)
+        return ad.concat([fwd, bwd], axis=1)  # (n, 2h)

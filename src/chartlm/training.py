@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -24,7 +25,7 @@ from .autodiff import Parameter, Tensor
 from .checkpoint import (apply_parameters, collect_parameters, load_checkpoint,
                          replace_file, save_checkpoint)
 from .inside_outside import EngineStats
-from .model import ChartLM, ReCatConfig
+from .model import ChartLM, Config, ReCatConfig
 
 MASK_TOKEN = "[MASK]"
 
@@ -154,19 +155,18 @@ def batches_by_length(lengths: list[int], budget: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 class AdamW:
-    """Adam with decoupled weight decay; state keyed by parameter name so it
-    survives checkpoints."""
+    """Adam with decoupled weight decay and the usual fixed betas and epsilon;
+    state keyed by parameter name so it survives checkpoints."""
 
-    def __init__(self, params: list[Parameter], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.01):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names in optimizer group")
         self.params = list(params)
         self.lr = float(lr)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -178,7 +178,7 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for p in self.params:
@@ -192,7 +192,7 @@ class AdamW:
             v += (1.0 - b2) * (g * g)
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
     def state_tensors(self, prefix: str) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -235,42 +235,31 @@ def collector_paused():
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
+    retired = {"beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+
     lr_model: float = 1e-3
     lr_parser: float = 1e-3
     epochs: int = 5
     batch_tokens: int = 128
     seed: int = 0
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     phase: str = "masked"      # "masked": joint chart-search pretraining;
                                # "fast": frozen parser, tree-only encoding
     checkpoint_every: int = 0  # 0: only a final checkpoint
     max_steps: int = 0         # 0: run all epochs
 
     def validate(self) -> None:
-        if self.lr_model < 0 or self.lr_parser < 0:
-            raise ValueError("learning rates must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.batch_tokens < 1:
-            raise ValueError("batch token budget must be positive")
+        for name in ("lr_model", "lr_parser", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"config field {name} must be finite and >= 0, got {value}")
+        for name, least in (("epochs", 1), ("batch_tokens", 1), ("seed", 0),
+                            ("checkpoint_every", 0), ("max_steps", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"config field {name} must be >= {least}")
         if self.phase not in ("masked", "fast"):
             raise ValueError(f"unknown training phase {self.phase!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 class Trainer:
@@ -290,11 +279,10 @@ class Trainer:
         self.forbidden = [forbidden_boundaries(s) or None for s in corpus]
         self.batches = batches_by_length([len(s) for s in self.sentences],
                                          cfg.batch_tokens)
-        betas = (cfg.beta1, cfg.beta2)
-        self.opt_model = AdamW(model.model_parameters(), cfg.lr_model, betas,
-                               cfg.adam_eps, cfg.weight_decay)
-        self.opt_parser = AdamW(model.parser_parameters(), cfg.lr_parser, betas,
-                                cfg.adam_eps, cfg.weight_decay)
+        self.opt_model = AdamW(model.model_parameters(), cfg.lr_model,
+                               weight_decay=cfg.weight_decay)
+        self.opt_parser = AdamW(model.parser_parameters(), cfg.lr_parser,
+                                weight_decay=cfg.weight_decay)
         self.step = 0
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
@@ -405,20 +393,17 @@ class Trainer:
     @classmethod
     def resume(cls, path: str, corpus: list[list[str]],
                out_dir: str | None = None) -> "Trainer":
-        return cls.from_checkpoint(*load_checkpoint(path), corpus, out_dir)
-
-    @classmethod
-    def from_checkpoint(cls, tensors: dict[str, np.ndarray], config: dict,
-                        extra: dict, corpus: list[list[str]],
-                        out_dir: str | None = None) -> "Trainer":
-        """A trainer that continues from loaded checkpoint contents."""
-        model, vocab = model_from_checkpoint(tensors, config, extra)
-        trainer = cls(model, TrainConfig.from_dict(config["train"]), corpus,
-                      vocab, out_dir)
-        trainer.opt_model.load_state_tensors(tensors, "opt_model", extra["opt_model_t"])
-        trainer.opt_parser.load_state_tensors(tensors, "opt_parser", extra["opt_parser_t"])
-        trainer.step = int(extra["step"])
+        tensors, config, extra = load_checkpoint(path)
+        model, cfg, vocab = decode_run(tensors, config, extra)
+        trainer = cls(model, cfg, corpus, vocab, out_dir)
+        trainer.restore(tensors, extra)
         return trainer
+
+    def restore(self, tensors: dict[str, np.ndarray], extra: dict) -> None:
+        """Take the optimizer state and step of a checkpoint written by `save`."""
+        for prefix, opt in (("opt_model", self.opt_model), ("opt_parser", self.opt_parser)):
+            opt.load_state_tensors(tensors, prefix, _entry(extra, f"{prefix}_t", int))
+        self.step = _entry(extra, "step", int)
 
 
 def _drop_records_from(path: str, step: int) -> None:
@@ -443,13 +428,37 @@ def _drop_records_from(path: str, step: int) -> None:
         replace_file(path, [ln.encode("utf-8") for ln in kept])
 
 
+def _entry(record: dict, key: str, kind: type):
+    """`record[key]` from a checkpoint header, which must be a `kind` (counts
+    are nonnegative ints); anything else raises ValueError naming the key."""
+    value = record.get(key)
+    if type(value) is not kind or (kind is int and value < 0):
+        raise ValueError(f"checkpoint field {key} is missing or not a valid {kind.__name__}: "
+                         f"{value!r}")
+    return value
+
+
 def model_from_checkpoint(tensors: dict[str, np.ndarray], config: dict,
                           extra: dict) -> tuple[ChartLM, Vocab]:
     """Rebuild a model and vocabulary from loaded checkpoint contents."""
-    mcfg = ReCatConfig.from_dict(config["model"])
+    mcfg = ReCatConfig.from_dict(_entry(config, "model", dict))
+    tokens = _entry(extra, "vocab", list)
+    if not all(type(tok) is str for tok in tokens):
+        raise ValueError("checkpoint field vocab holds a token that is not a string")
+    if len(tokens) > mcfg.vocab_size:
+        raise ValueError(f"checkpoint vocab has {len(tokens)} tokens, over vocab_size "
+                         f"{mcfg.vocab_size}")
     model = ChartLM(mcfg, np.random.default_rng(0))
     apply_parameters(model, tensors)
-    return model, Vocab(list(extra["vocab"]))
+    return model, Vocab(tokens)
+
+
+def decode_run(tensors: dict[str, np.ndarray], config: dict,
+               extra: dict) -> tuple[ChartLM, TrainConfig, Vocab]:
+    """The model, trainer config and vocabulary of a checkpoint written by
+    `Trainer.save`; `Trainer.restore` takes the rest."""
+    model, vocab = model_from_checkpoint(tensors, config, extra)
+    return model, TrainConfig.from_dict(_entry(config, "train", dict)), vocab
 
 
 def load_model(path: str) -> tuple[ChartLM, Vocab, dict]:

@@ -113,7 +113,7 @@ def test_criterion_2_cumulative_outside_equivalence():
 def test_criterion_3_gradient_integrity():
     cfg = ReCatConfig(layers=2, compose_depth=1, transformer_depth=2, d=16,
                       heads=4, vocab_size=50, m=2, parser_dim=8,
-                      parser_hidden=8, parser_layers=1, dtype="float64")
+                      parser_hidden=8, dtype="float64")
     rng = np.random.default_rng(3)
     model = ChartLM(cfg, rng)
     for p in model.parameters():  # move zero-initialized taps off the origin
@@ -259,7 +259,7 @@ def test_criterion_7_toy_training_trend():
 def test_criterion_8_fast_encoding():
     cfg = ReCatConfig(layers=2, compose_depth=1, transformer_depth=1, d=16,
                       heads=4, vocab_size=50, m=2, parser_dim=8,
-                      parser_hidden=8, parser_layers=1, dtype="float64")
+                      parser_hidden=8, dtype="float64")
     model = ChartLM(cfg, np.random.default_rng(8))
     pairs = []
     for n in range(4, 13):
@@ -291,7 +291,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
               for _ in range(10)]
     cfg = ReCatConfig(layers=1, compose_depth=1, transformer_depth=1, d=8,
                       heads=2, vocab_size=12, m=2, parser_dim=6,
-                      parser_hidden=6, parser_layers=1, dtype="float64")
+                      parser_hidden=6, dtype="float64")
 
     def fresh():
         tcfg = TrainConfig(epochs=2, batch_tokens=16, seed=90)

@@ -20,7 +20,7 @@ from chartlm.model import ChartLM, ReCatConfig
 def _model(seed=0):
     cfg = ReCatConfig(layers=1, compose_depth=1, transformer_depth=1, d=8,
                       heads=2, vocab_size=12, m=2, parser_dim=6,
-                      parser_hidden=6, parser_layers=1, dtype="float64")
+                      parser_hidden=6, dtype="float64")
     return ChartLM(cfg, np.random.default_rng(seed))
 
 

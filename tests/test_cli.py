@@ -5,6 +5,7 @@ import json
 import os
 import re
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
+from chartlm.checkpoint import load_checkpoint, save_checkpoint
 from chartlm.cli import _build_parser, dispatch, parse_config_file
-from chartlm.model import ChartLM
-from chartlm.training import Trainer, Vocab
+from chartlm.model import ChartLM, ReCatConfig
+from chartlm.training import TrainConfig, Trainer, Vocab
 from chartlm.trees import format_sexpr, left_branching, read_tree_file
 
 MODEL_CFG = """\
@@ -27,7 +29,6 @@ vocab_size = 12
 m = 2
 parser_dim = 6
 parser_hidden = 6
-parser_layers = 1
 dtype = float64
 """
 
@@ -75,14 +76,27 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "missing file" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_documents_exactly_the_cli_subcommands():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
     documented = {cmd for block in blocks
                   for cmd in re.findall(r"^chartlm ([\w-]+)", block, flags=re.M)}
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_settings_table_lists_every_config_field_with_its_default(tmp_path):
+    section = README.read_text(encoding="utf-8").split("\n## Settings\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section.split("\n## ", 1)[0], flags=re.M)
+    assert sorted(key for key, _ in rows) == sorted(
+        f.name for cls in (ReCatConfig, TrainConfig) for f in fields(cls))
+    path = tmp_path / "defaults.txt"
+    path.write_text("".join(f"{key} = {default}\n" for key, default in rows))
+    assert parse_config_file(str(path)) == (ReCatConfig(), TrainConfig())
 
 
 def test_config_file_parsing(tmp_path):
@@ -99,6 +113,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     rc = dispatch(["gradcheck", "--config", str(cfg)])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_retired_config_key_in_a_file_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("d = 8\ntie_mlm = true\n")
+    assert dispatch(["gradcheck", "--config", str(cfg)]) == 2
+    assert f"error: {cfg}:2: unknown config key 'tie_mlm'" in capsys.readouterr().err
 
 
 def test_bad_config_value_is_usage_error(tmp_path, capsys):
@@ -166,6 +187,42 @@ def test_pretrain_without_config_is_usage_error(workdir, capsys):
                    "--out", _p(workdir, "run")])
     assert rc == 2
     assert "needs --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "1", "--vocab", "vocab.txt", "--config", "config.txt"],
+    ["--resume", "short.ckpt", "--config", "config.txt"],
+    ["--resume", "short.ckpt", "--vocab", "vocab.txt"],
+], ids=["seed", "resume_config", "resume_vocab"])
+def test_pretrain_takes_each_setting_from_one_source(workdir, flags):
+    _untrained_ckpt(workdir)  # short.ckpt
+    out = workdir / "run"
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--out", str(out),
+                   *(_p(workdir, f) if f.endswith((".ckpt", ".txt")) else f for f in flags)])
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dtype = foo", "dtype must be float32 or float64, got 'foo'"),
+    ("dtype = int64", "dtype must be float32 or float64, got 'int64'"),
+    ("max_steps = -1", "max_steps must be >= 0"),
+    ("checkpoint_every = -1", "checkpoint_every must be >= 0"),
+    ("seed = -1", "seed must be >= 0"),
+    ("lr_model = nan", "lr_model must be finite and >= 0"),
+    ("lr_parser = inf", "lr_parser must be finite and >= 0"),
+    ("weight_decay = nan", "weight_decay must be finite and >= 0"),
+], ids=["dtype_foo", "dtype_int64", "max_steps", "checkpoint_every", "seed", "lr_model",
+        "lr_parser", "weight_decay"])
+def test_pretrain_rejects_a_bad_setting_before_any_work(workdir, capsys, line, message):
+    cfg = workdir / "bad.txt"
+    cfg.write_text(MODEL_CFG + TRAIN_CFG + line + "\n")
+    out = workdir / "run"
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"),
+                   "--vocab", _p(workdir, "vocab.txt"), "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_pretrain_vocab_size_mismatch(workdir, capsys):
@@ -341,6 +398,53 @@ def test_parse_checkpoint_header_that_lies_is_numeric_error(workdir, capsys, ent
     assert message in capsys.readouterr().err
 
 
+CHECKPOINT_FIELDS = [  # (where in the header, key, bad value or None to drop it, message)
+    (("config",), "model", None, "checkpoint field model is missing"),
+    (("extra",), "vocab", None, "checkpoint field vocab is missing"),
+    (("extra",), "vocab", "abc", "checkpoint field vocab is missing or not a valid list"),
+    (("extra",), "vocab", ["t"] * 13, "checkpoint vocab has 13 tokens, over vocab_size 12"),
+    (("config", "model"), "d", "8", "config key d: expected int, got '8'"),
+    (("config", "model"), "tie_mlm", False, "retired config key tie_mlm"),
+]
+RESUME_FIELDS = [  # read by a resume only
+    (("config",), "train", None, "checkpoint field train is missing"),
+    (("config", "train"), "seed", True, "config key seed: expected int, got True"),
+    (("extra",), "step", None, "checkpoint field step is missing"),
+    (("extra",), "step", -1, "checkpoint field step is missing or not a valid int"),
+    (("extra",), "opt_model_t", None, "checkpoint field opt_model_t is missing"),
+    (("extra",), "opt_parser_t", "2", "checkpoint field opt_parser_t is missing"),
+]
+
+
+METADATA_CASES = ([("parse", *case) for case in CHECKPOINT_FIELDS]
+                  + [("resume", *case) for case in CHECKPOINT_FIELDS + RESUME_FIELDS])
+
+
+@pytest.mark.parametrize("command, where, key, value, message", METADATA_CASES,
+                         ids=[f"{command}-{key}-{'dropped' if value is None else type(value).__name__}"
+                              for command, _, key, value, _ in METADATA_CASES])
+def test_bad_checkpoint_metadata_is_numeric_error(workdir, capsys, command, where, key,
+                                                  value, message):
+    ckpt = _untrained_ckpt(workdir)
+    tensors, config, extra = load_checkpoint(ckpt)
+    record = {"config": config, "extra": extra}[where[0]]
+    for part in where[1:]:
+        record = record[part]
+    if value is None:
+        del record[key]
+    else:
+        record[key] = value
+    save_checkpoint(ckpt, tensors, config, extra)
+    out, corpus = _p(workdir, "run"), workdir / "fits.txt"
+    corpus.write_text("a b c\nb c a\n")  # within the checkpoint's max_len
+    argv = {"parse": ["parse", "--ckpt", ckpt, "--input", str(corpus), "--out", out],
+            "resume": ["pretrain", "--resume", ckpt, "--corpus", str(corpus), "--out", out]}
+    rc = dispatch(argv[command])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # baselines and scoring
 # ---------------------------------------------------------------------------
@@ -411,13 +515,16 @@ def test_eval_f1_reports_label_recall(workdir, capsys):
 # ---------------------------------------------------------------------------
 
 def test_gradcheck_passes_on_small_config(workdir, capsys):
-    rc = dispatch(["gradcheck", "--config", _p(workdir, "config.txt"),
-                   "--seed", "0"])
+    rc = dispatch(["gradcheck", "--config", _p(workdir, "config.txt")])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "full mode: max relative error" in out
     assert "fast mode: max relative error" in out
     assert "gradcheck passed" in out
+
+
+def test_gradcheck_takes_its_seed_from_the_config(workdir):
+    assert dispatch(["gradcheck", "--config", _p(workdir, "config.txt"), "--seed", "0"]) == 2
 
 
 def test_gradcheck_fails_on_a_wrong_fast_mode_gradient(workdir, capsys, monkeypatch):
@@ -430,6 +537,6 @@ def test_gradcheck_fails_on_a_wrong_fast_mode_gradient(workdir, capsys, monkeypa
         return out
 
     monkeypatch.setattr(ChartLM, "fast_encode", doubled_mlm_gradient)
-    rc = dispatch(["gradcheck", "--config", _p(workdir, "config.txt"), "--seed", "0"])
+    rc = dispatch(["gradcheck", "--config", _p(workdir, "config.txt")])
     assert rc == 3
     assert "fast mode: max relative error 5.000e-01" in capsys.readouterr().out

@@ -15,8 +15,7 @@ from chartlm.trees import format_sexpr, leaves, node_count
 
 def _tiny_cfg(**kw):
     base = dict(layers=1, compose_depth=1, transformer_depth=1, d=8, heads=2,
-                vocab_size=12, m=2, parser_dim=6, parser_hidden=6,
-                parser_layers=1, dtype="float64")
+                vocab_size=12, m=2, parser_dim=6, parser_hidden=6, dtype="float64")
     base.update(kw)
     return ReCatConfig(**base)
 
@@ -40,6 +39,28 @@ def test_config_validation():
         ReCatConfig.from_dict({"d": 8, "depth": 2})
     rt = ReCatConfig.from_dict(_tiny_cfg().to_dict())
     assert rt == _tiny_cfg()
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"d": "8"}, "config key d: expected int, got '8'"),
+    ({"d": True}, "config key d: expected int, got True"),
+    ({"layers": 2.0}, "config key layers: expected int, got 2.0"),
+    ({"share": 1}, "config key share: expected bool, got 1"),
+    ({"dtype": "int64"}, "dtype must be float32 or float64"),
+    ({"tie_mlm": False}, "retired config key tie_mlm"),
+    ({"parser_layers": 2}, "retired config key parser_layers"),
+    ({"parser_layers": True}, "config key parser_layers: expected int"),
+], ids=["str_for_int", "bool_for_int", "float_for_int", "int_for_bool", "dtype",
+        "tie_mlm", "parser_layers", "parser_layers_type"])
+def test_config_decoder_names_the_bad_key(values, message):
+    with pytest.raises(ValueError, match=message):
+        ReCatConfig.from_dict(values)
+
+
+def test_config_decoder_drops_retired_keys_at_their_old_values():
+    cfg = ReCatConfig.from_dict({"mask_rate": 0.25, "tie_mlm": True, "parser_layers": 1})
+    assert cfg == ReCatConfig(mask_rate=0.25)
+    assert "tie_mlm" not in cfg.to_dict()
 
 
 def test_single_token_sentence():
@@ -259,15 +280,6 @@ def test_gradient_isolation_mlm_loss_never_touches_parser():
         assert p.grad is None or not np.any(p.grad), p.name
     emb = model.embedding.table
     assert emb.grad is not None and np.any(emb.grad)
-
-
-def test_untied_head_has_own_parameters():
-    model = _model(seed=13, tie_mlm=False)
-    names = {p.name for p in model.parameters()}
-    assert "mlm.head.w" in names
-    ids = np.array([1, 2, 3])
-    out = model.forward_pretrain(ids)
-    assert out.logits.shape == (3, 12)
 
 
 def test_forward_is_deterministic():

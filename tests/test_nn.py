@@ -130,7 +130,7 @@ def test_embedding_lookup_matches_table_rows():
 
 def test_bilstm_shapes_and_determinism():
     rng = np.random.default_rng(8)
-    lstm = nn.BiLstm("b", din=5, hidden=3, layers=2, rng=rng, dtype=np.float64)
+    lstm = nn.BiLstm("b", din=5, hidden=3, rng=rng, dtype=np.float64)
     x = rng.standard_normal((7, 5))
     out1 = lstm(Tensor(x)).data
     out2 = lstm(Tensor(x)).data
@@ -142,7 +142,7 @@ def test_bilstm_direction_locality():
     # forward half at position 0 depends only on token 0; flipping the last
     # token must leave it unchanged while the backward half moves
     rng = np.random.default_rng(9)
-    lstm = nn.BiLstm("b", din=4, hidden=3, layers=1, rng=rng, dtype=np.float64)
+    lstm = nn.BiLstm("b", din=4, hidden=3, rng=rng, dtype=np.float64)
     x = rng.standard_normal((5, 4))
     y = x.copy()
     y[-1] += 1.0

@@ -27,7 +27,7 @@ def _tokens(n):
 # ---------------------------------------------------------------------------
 
 def test_scorer_shapes():
-    scorer = BoundaryScorer("p", vocab_size=10, emb_dim=8, hidden=6, layers=1,
+    scorer = BoundaryScorer("p", vocab_size=10, emb_dim=8, hidden=6,
                             rng=np.random.default_rng(0))
     assert scorer(np.array([3])).shape == (0,)
     assert scorer(np.array([3, 4])).shape == (1,)
@@ -35,13 +35,13 @@ def test_scorer_shapes():
 
 
 def test_scorer_is_deterministic():
-    scorer = BoundaryScorer("p", 10, 8, 6, 1, np.random.default_rng(1))
+    scorer = BoundaryScorer("p", 10, 8, 6, np.random.default_rng(1))
     ids = np.array([1, 2, 3, 4])
     np.testing.assert_array_equal(scorer(ids).data, scorer(ids).data)
 
 
 def test_scorer_rejects_bad_ids():
-    scorer = BoundaryScorer("p", 10, 8, 6, 1, np.random.default_rng(2))
+    scorer = BoundaryScorer("p", 10, 8, 6, np.random.default_rng(2))
     with pytest.raises(ValueError, match="out of range"):
         scorer(np.array([0, 10]))
     with pytest.raises(ValueError, match="non-empty"):

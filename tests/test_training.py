@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chartlm.autodiff import Parameter, Tensor
+from chartlm.checkpoint import load_checkpoint, save_checkpoint
 from chartlm.model import ChartLM, ReCatConfig
 from chartlm.training import (MASK_TOKEN, AdamW, TrainConfig, Trainer, Vocab,
                               batches_by_length, forbidden_boundaries,
@@ -18,7 +19,7 @@ VOCAB = Vocab([MASK_TOKEN, "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"
 def _tiny_cfg():
     return ReCatConfig(layers=1, compose_depth=1, transformer_depth=1, d=8,
                        heads=2, vocab_size=len(VOCAB), m=2, parser_dim=6,
-                       parser_hidden=6, parser_layers=1, dtype="float64")
+                       parser_hidden=6, dtype="float64")
 
 
 def _corpus(count=20, seed=0, lo=3, hi=6):
@@ -223,6 +224,36 @@ def test_train_config_validation_and_roundtrip():
         TrainConfig.from_dict({"lr": 1.0})
     cfg = TrainConfig(epochs=3, seed=9)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_train_config_decoder_reads_an_int_as_a_float():
+    cfg = TrainConfig.from_dict({"lr_model": 1, "weight_decay": 0})
+    assert cfg == TrainConfig(lr_model=1.0, weight_decay=0.0)
+    assert type(cfg.lr_model) is float and type(cfg.weight_decay) is float
+    with pytest.raises(ValueError, match="config key epochs: expected int"):
+        TrainConfig.from_dict({"epochs": 2.0})
+    with pytest.raises(ValueError, match="retired config key adam_eps"):
+        TrainConfig.from_dict({"adam_eps": 1e-6})
+
+
+def test_checkpoint_with_retired_keys_at_their_old_values_loads(tmp_path):
+    """Checkpoints written before five settings were retired carry them at
+    the one value each could have had."""
+    tr = _trainer(seed=13, max_steps=2)
+    tr.train()
+    ckpt = str(tmp_path / "m.ckpt")
+    tr.save(ckpt)
+    tensors, config, extra = load_checkpoint(ckpt)
+    config["model"].update(tie_mlm=True, parser_layers=1)
+    config["train"].update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
+    save_checkpoint(ckpt, tensors, config, extra)
+
+    model, _, _ = load_model(ckpt)
+    resumed = Trainer.resume(ckpt, _corpus())
+    assert model.cfg == tr.model.cfg and resumed.cfg == tr.cfg and resumed.step == 2
+    for a, b, c in zip(model.parameters(), resumed.model.parameters(), tr.model.parameters()):
+        np.testing.assert_array_equal(a.data, c.data)
+        np.testing.assert_array_equal(b.data, c.data)
 
 
 def test_trainer_rejects_empty_corpus():
