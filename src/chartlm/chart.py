@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-Span = tuple[int, int]
+from .trees import Span
 
 
 @dataclass

@@ -10,38 +10,18 @@ from __future__ import annotations
 
 import warnings
 
-from .trees import Node, leaves
-
-Span = tuple[int, int]
-
-
-def _spans_with_labels(root: Node) -> tuple[list[tuple[str, Span]], int]:
-    """All internal-node spans (recomputed from leaf order) and the length."""
-    found: list[tuple[str, Span]] = []
-    pos = 1
-    stack: list[tuple[Node, int]] = [(root, 0)]  # (node, start once expanded)
-    while stack:
-        node, start = stack.pop()
-        if node.is_leaf:
-            pos += 1
-        elif start:
-            found.append((node.label, (start, pos - 1)))
-        else:
-            stack.append((node, pos))
-            stack.extend((child, 0) for child in reversed(node.children))
-    return found, pos - 1
+from .trees import Node, Span, leaves, walk
 
 
 def bracket_spans(root: Node) -> set[Span]:
     """Non-trivial bracket set: internal spans minus width-1 and (1, n)."""
-    found, n = _spans_with_labels(root)
-    return {s for _, s in found if s[1] > s[0] and s != (1, n)}
+    return {span for _, span in labeled_spans(root)}
 
 
 def labeled_spans(root: Node) -> list[tuple[str, Span]]:
     """Non-trivial labeled spans, same exclusions as bracket_spans."""
-    found, n = _spans_with_labels(root)
-    return [(lab, s) for lab, s in found if s[1] > s[0] and s != (1, n)]
+    return [(node.label, node.span) for node in walk(root)
+            if not node.is_leaf and node.span[1] > node.span[0] and node.span != root.span]
 
 
 def piece_to_word(pieces: list[str]) -> list[int]:

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .chart import Schedule, Span
 from .nn import AttentionBlock, Module, ResidualMlp, _normal
-from .trees import Node
+from .trees import Node, descend
 
 ROLE_LEFT, ROLE_RIGHT, ROLE_PARENT = 0, 1, 2
 
@@ -346,26 +346,18 @@ def induce_order(result: StackResult, forbidden: set[int] | None = None):
     """
     from .pruning import SplitStep
 
-    n = result.plan.n
     splits = result.plan.schedule.splits
-    steps: list[SplitStep] = []
-    todo = [(1, n)]
-    while todo:
-        span = todo.pop()
-        i, j = span
-        if i == j:
-            continue
-        ks = splits[span]
-        scores = result.pair_scores[span]
-        pick = int(np.argmax(scores))
-        if forbidden and ks[pick] in forbidden:
+
+    def pick(i: int, j: int) -> int:
+        ks, scores = splits[(i, j)], result.pair_scores[(i, j)]
+        best = int(np.argmax(scores))
+        if forbidden and ks[best] in forbidden:
             ok = [t for t, k in enumerate(ks) if k not in forbidden]
             if ok:
-                pick = ok[int(np.argmax(scores[ok]))]
-        k = ks[pick]
-        steps.append(SplitStep(k, span))
-        todo += [(k + 1, j), (i, k)]  # left child popped first: preorder
-    return steps
+                best = ok[int(np.argmax(scores[ok]))]
+        return ks[best]
+
+    return [SplitStep(k, span) for span, k in descend(result.plan.n, pick).items()]
 
 
 def induce_tree(result: StackResult, tokens: list[str],

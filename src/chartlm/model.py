@@ -24,7 +24,7 @@ from .nn import AttentionBlock, Embedding, Module
 from .pruning import (BoundaryScorer, SplitStep, apply_nonsplittable,
                       parser_nll, split_order, tree_from_order, tree_schedule,
                       prune_schedule, build_cell_batches)
-from .trees import Node, in_order
+from .trees import Node
 
 
 def _typed(key: str, value, default):
@@ -158,7 +158,7 @@ class ChartLM(Module):
             raise ValueError(f"sentence length {n} exceeds configured max {self.cfg.max_len}")
         return n
 
-    def forward_pretrain(self, sentence: np.ndarray, masked: np.ndarray | None = None,
+    def forward_pretrain(self, sentence: np.ndarray, *, masked: np.ndarray | None = None,
                          target_positions: np.ndarray | None = None,
                          target_ids: np.ndarray | None = None,
                          forbidden: set[int] | None = None,
@@ -174,11 +174,11 @@ class ChartLM(Module):
             lambda n, order: build_cell_batches(prune_schedule(n, self.cfg.m, order)),
             sentence, masked, target_positions, target_ids, forbidden, token_strs, stats)
 
-    def fast_encode(self, sentence: np.ndarray, forbidden: set[int] | None = None,
-                    token_strs: list[str] | None = None,
-                    masked: np.ndarray | None = None,
+    def fast_encode(self, sentence: np.ndarray, *, masked: np.ndarray | None = None,
                     target_positions: np.ndarray | None = None,
                     target_ids: np.ndarray | None = None,
+                    forbidden: set[int] | None = None,
+                    token_strs: list[str] | None = None,
                     stats: "EngineStats | None" = None) -> ForwardOutput:
         """Trust-the-parser mode: compose along the decoded tree only.
 
@@ -206,7 +206,7 @@ class ChartLM(Module):
         order = induce_order(result, forbidden)
         strs = token_strs if token_strs is not None else [str(t) for t in sentence]
         tree = tree_from_order(order, strs)
-        nodes, logits = self._encode_nodes(tree, result)
+        nodes, logits = self._encode_nodes(order, result)
         mlm_loss = self._mlm_loss(logits, target_positions, target_ids, x.data.dtype)
         return ForwardOutput(nodes=nodes, tree=tree, logits=logits,
                              parser_loss=parser_nll(scores, order), mlm_loss=mlm_loss,
@@ -214,22 +214,20 @@ class ChartLM(Module):
 
     # ---- shared tails ------------------------------------------------------
 
-    def _encode_nodes(self, tree: Node, result: StackResult) -> tuple[Tensor, Tensor]:
-        """Gather outside reps of the tree's 2n-1 nodes (in-order, so leaves
-        stay in token order), contextualize them, and read MLM logits at the
-        terminal positions."""
-        ordered = in_order(tree)
-        n = result.plan.n
-        if len(ordered) != 2 * n - 1:
-            raise ValueError(f"expected {2 * n - 1} nodes, got {len(ordered)}")
-        rows = np.array([result.plan.row_of[node.span] for node in ordered], dtype=np.intp)
+    def _encode_nodes(self, order: list[SplitStep], result: StackResult
+                      ) -> tuple[Tensor, Tensor]:
+        """Gather outside reps of the tree's 2n-1 nodes in in-order, which the
+        split order fixes: leaf t sits at 2(t-1) and the node split at k at
+        2k-1. Contextualize them and read MLM logits at the leaves."""
+        n, row_of = result.plan.n, result.plan.row_of
+        rows = np.zeros(2 * n - 1, dtype=np.intp)
+        rows[0::2] = [row_of[(t, t)] for t in range(1, n + 1)]
+        rows[[2 * step.split - 1 for step in order]] = [row_of[step.span] for step in order]
         gathered = ad.gather(result.final.outside, rows)
         encoded = self.encoder(ad.reshape(gathered, (1,) + gathered.shape))
         encoded = ad.reshape(encoded, gathered.shape)
 
-        term_idx = np.array([p for p, node in enumerate(ordered) if node.is_leaf],
-                            dtype=np.intp)
-        terminals = ad.gather(encoded, term_idx)
+        terminals = ad.gather(encoded, np.arange(0, 2 * n - 1, 2, dtype=np.intp))
         logits = ad.matmul(terminals, ad.transpose(self.embedding.table, (1, 0))) + self.mlm_bias
         return encoded, logits
 

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .chart import Schedule, Span, validate_schedule
 from .nn import BiLstm, Embedding, Mlp, Module
-from .trees import Node, tree_from_splits
+from .trees import Node, descend, tree_from_splits
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,9 @@ def split_order(scores: np.ndarray, n: int) -> SplitOrder:
     v = np.asarray(scores, dtype=np.float64)
     if v.shape != (n - 1,):
         raise ValueError(f"expected {n - 1} boundary scores, got shape {v.shape}")
-    picks: list[tuple[float, int, Span]] = []
-    stack: list[Span] = [(1, n)]
-    while stack:
-        i, j = stack.pop()
-        if j > i:
-            seg = v[i - 1:j - 1]
-            k = i + int(np.argmax(seg))
-            picks.append((-float(seg[k - i]), k, (i, j)))
-            stack += [(i, k), (k + 1, j)]
-    return [SplitStep(k, span) for _, k, span in sorted(picks)]
+    split_of = descend(n, lambda i, j: i + int(np.argmax(v[i - 1:j - 1])))
+    picks = sorted((-float(v[k - 1]), k, span) for span, k in split_of.items())
+    return [SplitStep(k, span) for _, k, span in picks]
 
 
 def tree_from_order(order: SplitOrder, tokens: list[str]) -> Node:

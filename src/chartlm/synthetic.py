@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .training import MASK_TOKEN
-from .trees import Node, assign_spans, leaves
+from .trees import Node, assign_spans, descend, leaves
 
 DET =["the", "a", "every", "some"]
 NOUN = ["dog", "cat", "bird", "fox", "man", "woman", "child", "king",
@@ -97,16 +97,9 @@ def generate_corpus(rng: np.random.Generator, count: int, min_len: int = 4,
 
 def balanced_scores(n: int) -> np.ndarray:
     """Boundary scores whose top-down decoding is the most balanced tree:
-    each span's argmax is its midpoint."""
+    each span's midpoint scores the span's width, above every boundary of
+    its narrower sub-spans."""
     v = np.zeros(max(n - 1, 0), dtype=np.float64)
-
-    def fill(i: int, j: int, score: float) -> None:
-        if j <= i:
-            return
-        k = (i + j) // 2  # split after the midpoint token
-        v[k - 1] = score
-        fill(i, k, score - 1.0)
-        fill(k + 1, j, score - 1.0)
-
-    fill(1, n, float(n))
+    for (i, j), k in descend(n, lambda i, j: (i + j) // 2).items():
+        v[k - 1] = j - i + 1
     return v

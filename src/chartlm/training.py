@@ -63,7 +63,7 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path: str) -> "Vocab":
-        pairs: list[tuple[str, int]] = []
+        id_of: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -71,17 +71,16 @@ class Vocab:
                     continue
                 try:
                     token, token_id = line.split()
-                    pairs.append((token, int(token_id)))
+                    token_id = int(token_id)
                 except ValueError:
                     raise ValueError(f"{path}:{line_no}: expected 'token id', "
                                      f"got {line!r}") from None
-        ids = sorted(i for _, i in pairs)
-        if ids != list(range(len(pairs))):
-            raise ValueError("vocabulary ids must be dense, starting at 0")
-        tokens = [""] * len(pairs)
-        for tok, i in pairs:
-            tokens[i] = tok
-        return cls(tokens)
+                if token in id_of:
+                    raise ValueError(f"{path}:{line_no}: duplicate token {token!r}")
+                id_of[token] = token_id
+        if sorted(id_of.values()) != list(range(len(id_of))):
+            raise ValueError(f"{path}: vocabulary ids must be dense, starting at 0")
+        return cls(sorted(id_of, key=id_of.__getitem__))
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -274,6 +273,7 @@ class Trainer:
         self.model = model
         self.cfg = cfg
         self.vocab = vocab
+        self.mask_id = vocab.mask_id
         self.out_dir = out_dir
         self.sentences = [vocab.encode(s) for s in corpus]
         self.forbidden = [forbidden_boundaries(s) or None for s in corpus]
@@ -314,7 +314,7 @@ class Trainer:
         for idx in batch:
             ids = self.sentences[idx]
             x, positions, targets = mask_tokens(ids, self.model.cfg.mask_rate, rng,
-                                                self.vocab.mask_id, len(self.vocab))
+                                                self.mask_id, len(self.vocab))
             out = forward(ids, masked=x, target_positions=positions, target_ids=targets,
                           stats=stats, forbidden=self.forbidden[idx])
             for name, val in (("parser", out.parser_loss), ("mlm", out.mlm_loss)):

@@ -1,4 +1,6 @@
-"""Constituency-tree containers and bracketed s-expression I/O.
+"""Constituency-tree containers, the two traversals every tree job uses
+(`descend` top down over spans, `walk` over nodes), and bracketed
+s-expression I/O.
 
 Induced trees are proper binary trees over token positions; gold trees read
 from disk may be n-ary and labeled. Serialized form: "(X (X w1 w2) (X w3))",
@@ -7,6 +9,7 @@ with a bare "(w1)" for single-token sentences.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,35 +40,45 @@ def branch(children: list[Node], label: str = "X") -> Node:
                 span=(children[0].span[0], children[-1].span[1]))
 
 
+def descend(n: int, pick: Callable[[int, int], int]) -> dict[Span, int]:
+    """Split map of the binary tree over tokens 1..n in which span (i, j)
+    splits after token pick(i, j); spans are visited, and the map filled, in
+    preorder with the left subtree first, one pick per span."""
+    split_of: dict[Span, int] = {}
+    stack: list[Span] = [(1, n)]
+    while stack:
+        i, j = stack.pop()
+        if i < j:
+            k = split_of[(i, j)] = pick(i, j)
+            stack += [(k + 1, j), (i, k)]
+    return split_of
+
+
+def walk(root: Node) -> Iterator[Node]:
+    """Every node in preorder, children left to right; no recursion."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def assign_spans(root: Node, start: int = 1) -> int:
     """Fill 1-based token spans; returns the next free position."""
+    nodes = list(walk(root))
     pos = start
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
+    for node in nodes:
         if node.is_leaf:
             node.span = (pos, pos)
             pos += 1
-        elif expanded:
+    for node in reversed(nodes):  # children before their parent
+        if not node.is_leaf:
             node.span = (node.children[0].span[0], node.children[-1].span[1])
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
     return pos
 
 
 def leaves(root: Node) -> list[Node]:
-    if root.is_leaf:
-        return [root]
-    out: list[Node] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+    return [node for node in walk(root) if node.is_leaf]
 
 
 def in_order(root: Node) -> list[Node]:
@@ -95,13 +108,7 @@ def tree_from_splits(split_of: dict[Span, int], tokens: list[str]) -> Node:
 
 
 def node_count(root: Node) -> int:
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children)
-    return count
+    return sum(1 for _ in walk(root))
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +225,7 @@ def right_branching(tokens: list[str]) -> Node:
 
 
 def random_binary(tokens: list[str], rng: np.random.Generator) -> Node:
-    """Uniformly random split at every level."""
-    split_of: dict[Span, int] = {}
-    stack: list[Span] = [(1, len(tokens))]
-    while stack:  # preorder, left subtree first: a seed's trees rest on this draw order
-        lo, hi = stack.pop()
-        if lo < hi:
-            k = lo + int(rng.integers(0, hi - lo))  # split in [lo, hi)
-            split_of[(lo, hi)] = k
-            stack += [(k + 1, hi), (lo, k)]
+    """Uniformly random split at every level, drawn in preorder, left
+    subtree first: a seed's trees rest on this draw order."""
+    split_of = descend(len(tokens), lambda lo, hi: lo + int(rng.integers(0, hi - lo)))
     return tree_from_splits(split_of, tokens)

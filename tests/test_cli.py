@@ -364,6 +364,33 @@ def test_pretrain_names_the_bad_vocabulary_line(workdir, capsys):
     assert f"error: {vocab}:2: expected 'token id'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("[MASK] 0\na 1\nb 3\n", "", "vocabulary ids must be dense, starting at 0"),
+    ("[MASK] 0\na 1\nb 2\na 3\n", ":4", "duplicate token 'a'"),
+], ids=["sparse_ids", "duplicate_token"])
+def test_pretrain_names_the_bad_vocabulary_file(workdir, capsys, text, where, message):
+    vocab = workdir / "bad_vocab.txt"
+    vocab.write_text(text)
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--vocab", str(vocab),
+                   "--config", _p(workdir, "config.txt"), "--out", _p(workdir, "run")])
+    assert rc == 3
+    assert f"error: {vocab}{where}: {message}" in capsys.readouterr().err
+
+
+def test_pretrain_without_a_mask_token_fails_before_writing(workdir, capsys):
+    (workdir / "abc.txt").write_text("a 0\nb 1\nc 2\n")
+    cfg = workdir / "abc_config.txt"
+    cfg.write_text(MODEL_CFG.replace("vocab_size = 12", "vocab_size = 3") + TRAIN_CFG)
+    (workdir / "abc_corpus.txt").write_text("a b c\n")
+    out = workdir / "run"
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "abc_corpus.txt"),
+                   "--vocab", _p(workdir, "abc.txt"), "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    assert "vocabulary has no [MASK] token" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_parse_truncated_checkpoint_is_numeric_error(workdir, capsys):
     cut = workdir / "cut.ckpt"
     cut.write_bytes(open(_untrained_ckpt(workdir), "rb").read()[:9])

@@ -1,6 +1,7 @@
 """End-to-end model tests: conventions, isolation, and both encode modes."""
 
 import gc
+import inspect
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ def test_fresh_model_mlm_loss_near_uniform():
             losses.append(float(out.mlm_loss.data))
     mean = np.mean(losses)
     assert abs(mean - np.log(12)) / np.log(12) < 0.05
+
+
+def test_both_forward_modes_take_the_same_keyword_only_arguments():
+    full = inspect.signature(ChartLM.forward_pretrain)
+    assert full == inspect.signature(ChartLM.fast_encode)
+    kinds = [p.kind for p in full.parameters.values()]
+    assert kinds[:2] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2  # self, sentence
+    assert set(kinds[2:]) == {inspect.Parameter.KEYWORD_ONLY}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_nodes_are_laid_out_in_order_over_the_induced_tree(n):
+    from chartlm.trees import in_order
+
+    model = _model(seed=4, transformer_depth=0)
+    for forward in (model.forward_pretrain, model.fast_encode):
+        out = forward(np.arange(1, n + 1))
+        ordered = in_order(out.tree)
+        rows = [out.result.plan.row_of[node.span] for node in ordered]
+        np.testing.assert_array_equal(out.nodes.data, out.result.final.outside.data[rows])
+        assert [p for p, node in enumerate(ordered) if node.is_leaf] == list(range(0, 2 * n - 1, 2))
 
 
 def test_transformer_depth_zero_returns_gathered_outside():

@@ -314,6 +314,14 @@ def test_chain_tree_schedule_cannot_batch():
     assert sch.non_leaf_batches() >= n - 1
 
 
+def test_balanced_scores_decode_to_the_midpoint_tree():
+    from chartlm.synthetic import balanced_scores
+    from chartlm.trees import descend
+    for n in range(1, 130):
+        order = split_order(balanced_scores(n), n)
+        assert {s.span: s.split for s in order} == descend(n, lambda i, j: (i + j) // 2)
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_balanced_schedule_batches_logarithmically(n):
     from chartlm.synthetic import balanced_scores

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartlm import trees
-from chartlm.trees import (assign_spans, branch, format_sexpr, in_order, leaf,
+from chartlm.trees import (assign_spans, branch, descend, format_sexpr, in_order, leaf,
                            leaves, left_branching, node_count, parse_sexpr,
-                           random_binary, right_branching)
+                           random_binary, right_branching, tree_from_splits, walk)
 
 
 def _tokens(n):
@@ -129,3 +129,25 @@ def test_random_binary_draws_like_the_recursive_builder(n, seed):
     assert format_sexpr(a) == format_sexpr(b)
     assert [node.span for node in in_order(a)] == [node.span for node in in_order(b)]
     assert a_rng.integers(0, 10 ** 9) == b_rng.integers(0, 10 ** 9)
+
+
+def test_walk_yields_every_node_in_preorder():
+    t = parse_sexpr("(S (NP a b) (VP c (X d e)))")
+    assert [n.token or n.label for n in walk(t)] == ["S", "NP", "a", "b", "VP", "c", "X", "d", "e"]
+    assert [n.token for n in walk(left_branching(["w"]))] == ["w"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10 ** 6))
+def test_descend_picks_each_span_once_in_preorder(n, seed):
+    rng = np.random.default_rng(seed)
+    calls = []
+
+    def pick(i, j):
+        calls.append((i, j))
+        return i + int(rng.integers(0, j - i))
+
+    split_of = descend(n, pick)
+    assert list(split_of) == calls  # the map is filled in pick order
+    tree = tree_from_splits(split_of, _tokens(n))
+    assert calls == [node.span for node in walk(tree) if not node.is_leaf]
