@@ -44,8 +44,9 @@ for l in range(layers):
     print(f"layer {l}: worst |engine - reference| = {worst:.3e}")
 
 # tree induction: recursive argmax from the root vs exhaustive enumeration
-steps = [(s.split, s.span) for s in induce_order(result)]
-exhaustive = best_tree_exhaustive(reference.final.split_scores, n)
+# both are split maps in preorder; compare them as ordered (span, boundary) lists
+steps = list(induce_order(result).items())
+exhaustive = list(best_tree_exhaustive(reference.final.split_scores, n).items())
 print(f"\ninduced splits:    {steps}")
 print(f"exhaustive search: {exhaustive}")
 print("agree" if steps == exhaustive else "DISAGREE")

@@ -3,8 +3,9 @@ Chart pruning, step by step
 ===========================
 
 Walks a six-token sentence through the pruning procedure: boundary scores
-become a split order, merge rounds shrink the frontier, and the surviving
-cells are grouped into dependency-ready batches.
+become a split map (each span to the boundary it splits after, in descending
+score order), merge rounds shrink the frontier, and the surviving cells are
+grouped into dependency-ready batches.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ n = 6
 
 order = split_order(scores, n)
 print("top-down split order (boundary, span):")
-for step in order:
-    print(f"  boundary {step.split} inside span {step.span}")
+for span, k in order.items():
+    print(f"  boundary {k} inside span {span}")
 
 # The split order is replayed bottom-up: the LAST splits taken top-down are
 # the FIRST subtrees merged into single units.

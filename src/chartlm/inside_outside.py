@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .chart import Schedule, Span
 from .nn import AttentionBlock, Module, ResidualMlp, _normal
-from .trees import Node, descend
+from .trees import descend
 
 ROLE_LEFT, ROLE_RIGHT, ROLE_PARENT = 0, 1, 2
 
@@ -336,16 +336,14 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
 # tree induction
 # ---------------------------------------------------------------------------
 
-def induce_order(result: StackResult, forbidden: set[int] | None = None):
+def induce_order(result: StackResult, forbidden: set[int] | None = None) -> dict[Span, int]:
     """Best-split readout of the last layer's inside scores.
 
     From the root, each cell picks argmax over its kept splits' cumulative
-    scores a[k], ties to the smaller boundary; returns preorder SplitSteps.
-    A forbidden boundary is only chosen when every kept split of the span is
-    forbidden (the forced move inside a multi-piece word).
+    scores a[k], ties to the smaller boundary; returns `descend`'s split map,
+    in preorder. A forbidden boundary is only chosen when every kept split
+    of the span is forbidden (the forced move inside a multi-piece word).
     """
-    from .pruning import SplitStep
-
     splits = result.plan.schedule.splits
 
     def pick(i: int, j: int) -> int:
@@ -357,15 +355,4 @@ def induce_order(result: StackResult, forbidden: set[int] | None = None):
                 best = ok[int(np.argmax(scores[ok]))]
         return ks[best]
 
-    return [SplitStep(k, span) for span, k in descend(result.plan.n, pick).items()]
-
-
-def induce_tree(result: StackResult, tokens: list[str],
-                forbidden: set[int] | None = None) -> Node:
-    """Binary tree form of induce_order; n=1 gives a single leaf."""
-    from .pruning import tree_from_order
-
-    if len(tokens) != result.plan.n:
-        raise ValueError(f"expected {result.plan.n} tokens, got {len(tokens)}")
-    return tree_from_order(induce_order(result, forbidden), tokens)
-
+    return descend(result.plan.n, pick)

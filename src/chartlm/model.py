@@ -21,10 +21,10 @@ from .chart import Schedule
 from .inside_outside import (CioStack, EngineStats, StackResult, induce_order,
                              plan_engine, run_stack)
 from .nn import AttentionBlock, Embedding, Module
-from .pruning import (BoundaryScorer, SplitStep, apply_nonsplittable,
-                      parser_nll, split_order, tree_from_order, tree_schedule,
-                      prune_schedule, build_cell_batches)
-from .trees import Node
+from .pruning import (BoundaryScorer, apply_nonsplittable, parser_nll,
+                      split_order, tree_schedule, prune_schedule,
+                      build_cell_batches)
+from .trees import Node, Span, tree_from_splits
 
 
 def _typed(key: str, value, default):
@@ -118,7 +118,7 @@ class ForwardOutput:
     parser_loss: Tensor
     mlm_loss: Tensor
     result: StackResult
-    order: list[SplitStep]    # the tree as split decisions
+    order: dict[Span, int]    # the tree as its split map, in preorder
     schedule: Schedule
 
 
@@ -205,7 +205,7 @@ class ChartLM(Module):
 
         order = induce_order(result, forbidden)
         strs = token_strs if token_strs is not None else [str(t) for t in sentence]
-        tree = tree_from_order(order, strs)
+        tree = tree_from_splits(order, strs)
         nodes, logits = self._encode_nodes(order, result)
         mlm_loss = self._mlm_loss(logits, target_positions, target_ids, x.data.dtype)
         return ForwardOutput(nodes=nodes, tree=tree, logits=logits,
@@ -214,15 +214,15 @@ class ChartLM(Module):
 
     # ---- shared tails ------------------------------------------------------
 
-    def _encode_nodes(self, order: list[SplitStep], result: StackResult
+    def _encode_nodes(self, order: dict[Span, int], result: StackResult
                       ) -> tuple[Tensor, Tensor]:
         """Gather outside reps of the tree's 2n-1 nodes in in-order, which the
-        split order fixes: leaf t sits at 2(t-1) and the node split at k at
+        split map fixes: leaf t sits at 2(t-1) and the node split at k at
         2k-1. Contextualize them and read MLM logits at the leaves."""
         n, row_of = result.plan.n, result.plan.row_of
         rows = np.zeros(2 * n - 1, dtype=np.intp)
         rows[0::2] = [row_of[(t, t)] for t in range(1, n + 1)]
-        rows[[2 * step.split - 1 for step in order]] = [row_of[step.span] for step in order]
+        rows[[2 * k - 1 for k in order.values()]] = [row_of[span] for span in order]
         gathered = ad.gather(result.final.outside, rows)
         encoded = self.encoder(ad.reshape(gathered, (1,) + gathered.shape))
         encoded = ad.reshape(encoded, gathered.shape)

@@ -136,8 +136,9 @@ def full_chart_reference(x: np.ndarray, stack: CioStack) -> OracleResult:
 
 
 def best_tree_exhaustive(split_scores: dict[Span, np.ndarray], n: int
-                         ) -> list[tuple[int, Span]]:
-    """Lexicographic-max tree over all binary trees of the full chart.
+                         ) -> dict[Span, int]:
+    """Lexicographic-max tree over all binary trees of the full chart, as a
+    split map in preorder.
 
     Trees are compared by their preorder sequence of (a[k], -k) decisions,
     which is exactly what the greedy root-down argmax maximizes.
@@ -160,7 +161,7 @@ def best_tree_exhaustive(split_scores: dict[Span, np.ndarray], n: int
         key = [(s, mk) for s, mk, _ in tree]
         if best_key is None or key > best_key:
             best, best_key = tree, key
-    return [(-mk, span) for _, mk, span in (best or [])]
+    return {span: -mk for _, mk, span in (best or [])}
 
 
 @dataclass(frozen=True)

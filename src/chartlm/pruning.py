@@ -1,7 +1,8 @@
 """Split scoring and chart pruning.
 
 A small recurrent scorer assigns one logit per token boundary. Decoding those
-logits top down (recursive argmax) yields a binary tree; replaying the same
+logits top down (recursive argmax) yields a binary tree as a split map, each
+internal span mapped to the boundary it splits after; replaying the same
 tree bottom up as a sequence of merges decides which chart cells survive and
 which split points each cell keeps, so chart size stays linear in sentence
 length for a fixed window m.
@@ -17,18 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .chart import Schedule, Span, validate_schedule
 from .nn import BiLstm, Embedding, Mlp, Module
-from .trees import Node, descend, tree_from_splits
-
-
-@dataclass(frozen=True)
-class SplitStep:
-    """One top-down decision: `span` was divided at boundary `split`."""
-
-    split: int
-    span: Span
-
-
-SplitOrder = list[SplitStep]
+from .trees import descend
 
 
 class BoundaryScorer(Module):
@@ -85,11 +75,11 @@ def apply_nonsplittable(scores, forbidden: set[int] | frozenset[int]):
     return scores + mask
 
 
-def split_order(scores: np.ndarray, n: int) -> SplitOrder:
-    """Top-down greedy decoding of boundary scores into an ordered tree.
+def split_order(scores: np.ndarray, n: int) -> dict[Span, int]:
+    """Top-down greedy decoding of boundary scores into a split map.
 
     The sentence span picks its argmax boundary, then each sub-span does the
-    same; decisions are emitted in descending score order, ties to the
+    same; the map holds the picks in descending score order, ties to the
     smaller boundary index. A child's pick never outranks its parent's, so
     sorting all picks gives the order a best-first search would pop them in.
     """
@@ -98,16 +88,11 @@ def split_order(scores: np.ndarray, n: int) -> SplitOrder:
         raise ValueError(f"expected {n - 1} boundary scores, got shape {v.shape}")
     split_of = descend(n, lambda i, j: i + int(np.argmax(v[i - 1:j - 1])))
     picks = sorted((-float(v[k - 1]), k, span) for span, k in split_of.items())
-    return [SplitStep(k, span) for _, k, span in picks]
+    return {span: k for _, k, span in picks}
 
 
-def tree_from_order(order: SplitOrder, tokens: list[str]) -> Node:
-    """Materialize the binary tree described by a split order."""
-    return tree_from_splits({step.span: step.split for step in order}, tokens)
-
-
-def parser_nll(scores, order: SplitOrder) -> Tensor | float:
-    """Negative log-likelihood of a split order under boundary scores.
+def parser_nll(scores, order: dict[Span, int]) -> Tensor | float:
+    """Negative log-likelihood of a split map under boundary scores.
 
     Each tree node contributes -log softmax over the boundaries inside its
     span. Spans whose boundaries are all -inf (forced single moves)
@@ -120,14 +105,13 @@ def parser_nll(scores, order: SplitOrder) -> Tensor | float:
     if not taped:
         scores = Tensor(np.asarray(scores, dtype=np.float64))
     total = None
-    for step in order:
-        i, j = step.span
+    for (i, j), k in order.items():
         seg = scores.data[i - 1:j - 1]
         if not np.isfinite(seg).any():
             continue
-        if not np.isfinite(seg[step.split - i]):
-            raise ValueError(f"target split {step.split} of span {step.span} is forbidden")
-        term = -ad.log_softmax(scores[i - 1:j - 1], axis=0)[step.split - i]
+        if not np.isfinite(seg[k - i]):
+            raise ValueError(f"target split {k} of span {(i, j)} is forbidden")
+        term = -ad.log_softmax(scores[i - 1:j - 1], axis=0)[k - i]
         total = term if total is None else total + term
     if total is None:
         total = Tensor(np.zeros((), dtype=scores.dtype))
@@ -156,19 +140,15 @@ class PruneResult:
         return [k for group in self.merge_groups for k in group]
 
 
-def _tree_heights(order: SplitOrder) -> dict[int, int]:
+def _tree_heights(order: dict[Span, int]) -> dict[int, int]:
     """Height of each split's tree node: 1 + max over children, leaves 0."""
     height: dict[Span, int] = {}
-    for step in sorted(order, key=lambda s: s.span[1] - s.span[0]):
-        i, j = step.span
-        k = step.split
-        left = height.get((i, k), 0)
-        right = height.get((k + 1, j), 0)
-        height[step.span] = 1 + max(left, right)
-    return {step.split: height[step.span] for step in order}
+    for (i, j), k in sorted(order.items(), key=lambda item: item[0][1] - item[0][0]):
+        height[(i, j)] = 1 + max(height.get((i, k), 0), height.get((k + 1, j), 0))
+    return {k: height[span] for span, k in order.items()}
 
 
-def prune_schedule(n: int, window: int, order: SplitOrder) -> PruneResult:
+def prune_schedule(n: int, window: int, order: dict[Span, int]) -> PruneResult:
     """Decide surviving cells and their split points from a decoded tree.
 
     Starts from all spans of width <= window with full split sets, then
@@ -191,7 +171,7 @@ def prune_schedule(n: int, window: int, order: SplitOrder) -> PruneResult:
     merge_groups: list[list[int]] = []
     if n > min(window, n):
         units: list[Span] = [(i, i) for i in range(1, n + 1)]
-        span_of = {step.split: step.span for step in order}
+        span_of = {k: span for span, k in order.items()}
         heights = _tree_heights(order)
         by_height: dict[int, list[int]] = {}
         for k, h in heights.items():
@@ -258,12 +238,12 @@ def build_cell_batches(result: PruneResult) -> Schedule:
     return schedule
 
 
-def tree_schedule(n: int, order: SplitOrder) -> Schedule:
+def tree_schedule(n: int, order: dict[Span, int]) -> Schedule:
     """Single-split-per-cell schedule following a decoded tree exactly.
 
     Used by the fast encoding mode: the chart degenerates to the tree, so
     each layer runs n-1 inside and n-1 outside compositions.
     """
-    cells = {step.span: (step.split,) for step in order}
+    cells = {span: (k,) for span, k in order.items()}
     return build_cell_batches(PruneResult(n=n, cells=cells, merge_groups=[]))
 

@@ -35,13 +35,16 @@ MASK_TOKEN = "[MASK]"
 # ---------------------------------------------------------------------------
 
 class Vocab:
-    """Token/id table; ids are dense and fixed by construction order."""
+    """Token/id table; ids are dense and fixed by construction order. Its
+    errors name `source`, the file or checkpoint field it was read from."""
 
-    def __init__(self, tokens: list[str]):
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate tokens in vocabulary")
+    def __init__(self, tokens: list[str], source: str | None = None):
+        self.source = source
         self.tokens = list(tokens)
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        if len(self.index) != len(self.tokens):
+            dup = next(tok for i, tok in enumerate(self.tokens) if self.index[tok] != i)
+            raise self._error(f"duplicate token {dup!r} in vocabulary")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -49,8 +52,11 @@ class Vocab:
     @property
     def mask_id(self) -> int:
         if MASK_TOKEN not in self.index:
-            raise ValueError(f"vocabulary has no {MASK_TOKEN} token")
+            raise self._error(f"vocabulary has no {MASK_TOKEN} token")
         return self.index[MASK_TOKEN]
+
+    def _error(self, message: str) -> ValueError:
+        return ValueError(f"{self.source}: {message}" if self.source else message)
 
     def encode(self, tokens: list[str]) -> np.ndarray:
         try:
@@ -80,7 +86,7 @@ class Vocab:
                 id_of[token] = token_id
         if sorted(id_of.values()) != list(range(len(id_of))):
             raise ValueError(f"{path}: vocabulary ids must be dense, starting at 0")
-        return cls(sorted(id_of, key=id_of.__getitem__))
+        return cls(sorted(id_of, key=id_of.__getitem__), source=path)
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -450,7 +456,7 @@ def model_from_checkpoint(tensors: dict[str, np.ndarray], config: dict,
                          f"{mcfg.vocab_size}")
     model = ChartLM(mcfg, np.random.default_rng(0))
     apply_parameters(model, tensors)
-    return model, Vocab(tokens)
+    return model, Vocab(tokens, source="checkpoint field vocab")
 
 
 def decode_run(tensors: dict[str, np.ndarray], config: dict,

@@ -20,10 +20,10 @@ from chartlm.model import ChartLM, ReCatConfig
 from chartlm.oracle import (best_tree_exhaustive, cumulative_outside_reference,
                             direct_outside_check, full_chart_reference)
 from chartlm.pruning import (build_cell_batches, parser_nll, prune_schedule,
-                             split_order, tree_from_order)
+                             split_order)
 from chartlm.synthetic import VOCAB_TOKENS, balanced_scores, generate_corpus
 from chartlm.training import MASK_TOKEN, TrainConfig, Trainer, Vocab
-from chartlm.trees import format_sexpr, in_order, random_binary
+from chartlm.trees import format_sexpr, in_order, random_binary, tree_from_splits
 
 
 def _full_chart_plan(n, seed):
@@ -66,8 +66,8 @@ def test_criterion_1_oracle_equivalence():
                     abs(float(got.inside_score.data[row]) - ref.inside_score[span]),
                     float(np.max(np.abs(got.outside.data[row] - ref.outside[span]))),
                     abs(float(got.outside_score.data[row]) - ref.outside_score[span]))
-        steps = [(s.split, s.span) for s in induce_order(result)]
-        assert steps == best_tree_exhaustive(oracle.final.split_scores, n)
+        assert list(induce_order(result).items()) == list(
+            best_tree_exhaustive(oracle.final.split_scores, n).items())
     elapsed = time.perf_counter() - t_start
     assert worst <= 1e-6
     assert elapsed < 120.0
@@ -178,7 +178,7 @@ def test_criterion_4_schedule_complexity():
 def test_criterion_5_pruning_replay():
     scores = np.array([0.1, 0.6, 1.0, 0.8, 0.4])
     order = split_order(scores, 6)
-    assert [s.split for s in order] == [3, 4, 2, 5, 1]
+    assert list(order.values()) == [3, 4, 2, 5, 1]
     result = prune_schedule(6, 2, order)
     assert result.merge_order == [1, 5, 2, 4, 3]
     assert result.merge_groups == [[1, 5], [2, 4], [3]]
@@ -201,17 +201,16 @@ def test_criterion_6_hard_em_loss_contract():
         order = split_order(scores, n)
         nll = parser_nll(scores, order)
         direct = 0.0
-        for step in order:
-            i, j = step.span
+        for (i, j), k in order.items():
             seg = scores[i - 1:j - 1]
             lse = seg.max() + np.log(np.exp(seg - seg.max()).sum())
-            direct -= float(seg[step.split - i] - lse)
+            direct -= float(seg[k - i] - lse)
         worst = max(worst, abs(nll - direct))
     assert worst <= 1e-9
 
     for n in (3, 5, 8):  # uniform logits: each span costs ln(its width - 1)
         order = split_order(np.zeros(n - 1), n)
-        closed = sum(math.log(j - i) for s in order for i, j in [s.span])
+        closed = sum(math.log(j - i) for i, j in order)
         assert parser_nll(np.zeros(n - 1), order) == pytest.approx(closed, rel=1e-12)
     print(f"\ncriterion 6 PASS: worst dev {worst:.2e}; uniform closed form exact")
 
@@ -271,7 +270,7 @@ def test_criterion_8_fast_encoding():
         assert fast_stats.pairs_composed < std_stats.pairs_composed, n
         assert fast.nodes.shape == (2 * n - 1, cfg.d)
         assert len(in_order(fast.tree)) == 2 * n - 1
-        parser_tree = tree_from_order(
+        parser_tree = tree_from_splits(
             split_order(model.parser(ids).data, n), strs)
         assert format_sexpr(fast.tree) == format_sexpr(parser_tree)
         pairs.append((n, fast_stats.pairs_composed, std_stats.pairs_composed))

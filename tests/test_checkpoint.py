@@ -154,6 +154,14 @@ def _fuzz_blob(tmp_path):
     return blob, header_end
 
 
+def _loads_or_is_value_error(path, raw):
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(str(path))
+    except ValueError:  # any other exception fails the test
+        pass
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -165,12 +173,51 @@ def test_truncated_or_bit_flipped_header_loads_or_is_value_error(tmp_path, data)
         bit = data.draw(st.integers(0, 8 * header_end - 1), label="bit")
         bad = bytearray(blob)
         bad[bit // 8] ^= 1 << (bit % 8)
-    path = tmp_path / "fuzz.ckpt"
-    path.write_bytes(bytes(bad))
-    try:
-        load_checkpoint(str(path))
-    except ValueError:  # any other exception fails the test
-        pass
+    _loads_or_is_value_error(tmp_path / "fuzz.ckpt", bytes(bad))
+
+
+# Uniform over the file, so most draws land in a tensor blob: a flipped blob
+# bit loads silently, since nothing checks the tensor bytes themselves.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_truncation_or_bit_flip_loads_or_is_value_error(tmp_path, data):
+    blob, _ = _fuzz_blob(tmp_path)
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="size")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    _loads_or_is_value_error(tmp_path / "fuzz.ckpt", bytes(bad))
+
+
+_COUNTS = st.one_of(st.integers(-3, 3), st.integers(2 ** 31, 2 ** 70),
+                    st.integers(-(2 ** 70), -(2 ** 31)))
+_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                         st.just({}), st.lists(st.integers(-2, 2), max_size=2))
+_ODD_DTYPES = st.sampled_from(["|V0", "|V3", "|O", "<U1", "|S0", "|S2", "|b1", "<c16", ">f8",
+                               "<M8[s]", "<m8", "f4", "", "<f8", "<i8", "float32", "(2,)<f4"])
+_BAD_VALUES = {
+    "name": st.one_of(_WRONG_TYPES, st.text(max_size=4)),
+    "shape": st.one_of(_WRONG_TYPES, st.lists(st.one_of(_COUNTS, _WRONG_TYPES), max_size=3)),
+    "dtype": st.one_of(_WRONG_TYPES, _ODD_DTYPES),
+    "nbytes": st.one_of(_WRONG_TYPES, _COUNTS),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_header_entry_loads_or_is_value_error(tmp_path, data):
+    blob, header_end = _fuzz_blob(tmp_path)
+    header = json.loads(blob[16:header_end])
+    entry = data.draw(st.sampled_from(header["tensors"]), label="entry")
+    key = data.draw(st.sampled_from(sorted(_BAD_VALUES)), label="key")
+    entry[key] = data.draw(_BAD_VALUES[key], label="value")
+    raw = json.dumps(header).encode("utf-8")
+    _loads_or_is_value_error(tmp_path / "fuzz.ckpt", MAGIC + struct.pack("<IQ", VERSION, len(raw))
+                             + raw + blob[header_end:])
 
 
 class _DiskFullAfter:

@@ -11,14 +11,13 @@ from chartlm.autodiff import Tensor
 from chartlm.chart import Schedule, validate_schedule
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT,
                                     CioStack, ComposeParams, EngineStats,
-                                    induce_order, induce_tree, plan_engine,
-                                    run_stack)
-from chartlm.oracle import (ParentEdge, best_tree_exhaustive,
+                                    induce_order, plan_engine, run_stack)
+from chartlm.oracle import (ORACLE_MAX_N, ParentEdge, best_tree_exhaustive,
                             cumulative_outside_reference, direct_outside_check,
                             full_chart_reference, parents_from_splits)
-from chartlm.pruning import (build_cell_batches, prune_schedule, split_order,
-                             tree_schedule)
-from chartlm.trees import format_sexpr
+from chartlm.pruning import (apply_nonsplittable, build_cell_batches,
+                             prune_schedule, split_order, tree_schedule)
+from chartlm.trees import format_sexpr, tree_from_splits
 
 
 def _full_plan(n, seed=0):
@@ -318,15 +317,60 @@ def test_engine_matches_full_chart_reference(n, layers, share):
                         abs(float(got.outside_score.data[row]) - ref.outside_score[span]))
     assert worst < 1e-9
     # induced tree agrees with exhaustive search over the last layer's scores
-    steps = induce_order(result)
-    assert [(s.split, s.span) for s in steps] == best_tree_exhaustive(
-        oracle.final.split_scores, n)
+    assert list(induce_order(result).items()) == list(best_tree_exhaustive(
+        oracle.final.split_scores, n).items())
 
 
 def test_engine_direct_outside_recomputation():
     stack = _stack(layers=2, seed=9)
     _, result = _run(6, stack, seed=10)
     assert direct_outside_check(result, stack) < 1e-9
+
+
+@st.composite
+def _chart_inputs(draw, min_n):
+    """n, boundary scores, a float64 d = 8 stack of 1-2 layers (shared or
+    not) and token vectors, for a sentence of min_n..ORACLE_MAX_N tokens."""
+    n = draw(st.integers(min_n, ORACLE_MAX_N))
+    scores = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n - 1, max_size=n - 1)))
+    stack = _stack(layers=draw(st.integers(1, 2)), d=8, seed=draw(st.integers(0, 10 ** 6)),
+                   share=draw(st.booleans()))
+    x = Tensor(np.random.default_rng(draw(st.integers(0, 10 ** 6))).standard_normal((n, stack.d)))
+    return n, scores, stack, x
+
+
+# an n = 12, two-layer oracle takes about a second
+@settings(max_examples=12, deadline=None)
+@given(_chart_inputs(min_n=1), st.integers(0, 2))
+def test_engine_equals_the_oracle_at_any_full_window(inputs, extra):
+    n, scores, stack, x = inputs
+    window = max(n, 2) + extra
+    result = run_stack(x, stack, plan_engine(build_cell_batches(
+        prune_schedule(n, window, split_order(scores, n)))))
+    oracle = full_chart_reference(x.data, stack)
+    for got, ref in zip(result.layers, oracle.layers):
+        for span, row in result.plan.row_of.items():
+            np.testing.assert_allclose(got.inside.data[row], ref.inside[span], atol=1e-6)
+            np.testing.assert_allclose(got.outside.data[row], ref.outside[span], atol=1e-6)
+            assert abs(float(got.inside_score.data[row]) - ref.inside_score[span]) <= 1e-6
+            assert abs(float(got.outside_score.data[row]) - ref.outside_score[span]) <= 1e-6
+    assert list(induce_order(result).items()) == list(best_tree_exhaustive(
+        oracle.final.split_scores, n).items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chart_inputs(min_n=3), st.data())
+def test_pruned_engine_pools_outside_directly_and_splits_words_last(inputs, data):
+    n, scores, stack, x = inputs
+    window = data.draw(st.integers(2, n - 1))
+    forbidden = set(data.draw(st.lists(st.integers(1, n - 1), max_size=n - 2, unique=True)))
+    masked = apply_nonsplittable(scores, forbidden)
+    result = run_stack(x, stack, plan_engine(build_cell_batches(
+        prune_schedule(n, window, split_order(masked, n)))))
+    assert direct_outside_check(result, stack) <= 1e-9
+    splits = result.plan.schedule.splits
+    for span, k in induce_order(result, forbidden).items():
+        assert k not in forbidden or set(splits[span]) <= forbidden, (span, k, splits[span])
 
 
 def test_tree_schedule_outside_rows_are_the_single_candidate():
@@ -452,14 +496,11 @@ def test_induce_trivial_sizes():
     stack = _stack(layers=1, seed=21)
     x = Tensor(np.random.default_rng(22).standard_normal((1, stack.d)))
     result = run_stack(x, stack, plan_engine(_full_plan(1).schedule))
-    assert induce_order(result) == []
-    assert format_sexpr(induce_tree(result, ["w1"])) == "(w1)"
+    assert induce_order(result) == {}
+    assert format_sexpr(tree_from_splits(induce_order(result), ["w1"])) == "(w1)"
 
     _, r2 = _run(2, stack, seed=23)
-    steps = induce_order(r2)
-    assert len(steps) == 1 and steps[0].split == 1 and steps[0].span == (1, 2)
-    with pytest.raises(ValueError, match="tokens"):
-        induce_tree(r2, ["only"])
+    assert list(induce_order(r2).items()) == [((1, 2), 1)]
 
 
 def test_stats_counters_minimal_case():

@@ -386,7 +386,8 @@ def test_pretrain_without_a_mask_token_fails_before_writing(workdir, capsys):
     rc = dispatch(["pretrain", "--corpus", _p(workdir, "abc_corpus.txt"),
                    "--vocab", _p(workdir, "abc.txt"), "--config", str(cfg), "--out", str(out)])
     assert rc == 3
-    assert "vocabulary has no [MASK] token" in capsys.readouterr().err
+    assert (f"error: {workdir / 'abc.txt'}: vocabulary has no [MASK] token"
+            in capsys.readouterr().err)
     assert not (out / "manifest.json").exists()
     assert not (out / "metrics.jsonl").exists()
 
@@ -447,11 +448,10 @@ METADATA_CASES = ([("parse", *case) for case in CHECKPOINT_FIELDS]
                   + [("resume", *case) for case in CHECKPOINT_FIELDS + RESUME_FIELDS])
 
 
-@pytest.mark.parametrize("command, where, key, value, message", METADATA_CASES,
-                         ids=[f"{command}-{key}-{'dropped' if value is None else type(value).__name__}"
-                              for command, _, key, value, _ in METADATA_CASES])
-def test_bad_checkpoint_metadata_is_numeric_error(workdir, capsys, command, where, key,
-                                                  value, message):
+def _dispatch_on_altered_checkpoint(workdir, command, where, key, value):
+    """Run `parse` or `pretrain --resume` on a checkpoint whose header entry
+    `where` + `key` is set to `value` (dropped when None); returns the exit
+    code and the run's output path."""
     ckpt = _untrained_ckpt(workdir)
     tensors, config, extra = load_checkpoint(ckpt)
     record = {"config": config, "extra": extra}[where[0]]
@@ -466,10 +466,30 @@ def test_bad_checkpoint_metadata_is_numeric_error(workdir, capsys, command, wher
     corpus.write_text("a b c\nb c a\n")  # within the checkpoint's max_len
     argv = {"parse": ["parse", "--ckpt", ckpt, "--input", str(corpus), "--out", out],
             "resume": ["pretrain", "--resume", ckpt, "--corpus", str(corpus), "--out", out]}
-    rc = dispatch(argv[command])
+    return dispatch(argv[command]), out
+
+
+@pytest.mark.parametrize("command, where, key, value, message", METADATA_CASES,
+                         ids=[f"{command}-{key}-{'dropped' if value is None else type(value).__name__}"
+                              for command, _, key, value, _ in METADATA_CASES])
+def test_bad_checkpoint_metadata_is_numeric_error(workdir, capsys, command, where, key,
+                                                  value, message):
+    rc, out = _dispatch_on_altered_checkpoint(workdir, command, where, key, value)
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, tokens, message", [
+    ("parse", ["[MASK]", "a", "b", "a"], "duplicate token 'a' in vocabulary"),
+    ("resume", ["[MASK]", "a", "b", "a"], "duplicate token 'a' in vocabulary"),
+    ("resume", ["a", "b", "c"], "vocabulary has no [MASK] token"),
+], ids=["parse-duplicate", "resume-duplicate", "resume-no_mask"])
+def test_bad_checkpoint_vocabulary_names_the_field(workdir, capsys, command, tokens, message):
+    rc, out = _dispatch_on_altered_checkpoint(workdir, command, ("extra",), "vocab", tokens)
+    assert rc == 3
+    assert f"error: checkpoint field vocab: {message}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from chartlm import model as model_module
 from chartlm.autodiff import Tensor, no_grad
 from chartlm.inside_outside import ComposeParams, EngineStats, StackResult, run_stack
 from chartlm.model import ChartLM, ForwardOutput, ReCatConfig
-from chartlm.trees import format_sexpr, leaves, node_count
+from chartlm.trees import format_sexpr, leaves, node_count, tree_from_splits
 
 
 def _tiny_cfg(**kw):
@@ -150,7 +150,7 @@ def test_masked_ids_change_logits_but_not_schedule():
     masked = model.forward_pretrain(ids, masked=corrupted)
     # parser input is the uncorrupted sentence in both runs
     assert masked.schedule.splits == clean.schedule.splits
-    assert [s.split for s in masked.order] == [s.split for s in clean.order]
+    assert list(masked.order.values()) == list(clean.order.values())
     assert not np.allclose(masked.logits.data, clean.logits.data)
 
 
@@ -239,8 +239,8 @@ def test_fast_encode_follows_parser_tree():
     with no_grad():
         fast = model.fast_encode(ids)
         scores = model.parser(ids)
-    from chartlm.pruning import split_order, tree_from_order
-    expect = tree_from_order(split_order(scores.data, 6), [str(t) for t in ids])
+    from chartlm.pruning import split_order
+    expect = tree_from_splits(split_order(scores.data, 6), [str(t) for t in ids])
     assert format_sexpr(fast.tree) == format_sexpr(expect)
     assert fast.nodes.shape == (11, model.cfg.d)
 
@@ -252,10 +252,10 @@ def test_forbidden_boundary_respected_in_both_modes():
     ids = np.array([1, 2, 3, 4])
     for fn in (model.forward_pretrain, model.fast_encode):
         out = fn(ids, forbidden={2})
-        for step in out.order:
-            if step.split == 2:
-                assert step.span == (2, 3)
-        assert {s.span for s in out.order} >= {(1, 4), (2, 3)}
+        for span, k in out.order.items():
+            if k == 2:
+                assert span == (2, 3)
+        assert set(out.order) >= {(1, 4), (2, 3)}
 
 
 def test_induced_split_prefers_admissible_boundary():
@@ -265,10 +265,9 @@ def test_induced_split_prefers_admissible_boundary():
         model = _model(seed=100 + seed)
         ids = np.random.default_rng(seed).integers(0, 12, size=6)
         out = model.forward_pretrain(ids, forbidden={2, 4})
-        for step in out.order:
-            if step.split in {2, 4}:
-                i, j = step.span
-                assert set(range(i, j)) <= {2, 4}, (step, out.schedule.splits)
+        for (i, j), k in out.order.items():
+            if k in {2, 4}:
+                assert set(range(i, j)) <= {2, 4}, ((i, j), k, out.schedule.splits)
         assert np.isfinite(float(out.parser_loss.data))
 
 

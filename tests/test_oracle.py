@@ -72,7 +72,7 @@ def test_best_tree_exhaustive_prefers_top_scores():
         (2, 3): np.array([0.0]),
         (1, 2): np.array([0.0]),
     }
-    assert best_tree_exhaustive(split_scores, 3) == [(1, (1, 3)), (2, (2, 3))]
+    assert list(best_tree_exhaustive(split_scores, 3).items()) == [((1, 3), 1), ((2, 3), 2)]
 
 
 def test_best_tree_exhaustive_tie_goes_left():
@@ -81,7 +81,7 @@ def test_best_tree_exhaustive_tie_goes_left():
         (2, 3): np.array([0.0]),
         (1, 2): np.array([0.0]),
     }
-    assert best_tree_exhaustive(split_scores, 3)[0] == (1, (1, 3))
+    assert next(iter(best_tree_exhaustive(split_scores, 3).items())) == ((1, 3), 1)
 
 
 def test_oracle_layers_chain():

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
 from chartlm.chart import Schedule, validate_schedule
-from chartlm.pruning import (BoundaryScorer, PruneResult, SplitStep,
-                             apply_nonsplittable, build_cell_batches, parser_nll,
-                             prune_schedule, split_order, tree_from_order,
-                             tree_schedule)
-from chartlm.trees import format_sexpr, in_order, leaves
+from chartlm.pruning import (BoundaryScorer, PruneResult, apply_nonsplittable,
+                             build_cell_batches, parser_nll, prune_schedule,
+                             split_order, tree_schedule)
+from chartlm.trees import format_sexpr, in_order, leaves, tree_from_splits
 from test_cio import assert_plan_routes_each_parent_edge
 
 
@@ -80,8 +79,8 @@ def test_forced_order_avoids_forbidden_boundary():
     # n=3 with boundary 2 forbidden: the tree must split at 1 first
     scores = apply_nonsplittable(np.array([0.1, 5.0]), {2})
     order = split_order(scores, 3)
-    assert [s.split for s in order] == [1, 2]
-    assert order[0].span == (1, 3)
+    assert list(order.values()) == [1, 2]
+    assert next(iter(order)) == (1, 3)
     # the forced inner move spans (2,3) whose only boundary is -inf
     assert parser_nll(scores, order) == pytest.approx(0.0)
 
@@ -97,7 +96,7 @@ def test_random_forbidden_still_yields_full_tree(n, seed):
         forbidden.pop()
     masked = apply_nonsplittable(scores, forbidden)
     order = split_order(masked, n)
-    tree = tree_from_order(order, _tokens(n))
+    tree = tree_from_splits(order, _tokens(n))
     assert [l.token for l in leaves(tree)] == _tokens(n)
     assert len(order) == n - 1
 
@@ -108,28 +107,28 @@ def test_random_forbidden_still_yields_full_tree(n, seed):
 
 def test_split_order_increasing_scores():
     order = split_order(np.array([0.1, 0.2, 0.3]), 4)
-    assert [s.split for s in order] == [3, 2, 1]
-    assert [s.span for s in order] == [(1, 4), (1, 3), (1, 2)]
+    assert list(order.values()) == [3, 2, 1]
+    assert list(order) == [(1, 4), (1, 3), (1, 2)]
 
 
 def test_split_order_reference_case():
     # descending-score sequence 3, 4, 2, 5, 1
     scores = np.array([0.1, 0.6, 1.0, 0.8, 0.4])
     order = split_order(scores, 6)
-    assert [s.split for s in order] == [3, 4, 2, 5, 1]
-    assert order[0].span == (1, 6)
-    tree = tree_from_order(order, _tokens(6))
+    assert list(order.values()) == [3, 4, 2, 5, 1]
+    assert next(iter(order)) == (1, 6)
+    tree = tree_from_splits(order, _tokens(6))
     assert format_sexpr(tree) == "(X (X (X w1 w2) w3) (X w4 (X w5 w6)))"
 
 
 def test_split_order_tie_prefers_smaller_boundary():
     order = split_order(np.zeros(3), 4)
-    assert order[0].split == 1
+    assert next(iter(order.values())) == 1
 
 
 def test_split_order_trivial_sizes():
-    assert split_order(np.array([]), 1) == []
-    assert split_order(np.array([2.0]), 2) == [SplitStep(1, (1, 2))]
+    assert split_order(np.array([]), 1) == {}
+    assert list(split_order(np.array([2.0]), 2).items()) == [((1, 2), 1)]
     with pytest.raises(ValueError, match="boundary scores"):
         split_order(np.array([1.0, 2.0]), 2)
 
@@ -151,9 +150,9 @@ def test_split_order_matches_recursive_argmax(n, seed):
     order = split_order(scores, n)
     ref: list = []
     _recursive_argmax(scores, 1, n, ref)
-    assert {(s.split, s.span) for s in order} == set(ref)
+    assert {(k, span) for span, k in order.items()} == set(ref)
     # emission is sorted by descending chosen score
-    chosen = [scores[s.split - 1] for s in order]
+    chosen = [scores[k - 1] for k in order.values()]
     assert chosen == sorted(chosen, reverse=True)
 
 
@@ -163,7 +162,7 @@ def test_split_order_invariant_to_monotone_transform(n, seed):
     scores = np.random.default_rng(seed).standard_normal(n - 1)
     a = split_order(scores, n)
     b = split_order(3.0 * scores + 7.0, n)
-    assert a == b
+    assert list(a.items()) == list(b.items())
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,18 +171,17 @@ def test_split_order_spans_nest(n, seed):
     scores = np.random.default_rng(seed).standard_normal(n - 1)
     order = split_order(scores, n)
     seen = {(1, n)}
-    for step in order:
-        assert step.span in seen  # parents always decided before children
-        i, j = step.span
-        seen.add((i, step.split))
-        seen.add((step.split + 1, j))
+    for (i, j), k in order.items():
+        assert (i, j) in seen  # parents always decided before children
+        seen.add((i, k))
+        seen.add((k + 1, j))
 
 
 def test_long_chain_tree_needs_no_recursion():
     # a right-branching chain is as deep as the sentence is long
     n = 1100
     order = split_order(np.arange(n - 1, 0, -1, dtype=float), n)
-    nodes = in_order(tree_from_order(order, _tokens(n)))
+    nodes = in_order(tree_from_splits(order, _tokens(n)))
     expect = [span for i in range(1, n) for span in ((i, i), (i, n))] + [(n, n)]
     assert [node.span for node in nodes] == expect
     assert [node.token for node in nodes if node.is_leaf] == _tokens(n)
@@ -207,7 +205,7 @@ def test_parser_nll_saturated_scores_approach_zero():
 
 
 def test_parser_nll_rejects_forbidden_target():
-    order = [SplitStep(2, (1, 3))]
+    order = {(1, 3): 2}
     with pytest.raises(ValueError, match="forbidden"):
         parser_nll(np.array([0.0, -np.inf]), order)
 
@@ -218,10 +216,9 @@ def test_parser_nll_matches_stable_softmax_oracle(n, seed):
     scores = np.random.default_rng(seed).standard_normal(n - 1) * 5
     order = split_order(scores, n)
     expect = 0.0
-    for step in order:
-        i, j = step.span
+    for (i, j), k in order.items():
         seg = scores[i - 1:j - 1]
-        expect -= np.log(ad.softmax_np(seg)[step.split - i])
+        expect -= np.log(ad.softmax_np(seg)[k - i])
     got = parser_nll(scores, order)
     assert got == pytest.approx(expect, abs=1e-9)
     taped = parser_nll(Tensor(scores), order)
@@ -284,7 +281,7 @@ def test_prune_rejects_bad_arguments():
     with pytest.raises(ValueError, match="window"):
         prune_schedule(4, 1, split_order(np.zeros(3), 4))
     with pytest.raises(ValueError, match=">= 1"):
-        prune_schedule(0, 2, [])
+        prune_schedule(0, 2, {})
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,13 +298,13 @@ def test_pruned_schedule_is_valid_and_linear(n, m, seed):
     if n > 1:
         # the top split merges last, so it is a unit boundary in any range
         # that first covers the whole sentence
-        assert order[0].split in sch.splits[sch.root]
+        assert next(iter(order.values())) in sch.splits[sch.root]
 
 
 def test_chain_tree_schedule_cannot_batch():
     n = 8
     order = split_order(np.arange(n - 1, 0, -1, dtype=float), n)
-    assert [s.split for s in order] == list(range(1, n))  # right-branching chain
+    assert list(order.values()) == list(range(1, n))  # right-branching chain
     sch = build_cell_batches(prune_schedule(n, 2, order))
     validate_schedule(sch)
     # a maximally unbalanced tree serializes: each suffix span waits on the next
@@ -319,7 +316,7 @@ def test_balanced_scores_decode_to_the_midpoint_tree():
     from chartlm.trees import descend
     for n in range(1, 130):
         order = split_order(balanced_scores(n), n)
-        assert {s.span: s.split for s in order} == descend(n, lambda i, j: (i + j) // 2)
+        assert order == descend(n, lambda i, j: (i + j) // 2)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -357,7 +354,7 @@ def _heap_split_order(scores, n):
     push(1, n)
     while heap:
         _, k, i, j = heapq.heappop(heap)
-        order.append(SplitStep(k, (i, j)))
+        order.append(((i, j), k))
         push(i, k)
         push(k + 1, j)
     return order
@@ -407,8 +404,8 @@ def test_sort_and_ordered_passes_match_the_references(n, m, seed, ties, forbid):
         scores = apply_nonsplittable(scores, {int(k) for k in rng.choice(
             np.arange(1, n), size=size, replace=False)})
     order = split_order(scores, n)
-    assert order == _heap_split_order(scores, n)
-    tree_cells = PruneResult(n=n, cells={s.span: (s.split,) for s in order}, merge_groups=[])
+    assert list(order.items()) == _heap_split_order(scores, n)
+    tree_cells = PruneResult(n=n, cells={span: (k,) for span, k in order.items()}, merge_groups=[])
     for got, result in ((build_cell_batches(prune_schedule(n, m, order)),
                          prune_schedule(n, m, order)),
                         (tree_schedule(n, order), tree_cells)):
