@@ -33,7 +33,8 @@ for m in (2, 3):
 print("\nwall time per forward (single layer, d=32):")
 d = 32
 stack = CioStack("cio", layers=1, d=d, heads=4, depth=1, share=True,
-                 rng=np.random.default_rng(0), dtype=np.float32)
+                 rng=np.random.default_rng(0))
+stack.astype(np.float32)
 for n in (16, 64, 256):
     sch = build_cell_batches(prune_schedule(n, 2, split_order(balanced_scores(n), n)))
     plan = plan_engine(sch)

@@ -18,8 +18,7 @@ from chartlm.pruning import build_cell_batches, prune_schedule, split_order
 n, d, layers = 7, 16, 2
 rng = np.random.default_rng(0)
 
-stack = CioStack("cio", layers=layers, d=d, heads=4, depth=1, share=True,
-                 rng=rng, dtype=np.float64)
+stack = CioStack("cio", layers=layers, d=d, heads=4, depth=1, share=True, rng=rng)
 
 # window >= n keeps every span, so the pruned engine must agree with the
 # reference on the complete chart

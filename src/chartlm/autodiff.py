@@ -144,12 +144,6 @@ class Tensor:
     def __getitem__(self, key):
         return index(self, key)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -403,13 +397,16 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _node(ls, (a,), lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, bias) -> Tensor:
     """LayerNorm over the last axis with learned gain/bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def vjp(g):
@@ -425,17 +422,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 # finite-difference checking
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-6   # central-difference step, relative to the coordinate's size
+FD_ATOL = 1e-5   # gradients below this on both sides count as agreeing
+
+
 def gradient_check(build_loss: Callable[[], Tensor],
                    params: Iterable[Parameter],
                    rng: np.random.Generator,
-                   samples_per_param: int = 6,
-                   eps: float = 1e-6,
-                   atol: float = 1e-5) -> dict[str, float]:
+                   samples_per_param: int = 6) -> dict[str, float]:
     """Max relative error between tape gradients and central differences.
 
     Perturbs up to `samples_per_param` coordinates of each parameter. The
     model should be built in float64 for the stated tolerances to hold.
-    Coordinates where both gradients fall below `atol` count as agreeing:
+    Coordinates where both gradients fall below `FD_ATOL` count as agreeing:
     against an O(1) loss, central differences cannot resolve anything
     smaller, only drown it in rounding noise.
     """
@@ -454,7 +453,7 @@ def gradient_check(build_loss: Callable[[], Tensor],
         worst = 0.0
         for c in coords:
             orig = flat[c]
-            h = eps * max(1.0, abs(float(orig)))
+            h = FD_STEP * max(1.0, abs(float(orig)))
             flat[c] = orig + h
             up = build_loss().item()
             flat[c] = orig - h
@@ -462,7 +461,7 @@ def gradient_check(build_loss: Callable[[], Tensor],
             flat[c] = orig
             fd = (up - down) / (2.0 * h)
             ad = float(grad.reshape(-1)[c])
-            if max(abs(ad), abs(fd)) < atol:
+            if max(abs(ad), abs(fd)) < FD_ATOL:
                 continue
             rel = abs(ad - fd) / max(abs(ad), abs(fd))
             worst = max(worst, rel)

@@ -109,6 +109,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
                 dtype = np.dtype(entry["dtype"])
             except Exception:
                 raise ValueError(f"unknown dtype {entry['dtype']!r} for tensor {name}") from None
+            if dtype.newbyteorder("<") != dtype:  # saves are little-endian only, fields too
+                raise ValueError(f"big-endian dtype {entry['dtype']!r} for tensor {name}")
             if nbytes > size - fh.tell():
                 raise ValueError(f"truncated checkpoint at tensor {name}")
             if nbytes != math.prod(entry["shape"]) * dtype.itemsize:

@@ -20,6 +20,7 @@ from .autodiff import gradient_check, no_grad
 from .checkpoint import load_checkpoint
 from .evaluation import corpus_f1, label_recalls
 from .model import ChartLM, ReCatConfig
+from .pruning import apply_nonsplittable
 from .training import (TrainConfig, Trainer, Vocab, decode_run, forbidden_boundaries,
                        load_model, numbered_sentences, read_corpus)
 from .trees import (leaves, left_branching, random_binary, read_tree_file,
@@ -109,6 +110,7 @@ def _cmd_pretrain(args) -> int:
                 raise ValueError(f"sentence length {len(tokens)} exceeds configured max {max_len}")
             if len(tokens) > budget:
                 raise ValueError(f"sentence has {len(tokens)} tokens, over the batch budget {budget}")
+            apply_nonsplittable(np.zeros(len(tokens) - 1), forbidden_boundaries(tokens))
         except ValueError as exc:
             raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
         corpus.append(tokens)

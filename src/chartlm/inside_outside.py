@@ -35,12 +35,11 @@ class ComposeParams(Module):
     the target child's slot).
     """
 
-    def __init__(self, name: str, d: int, heads: int, depth: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, name: str, d: int, heads: int, depth: int, rng: np.random.Generator):
         super().__init__()
         self.d = d
-        self.roles = self._param(f"{name}.roles", _normal(rng, (3, d), dtype))
-        self.block = self._child(AttentionBlock(f"{name}.block", d, heads, depth, rng, dtype))
+        self.roles = self._param(f"{name}.roles", _normal(rng, (3, d)))
+        self.block = self._child(AttentionBlock(f"{name}.block", d, heads, depth, rng))
 
     def __call__(self, slots: Tensor) -> Tensor:
         """slots (B, 3, d) -> (B, 3, d); slot selection is the caller's."""
@@ -56,14 +55,14 @@ class CompatHead(Module):
     head; the same instances serve every layer of the stack.
     """
 
-    def __init__(self, name: str, d: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, name: str, d: int, rng: np.random.Generator):
         super().__init__()
         self.d = d
         self.maps = {
-            "inside": (self._child(ResidualMlp(f"{name}.alpha.l", d, rng, dtype)),
-                       self._child(ResidualMlp(f"{name}.alpha.r", d, rng, dtype))),
-            "outside": (self._child(ResidualMlp(f"{name}.beta.l", d, rng, dtype)),
-                        self._child(ResidualMlp(f"{name}.beta.r", d, rng, dtype))),
+            "inside": (self._child(ResidualMlp(f"{name}.alpha.l", d, rng)),
+                       self._child(ResidualMlp(f"{name}.alpha.r", d, rng))),
+            "outside": (self._child(ResidualMlp(f"{name}.beta.l", d, rng)),
+                        self._child(ResidualMlp(f"{name}.beta.r", d, rng))),
         }
 
     def __call__(self, x: Tensor, y: Tensor, head: str) -> Tensor:
@@ -84,7 +83,7 @@ class CioStack(Module):
     """
 
     def __init__(self, name: str, layers: int, d: int, heads: int, depth: int,
-                 share: bool, rng: np.random.Generator, dtype=np.float32):
+                 share: bool, rng: np.random.Generator):
         super().__init__()
         if layers < 1:
             raise ValueError("need at least one layer")
@@ -93,16 +92,16 @@ class CioStack(Module):
         self.alpha: list[ComposeParams] = []
         self.beta: list[ComposeParams] = []
         for l in range(layers):
-            a = self._child(ComposeParams(f"{name}.{l}.alpha", d, heads, depth, rng, dtype))
+            a = self._child(ComposeParams(f"{name}.{l}.alpha", d, heads, depth, rng))
             self.alpha.append(a)
             if share:
                 self.beta.append(a)
             else:
                 self.beta.append(self._child(
-                    ComposeParams(f"{name}.{l}.beta", d, heads, depth, rng, dtype)))
-        self.compat = self._child(CompatHead(f"{name}.compat", d, rng, dtype))
-        self.outside0 = self._param(f"{name}.outside0", _normal(rng, (d,), dtype))
-        self.roots = [self._param(f"{name}.{l}.root", _normal(rng, (d,), dtype))
+                    ComposeParams(f"{name}.{l}.beta", d, heads, depth, rng)))
+        self.compat = self._child(CompatHead(f"{name}.compat", d, rng))
+        self.outside0 = self._param(f"{name}.outside0", _normal(rng, (d,)))
+        self.roots = [self._param(f"{name}.{l}.root", _normal(rng, (d,)))
                       for l in range(layers)]
 
 

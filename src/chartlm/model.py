@@ -105,10 +105,6 @@ class ReCatConfig(Config):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"config field dtype must be float32 or float64, got {self.dtype!r}")
 
-    @property
-    def np_dtype(self):
-        return np.dtype(self.dtype)
-
 
 @dataclass
 class ForwardOutput:
@@ -129,15 +125,15 @@ class ChartLM(Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        dt = cfg.np_dtype
-        self.embedding = self._child(Embedding("model.emb", cfg.vocab_size, cfg.d, rng, dt))
+        self.embedding = self._child(Embedding("model.emb", cfg.vocab_size, cfg.d, rng))
         self.cio = self._child(CioStack("cio", cfg.layers, cfg.d, cfg.heads,
-                                        cfg.compose_depth, cfg.share, rng, dt))
+                                        cfg.compose_depth, cfg.share, rng))
         self.encoder = self._child(AttentionBlock("encoder", cfg.d, cfg.heads,
-                                                  cfg.transformer_depth, rng, dt))
-        self.mlm_bias = self._param("mlm.bias", np.zeros(cfg.vocab_size, dtype=dt))
+                                                  cfg.transformer_depth, rng))
+        self.mlm_bias = self._param("mlm.bias", np.zeros(cfg.vocab_size))
         self.parser = self._child(BoundaryScorer("parser", cfg.vocab_size, cfg.parser_dim,
-                                                 cfg.parser_hidden, rng, dt))
+                                                 cfg.parser_hidden, rng))
+        self.astype(cfg.dtype)
 
     # ---- parameter groups (hard-EM: optimized by separate losses) ---------
 

@@ -2,7 +2,8 @@
 
 Modules register parameters with explicit path-style names ("cio.0.alpha.wq")
 so checkpoints and gradchecks can address them deterministically. Weight init
-is normal(0, 0.02), biases zero, norm gains one.
+is normal(0, 0.02), biases zero, norm gains one. Parameters are built at
+float64; `Module.astype` casts a whole module to its working precision.
 """
 
 from __future__ import annotations
@@ -45,28 +46,33 @@ class Module:
             m[p.name] = p
         return m
 
+    def astype(self, dtype) -> None:
+        """Cast every parameter's data to `dtype` in place."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
 
-def _normal(rng: np.random.Generator, shape, dtype, std: float = INIT_STD) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(dtype)
+
+def _normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) * INIT_STD
 
 
 class Linear(Module):
     def __init__(self, name: str, din: int, dout: int, rng: np.random.Generator,
-                 dtype=np.float32, zero_init: bool = False):
+                 zero_init: bool = False):
         super().__init__()
-        w = np.zeros((din, dout), dtype=dtype) if zero_init else _normal(rng, (din, dout), dtype)
+        w = np.zeros((din, dout)) if zero_init else _normal(rng, (din, dout))
         self.w = self._param(f"{name}.w", w)
-        self.b = self._param(f"{name}.b", np.zeros(dout, dtype=dtype))
+        self.b = self._param(f"{name}.b", np.zeros(dout))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w) + self.b
 
 
 class LayerNorm(Module):
-    def __init__(self, name: str, d: int, dtype=np.float32):
+    def __init__(self, name: str, d: int):
         super().__init__()
-        self.gain = self._param(f"{name}.gain", np.ones(d, dtype=dtype))
-        self.bias = self._param(f"{name}.bias", np.zeros(d, dtype=dtype))
+        self.gain = self._param(f"{name}.gain", np.ones(d))
+        self.bias = self._param(f"{name}.bias", np.zeros(d))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
@@ -75,11 +81,10 @@ class LayerNorm(Module):
 class Mlp(Module):
     """Two-layer GELU MLP (parser boundary head)."""
 
-    def __init__(self, name: str, din: int, dhid: int, dout: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, name: str, din: int, dhid: int, dout: int, rng: np.random.Generator):
         super().__init__()
-        self.fc1 = self._child(Linear(f"{name}.fc1", din, dhid, rng, dtype))
-        self.fc2 = self._child(Linear(f"{name}.fc2", dhid, dout, rng, dtype))
+        self.fc1 = self._child(Linear(f"{name}.fc1", din, dhid, rng))
+        self.fc2 = self._child(Linear(f"{name}.fc2", dhid, dout, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(x)))
@@ -92,27 +97,26 @@ class ResidualMlp(Module):
     zero-weight = identity property.
     """
 
-    def __init__(self, name: str, d: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, name: str, d: int, rng: np.random.Generator):
         super().__init__()
-        self.fc1 = self._child(Linear(f"{name}.fc1", d, d, rng, dtype))
-        self.fc2 = self._child(Linear(f"{name}.fc2", d, d, rng, dtype, zero_init=True))
+        self.fc1 = self._child(Linear(f"{name}.fc1", d, d, rng))
+        self.fc2 = self._child(Linear(f"{name}.fc2", d, d, rng, zero_init=True))
 
     def __call__(self, x: Tensor) -> Tensor:
         return x + self.fc2(ad.gelu(self.fc1(x)))
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator):
         super().__init__()
         if d % n_heads != 0:
             raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
         self.d, self.h = d, n_heads
         self.dh = d // n_heads
-        self.wq = self._child(Linear(f"{name}.wq", d, d, rng, dtype))
-        self.wk = self._child(Linear(f"{name}.wk", d, d, rng, dtype))
-        self.wv = self._child(Linear(f"{name}.wv", d, d, rng, dtype))
-        self.wo = self._child(Linear(f"{name}.wo", d, d, rng, dtype))
+        self.wq = self._child(Linear(f"{name}.wq", d, d, rng))
+        self.wk = self._child(Linear(f"{name}.wk", d, d, rng))
+        self.wv = self._child(Linear(f"{name}.wv", d, d, rng))
+        self.wo = self._child(Linear(f"{name}.wo", d, d, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         b, t, d = x.shape
@@ -129,14 +133,13 @@ class MultiHeadAttention(Module):
 class TransformerLayer(Module):
     """Pre-norm self-attention + GELU feed-forward of width 4d."""
 
-    def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator):
         super().__init__()
-        self.ln1 = self._child(LayerNorm(f"{name}.ln1", d, dtype))
-        self.attn = self._child(MultiHeadAttention(f"{name}.attn", d, n_heads, rng, dtype))
-        self.ln2 = self._child(LayerNorm(f"{name}.ln2", d, dtype))
-        self.fc1 = self._child(Linear(f"{name}.ffn1", d, 4 * d, rng, dtype))
-        self.fc2 = self._child(Linear(f"{name}.ffn2", 4 * d, d, rng, dtype))
+        self.ln1 = self._child(LayerNorm(f"{name}.ln1", d))
+        self.attn = self._child(MultiHeadAttention(f"{name}.attn", d, n_heads, rng))
+        self.ln2 = self._child(LayerNorm(f"{name}.ln2", d))
+        self.fc1 = self._child(Linear(f"{name}.ffn1", d, 4 * d, rng))
+        self.fc2 = self._child(Linear(f"{name}.ffn2", 4 * d, d, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
@@ -149,10 +152,9 @@ class TransformerLayer(Module):
 class AttentionBlock(Module):
     """Stack of `depth` transformer layers; no positional encodings."""
 
-    def __init__(self, name: str, d: int, n_heads: int, depth: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, name: str, d: int, n_heads: int, depth: int, rng: np.random.Generator):
         super().__init__()
-        self.layers = [self._child(TransformerLayer(f"{name}.{i}", d, n_heads, rng, dtype))
+        self.layers = [self._child(TransformerLayer(f"{name}.{i}", d, n_heads, rng))
                        for i in range(depth)]
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -162,10 +164,9 @@ class AttentionBlock(Module):
 
 
 class Embedding(Module):
-    def __init__(self, name: str, vocab: int, d: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, name: str, vocab: int, d: int, rng: np.random.Generator):
         super().__init__()
-        self.table = self._param(name, _normal(rng, (vocab, d), dtype))
+        self.table = self._param(name, _normal(rng, (vocab, d)))
 
     def __call__(self, ids) -> Tensor:
         return ad.gather(self.table, np.asarray(ids, dtype=np.intp))
@@ -174,26 +175,23 @@ class Embedding(Module):
 class BiLstm(Module):
     """Bidirectional LSTM returning per-position [fwd; bwd] states."""
 
-    def __init__(self, name: str, din: int, hidden: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, name: str, din: int, hidden: int, rng: np.random.Generator):
         super().__init__()
         self.hidden = hidden
-        self.dtype = dtype
         self.cells: list[dict] = []
         for direction in ("f", "b"):
             prefix = f"{name}.0.{direction}"  # the names checkpoints address
             self.cells.append({
-                "wx": self._param(f"{prefix}.wx", _normal(rng, (din, 4 * hidden), dtype)),
-                "wh": self._param(f"{prefix}.wh", _normal(rng, (hidden, 4 * hidden), dtype)),
-                "b": self._param(f"{prefix}.b", np.zeros(4 * hidden, dtype=dtype)),
+                "wx": self._param(f"{prefix}.wx", _normal(rng, (din, 4 * hidden))),
+                "wh": self._param(f"{prefix}.wh", _normal(rng, (hidden, 4 * hidden))),
+                "b": self._param(f"{prefix}.b", np.zeros(4 * hidden)),
             })
 
     def _run_direction(self, x: Tensor, cell: dict, reverse: bool) -> Tensor:
         n = x.shape[0]
         h = self.hidden
         zx = ad.matmul(x, cell["wx"]) + cell["b"]  # (n, 4h): input part hoisted
-        h_t = Tensor(np.zeros((1, h), dtype=self.dtype))
-        c_t = Tensor(np.zeros((1, h), dtype=self.dtype))
+        h_t = c_t = Tensor(np.zeros((1, h), dtype=cell["wh"].dtype))  # a constant: never written
         order = range(n - 1, -1, -1) if reverse else range(n)
         outs: list[Tensor | None] = [None] * n
         for t in order:

@@ -30,13 +30,13 @@ class BoundaryScorer(Module):
     """
 
     def __init__(self, name: str, vocab_size: int, emb_dim: int, hidden: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__()
         self.vocab_size = vocab_size
         self.hidden = hidden
-        self.emb = self._child(Embedding(f"{name}.emb", vocab_size, emb_dim, rng, dtype))
-        self.rnn = self._child(BiLstm(f"{name}.rnn", emb_dim, hidden, rng, dtype))
-        self.head = self._child(Mlp(f"{name}.head", 2 * hidden, hidden, 1, rng, dtype))
+        self.emb = self._child(Embedding(f"{name}.emb", vocab_size, emb_dim, rng))
+        self.rnn = self._child(BiLstm(f"{name}.rnn", emb_dim, hidden, rng))
+        self.head = self._child(Mlp(f"{name}.head", 2 * hidden, hidden, 1, rng))
 
     def __call__(self, token_ids: np.ndarray) -> Tensor:
         """Logits for boundaries 1..n-1; shape (n-1,). n = 1 gives shape (0,)."""

@@ -63,10 +63,10 @@ def walk(root: Node) -> Iterator[Node]:
         stack.extend(reversed(node.children))
 
 
-def assign_spans(root: Node, start: int = 1) -> int:
+def assign_spans(root: Node) -> int:
     """Fill 1-based token spans; returns the next free position."""
     nodes = list(walk(root))
-    pos = start
+    pos = 1
     for node in nodes:
         if node.is_leaf:
             node.span = (pos, pos)
@@ -211,17 +211,11 @@ def write_tree_file(path: str, roots: list[Node]) -> None:
 # ---------------------------------------------------------------------------
 
 def left_branching(tokens: list[str]) -> Node:
-    node = leaf(tokens[0], 1)
-    for pos, tok in enumerate(tokens[1:], start=2):
-        node = branch([node, leaf(tok, pos)])
-    return node
+    return tree_from_splits(descend(len(tokens), lambda i, j: j - 1), tokens)
 
 
 def right_branching(tokens: list[str]) -> Node:
-    node = leaf(tokens[-1], len(tokens))
-    for pos in range(len(tokens) - 1, 0, -1):
-        node = branch([leaf(tokens[pos - 1], pos), node])
-    return node
+    return tree_from_splits(descend(len(tokens), lambda i, j: i), tokens)
 
 
 def random_binary(tokens: list[str], rng: np.random.Generator) -> Node:

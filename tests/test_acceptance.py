@@ -51,8 +51,7 @@ def test_criterion_1_oracle_equivalence():
         layers = 1 + trial % 2       # 1..2
         share = trial % 3 != 0
         stack = CioStack("cio", layers=layers, d=16, heads=4, depth=1,
-                         share=share, rng=np.random.default_rng(trial),
-                         dtype=np.float64)
+                         share=share, rng=np.random.default_rng(trial))
         x = Tensor(np.random.default_rng(1000 + trial).standard_normal((n, 16)))
         result = run_stack(x, stack, _full_chart_plan(n, seed=trial))
         oracle = full_chart_reference(x.data, stack)
@@ -97,7 +96,7 @@ def test_criterion_2_cumulative_outside_equivalence():
     engine_worst = 0.0
     for seed in range(4):
         stack = CioStack("cio", layers=2, d=16, heads=4, depth=1, share=True,
-                         rng=np.random.default_rng(seed), dtype=np.float64)
+                         rng=np.random.default_rng(seed))
         n = 6 + seed
         x = Tensor(np.random.default_rng(50 + seed).standard_normal((n, 16)))
         result = run_stack(x, stack, _pruned_plan(n, m=2, seed=seed))

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -104,6 +105,22 @@ def test_unknown_dtype_is_value_error(tmp_path):
         path = tmp_path / "dtype.ckpt"
         path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header + b"\0" * 8)
         with pytest.raises(ValueError, match=f"unknown dtype '{dtype}' for tensor w"):
+            load_checkpoint(str(path))
+
+
+def test_big_endian_dtype_is_value_error(tmp_path):
+    path = tmp_path / "swapped.ckpt"
+    save_checkpoint(str(path), {"w": np.float32([0, 1, 2])}, {})
+    raw = path.read_bytes()
+    assert raw.count(b'"<f4"') == 1
+    path.write_bytes(raw.replace(b'"<f4"', b'">f4"'))  # loaded, it reads [0, 4.6e-41, 9e-44]
+    with pytest.raises(ValueError, match="big-endian dtype '>f4' for tensor w"):
+        load_checkpoint(str(path))
+    # big-endian inside a subarray or a field, where `dtype.byteorder` reads "|"
+    for dtype, shape in (("(1,)>f4", [2]), ("<f4,>f4", [1])):
+        _write_header(path, {"tensors": [{"name": "w", "shape": shape, "dtype": dtype,
+                                          "nbytes": 8}], "config": {}, "extra": {}})
+        with pytest.raises(ValueError, match=re.escape(f"big-endian dtype '{dtype}'")):
             load_checkpoint(str(path))
 
 

@@ -28,7 +28,7 @@ def _full_plan(n, seed=0):
 
 def _stack(layers=1, d=8, seed=0, share=True, depth=1):
     return CioStack("cio", layers=layers, d=d, heads=2, depth=depth,
-                    share=share, rng=np.random.default_rng(seed), dtype=np.float64)
+                    share=share, rng=np.random.default_rng(seed))
 
 
 def _run(n, stack, seed=1, stats=None):
@@ -70,7 +70,7 @@ def compatibility(x, y, head_pair, head="inside"):
 
 def test_compose_depth0_returns_slot_plus_role():
     rng = np.random.default_rng(0)
-    params = ComposeParams("c", d=6, heads=2, depth=0, rng=rng, dtype=np.float64)
+    params = ComposeParams("c", d=6, heads=2, depth=0, rng=rng)
     l, r, p = (Tensor(rng.standard_normal(6)) for _ in range(3))
     np.testing.assert_allclose(
         compose(l, r, p, params, mode="inside").data,
@@ -84,7 +84,7 @@ def test_compose_depth0_returns_slot_plus_role():
 
 
 def test_compose_mode_errors():
-    params = ComposeParams("c", 4, 2, 1, np.random.default_rng(1), np.float64)
+    params = ComposeParams("c", 4, 2, 1, np.random.default_rng(1))
     v = Tensor(np.zeros(4))
     with pytest.raises(ValueError, match="target_slot"):
         compose(v, v, v, params, mode="outside")
@@ -98,7 +98,7 @@ def test_compose_equal_roles_makes_children_exchangeable():
     # with identical role embeddings attention cannot tell left from right,
     # so the parent readout is symmetric in the children
     rng = np.random.default_rng(2)
-    params = ComposeParams("c", d=6, heads=2, depth=1, rng=rng, dtype=np.float64)
+    params = ComposeParams("c", d=6, heads=2, depth=1, rng=rng)
     params.roles.data[...] = params.roles.data[0]
     l, r, p = (Tensor(rng.standard_normal(6)) for _ in range(3))
     a = compose(l, r, p, params, mode="inside").data
@@ -108,7 +108,7 @@ def test_compose_equal_roles_makes_children_exchangeable():
 
 def test_compose_role_embeddings_break_symmetry():
     rng = np.random.default_rng(3)
-    params = ComposeParams("c", d=6, heads=2, depth=1, rng=rng, dtype=np.float64)
+    params = ComposeParams("c", d=6, heads=2, depth=1, rng=rng)
     l, r, p = (Tensor(rng.standard_normal(6)) for _ in range(3))
     a = compose(l, r, p, params, mode="inside").data
     b = compose(r, l, p, params, mode="inside").data

@@ -311,6 +311,28 @@ def test_pretrain_rejects_an_over_long_line_before_any_work(workdir, capsys, lim
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_pretrain_rejects_a_line_that_is_one_word_before_any_work(workdir, capsys, resume):
+    vocab = workdir / "pieces.txt"
+    vocab.write_text((workdir / "vocab.txt").read_text().replace("k 11", "##b 11"))
+    corpus = workdir / "corpus.txt"
+    corpus.write_text("a b\n\na ##b\n")  # the blank line still counts
+    if resume:
+        mcfg, tcfg = parse_config_file(_p(workdir, "config.txt"))
+        ckpt = _p(workdir, "pieces.ckpt")
+        Trainer(ChartLM(mcfg, np.random.default_rng(0)), tcfg, [["a"]],
+                Vocab.from_file(str(vocab))).save(ckpt)
+        source = ["--resume", ckpt]
+    else:
+        source = ["--vocab", str(vocab), "--config", _p(workdir, "config.txt")]
+    out = workdir / "run"
+    rc = dispatch(["pretrain", "--corpus", str(corpus), *source, "--out", str(out)])
+    assert rc == 3
+    assert (f"error: {corpus}:3: no admissible tree: every boundary is non-splittable"
+            in capsys.readouterr().err)
+    assert not (out / "manifest.json").exists()
+
+
 def test_pretrain_resume_checks_lines_against_the_checkpoint_config(workdir, capsys):
     corpus = workdir / "corpus.txt"
     corpus.write_text("a b c\n\na b c d e f\n")
@@ -490,6 +512,19 @@ def test_bad_checkpoint_vocabulary_names_the_field(workdir, capsys, command, tok
     assert rc == 3
     assert f"error: checkpoint field vocab: {message}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_parse_rejects_a_big_endian_tensor(workdir, capsys):
+    ckpt = _untrained_ckpt(workdir)
+    raw = open(ckpt, "rb").read()
+    with open(ckpt, "wb") as fh:  # one flipped bit: '<' is 0x3c, '>' is 0x3e
+        fh.write(raw.replace(b'"dtype": "<f8"', b'"dtype": ">f8"', 1))
+    out = _p(workdir, "trees.txt")
+    rc = dispatch(["parse", "--ckpt", ckpt, "--input", _p(workdir, "corpus.txt"),
+                   "--out", out])
+    assert rc == 3
+    assert "error: big-endian dtype '>f8' for tensor " in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,15 @@ def test_default_config_runs_in_float32():
     assert out.mlm_loss.dtype == np.float32
 
 
+def test_float32_model_is_the_float64_model_cast_once():
+    wide = _model(seed=17).parameter_map()
+    narrow = _model(seed=17, dtype="float32").parameter_map()
+    assert list(narrow) == list(wide)
+    for name, p in narrow.items():
+        assert p.data.dtype == np.float32, name
+        np.testing.assert_array_equal(p.data, wide[name].data.astype(np.float32))
+
+
 def test_fast_encode_follows_parser_tree():
     model = _model(seed=8)
     ids = np.array([1, 2, 3, 4, 5, 6])

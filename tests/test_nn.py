@@ -1,8 +1,11 @@
 """Layer tests: attention vs a hand-rolled numpy reference, init identities."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import chartlm.model  # noqa: F401  (registers every Module subclass)
 from chartlm import autodiff as ad
 from chartlm import nn
 from chartlm.autodiff import Tensor
@@ -44,7 +47,7 @@ def _reference_layer(x, p, prefix, d, h):
 def test_attention_block_matches_numpy_reference():
     rng = np.random.default_rng(0)
     d, h, n = 8, 2, 3
-    block = nn.AttentionBlock("blk", d, h, depth=2, rng=rng, dtype=np.float64)
+    block = nn.AttentionBlock("blk", d, h, depth=2, rng=rng)
     # biases are zero at init; randomize so the reference exercises them
     for p in block.parameters():
         if p.data.sum() == 0.0:
@@ -70,7 +73,7 @@ def test_attention_block_depth_zero_is_identity():
 
 def test_attention_zero_output_projection_residual_identity():
     rng = np.random.default_rng(2)
-    layer = nn.TransformerLayer("t", 8, 2, rng, dtype=np.float64)
+    layer = nn.TransformerLayer("t", 8, 2, rng)
     for p in layer.parameters():
         if p.name in ("t.attn.wo.w", "t.ffn2.w"):
             p.data[...] = 0.0
@@ -81,7 +84,7 @@ def test_attention_zero_output_projection_residual_identity():
 def test_attention_is_permutation_equivariant():
     # no positional encodings, so reordering tokens reorders outputs
     rng = np.random.default_rng(3)
-    block = nn.AttentionBlock("blk", 8, 4, depth=1, rng=rng, dtype=np.float64)
+    block = nn.AttentionBlock("blk", 8, 4, depth=1, rng=rng)
     x = rng.standard_normal((1, 6, 8))
     perm = rng.permutation(6)
     out = block(Tensor(x)).data[0]
@@ -96,14 +99,14 @@ def test_attention_rejects_bad_head_count():
 
 def test_residual_mlp_is_identity_at_init():
     rng = np.random.default_rng(4)
-    m = nn.ResidualMlp("m", 6, rng, dtype=np.float64)
+    m = nn.ResidualMlp("m", 6, rng)
     x = rng.standard_normal((3, 6))
     np.testing.assert_array_equal(m(Tensor(x)).data, x)
 
 
 def test_residual_mlp_gradients_flow_through_both_layers():
     rng = np.random.default_rng(5)
-    m = nn.ResidualMlp("m", 4, rng, dtype=np.float64)
+    m = nn.ResidualMlp("m", 4, rng)
     # perturb fc2 away from zero so fc1 receives signal
     m.fc2.w.data[...] = rng.standard_normal((4, 4)) * 0.1
     x = rng.standard_normal((2, 4))
@@ -114,7 +117,7 @@ def test_residual_mlp_gradients_flow_through_both_layers():
 
 def test_linear_applies_bias():
     rng = np.random.default_rng(6)
-    lin = nn.Linear("l", 3, 2, rng, dtype=np.float64)
+    lin = nn.Linear("l", 3, 2, rng)
     lin.b.data[...] = [1.0, -2.0]
     x = rng.standard_normal((4, 3))
     np.testing.assert_allclose(lin(Tensor(x)).data, x @ lin.w.data + lin.b.data,
@@ -130,7 +133,7 @@ def test_embedding_lookup_matches_table_rows():
 
 def test_bilstm_shapes_and_determinism():
     rng = np.random.default_rng(8)
-    lstm = nn.BiLstm("b", din=5, hidden=3, rng=rng, dtype=np.float64)
+    lstm = nn.BiLstm("b", din=5, hidden=3, rng=rng)
     x = rng.standard_normal((7, 5))
     out1 = lstm(Tensor(x)).data
     out2 = lstm(Tensor(x)).data
@@ -142,7 +145,7 @@ def test_bilstm_direction_locality():
     # forward half at position 0 depends only on token 0; flipping the last
     # token must leave it unchanged while the backward half moves
     rng = np.random.default_rng(9)
-    lstm = nn.BiLstm("b", din=4, hidden=3, rng=rng, dtype=np.float64)
+    lstm = nn.BiLstm("b", din=4, hidden=3, rng=rng)
     x = rng.standard_normal((5, 4))
     y = x.copy()
     y[-1] += 1.0
@@ -157,3 +160,29 @@ def test_parameter_names_are_unique_paths():
     block = nn.AttentionBlock("blk", 8, 2, depth=2, rng=rng)
     m = block.parameter_map()  # raises on duplicates
     assert "blk.0.attn.wq.w" in m and "blk.1.ffn2.b" in m
+
+
+def test_astype_casts_in_place_and_keeps_every_parameter():
+    block = nn.AttentionBlock("blk", 8, 2, depth=1, rng=np.random.default_rng(11))
+    before = block.parameter_map()
+    wide = {name: p.data.copy() for name, p in before.items()}
+    assert all(a.dtype == np.float64 for a in wide.values())
+    block.astype(np.float32)
+    after = block.parameter_map()
+    assert list(after) == list(before)
+    for name, p in after.items():
+        assert p is before[name]
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, wide[name].astype(np.float32))
+
+
+def test_no_module_constructor_takes_a_dtype():
+    todo, seen = [nn.Module], []
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {"Linear", "BiLstm", "CioStack", "BoundaryScorer", "ChartLM"} <= \
+        {cls.__name__ for cls in seen}
+    for cls in seen:
+        assert "dtype" not in inspect.signature(cls.__init__).parameters, cls.__name__

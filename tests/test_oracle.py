@@ -10,7 +10,7 @@ from chartlm.oracle import (ORACLE_MAX_N, best_tree_exhaustive,
 
 def _stack(seed=0, d=6, layers=1):
     return CioStack("cio", layers=layers, d=d, heads=2, depth=1, share=True,
-                    rng=np.random.default_rng(seed), dtype=np.float64)
+                    rng=np.random.default_rng(seed))
 
 
 def test_oracle_refuses_large_sentences():
