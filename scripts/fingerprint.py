@@ -10,10 +10,12 @@ It uses whichever `chartlm` is first on the import path (this checkout's
 comparing the output shows whether they compute the same bits. Inputs come
 from perfbench's workload generators at seed 1:
 
-- records, parameters, checkpoint: 4 `masked` then 4 `fast` train steps of
-  `new_model()` on `train_corpus(1)`; the step records without `wall_ms`,
-  every parameter's name, dtype and bytes afterwards, and the file
-  `Trainer.save` writes then;
+- records, gradients, parameters, checkpoint: 4 `masked` then 4 `fast` train
+  steps of `new_model()` on `train_corpus(1)`; the step records without
+  `wall_ms`, every parameter's name and raw `grad` bytes after each step (a
+  marker where `grad` is None), every parameter's name, dtype and bytes
+  afterwards, and the file `Trainer.save` writes then. The gradients part
+  tells +0.0 from -0.0, which AdamW maps to the same update;
 - parses: the first 10 ladder sentences, each parsed in full and in fast
   mode by a fresh `new_model()`; the logits and the split map of each.
 
@@ -47,12 +49,14 @@ PARSES = 10
 def train_parts() -> dict[str, str]:
     trainer = Trainer(workloads.new_model(), TrainConfig(seed=SEED),
                       workloads.train_corpus(SEED), Vocab(VOCAB_TOKENS))
-    records = hashlib.sha1()
+    records, grads = hashlib.sha1(), hashlib.sha1()
     for i, phase in enumerate(["masked"] * STEPS_PER_PHASE + ["fast"] * STEPS_PER_PHASE):
         trainer.cfg.phase = phase
         metrics = trainer.train_step(trainer.batches[i % len(trainer.batches)])
         del metrics["wall_ms"]
         records.update(json.dumps(metrics, sort_keys=True).encode())
+        for name, p in trainer.model.parameter_map().items():
+            grads.update(name.encode() + (b"None" if p.grad is None else p.grad.tobytes()))
     params = hashlib.sha1()
     for name, p in trainer.model.parameter_map().items():
         params.update(name.encode() + p.data.dtype.str.encode() + p.data.tobytes())
@@ -60,7 +64,8 @@ def train_parts() -> dict[str, str]:
         path = os.path.join(tmp, "model.ckpt")
         trainer.save(path)
         checkpoint = hashlib.sha1(Path(path).read_bytes())
-    return {"records": records.hexdigest(), "parameters": params.hexdigest(),
+    return {"records": records.hexdigest(), "gradients": grads.hexdigest(),
+            "parameters": params.hexdigest(),
             "checkpoint": checkpoint.hexdigest()}
 
 

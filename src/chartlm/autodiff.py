@@ -111,9 +111,6 @@ class Tensor:
                     if p.requires_grad:
                         p._accum(g)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
@@ -142,10 +139,7 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        return index(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
+        return gather(self, key)
 
 
 class Parameter(Tensor):
@@ -280,44 +274,21 @@ def broadcast_to(a, shape) -> Tensor:
                  lambda g: (_unbroadcast(g, a.shape),))
 
 
-def index(a, key) -> Tensor:
-    """Basic indexing (ints/slices); returns a copy, scatters grad back."""
+def gather(a, key) -> Tensor:
+    """`a[key]` for any numpy key: ints and slices, an index array of rows,
+    or a tuple of them. The result never aliases `a`; the VJP scatters back,
+    summing the gradients of repeated indices."""
     a = as_tensor(a)
+    out = a.data[key]
+    if out.base is not None:  # basic indexing returns a view
+        out = out.copy()
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[key] = g
+        np.add.at(full, key, g)
         return (full,)
 
-    return _node(np.array(a.data[key]), (a,), vjp)
-
-
-def gather(a, idx) -> Tensor:
-    """Rows of `a` at the integer array `idx` (any shape); duplicate indices
-    accumulate grads."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _node(np.take(a.data, idx, axis=0), (a,), vjp)
-
-
-def take_pairs(a, rows, cols) -> Tensor:
-    """a[rows, cols] for index arrays; used for picking label logits."""
-    a = as_tensor(a)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, cols), g)
-        return (full,)
-
-    return _node(a.data[rows, cols], (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -337,21 +308,21 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # reductions and matmul
 # ---------------------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape),)
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return _node(a.data.sum(axis=axis), (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every element."""
     a = as_tensor(a)
-    n = a.data.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return mul(tsum(a), 1.0 / float(a.data.size))
 
 
 def matmul(a, b) -> Tensor:
@@ -440,7 +411,7 @@ def gradient_check(build_loss: Callable[[], Tensor],
     """
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = build_loss()
     loss.backward()
     report: dict[str, float] = {}

@@ -100,7 +100,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
         if header_len > size - fh.tell():
             raise ValueError(f"truncated checkpoint header: {header_len} bytes declared, "
                              f"{size - fh.tell()} present")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except RecursionError:
+            raise ValueError("malformed checkpoint header: JSON nested too deeply") from None
         _check_header(header)
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:

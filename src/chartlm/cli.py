@@ -23,8 +23,8 @@ from .model import ChartLM, ReCatConfig
 from .pruning import apply_nonsplittable
 from .training import (TrainConfig, Trainer, Vocab, decode_run, forbidden_boundaries,
                        load_model, numbered_sentences, read_corpus)
-from .trees import (leaves, left_branching, random_binary, read_tree_file,
-                    right_branching, write_tree_file)
+from .trees import (left_branching, random_binary, read_tree_file, right_branching,
+                    write_tree_file)
 
 
 class UsageError(Exception):
@@ -164,12 +164,7 @@ def _cmd_parse(args) -> int:
 def _cmd_eval_f1(args) -> int:
     preds = read_tree_file(args.pred)
     golds = read_tree_file(args.gold)
-    pieces = []
-    for tree in preds:
-        toks = [l.token or "" for l in leaves(tree)]
-        pieces.append(toks if any(t.startswith("##") for t in toks) else None)
-    mean = corpus_f1(preds, golds, pieces)
-    print(f"F1 {mean:.2f}")
+    print(f"F1 {corpus_f1(preds, golds):.2f}")
     for label, recall in label_recalls(preds, golds).items():
         if label != "X":
             print(f"{label} {recall:.2f}")

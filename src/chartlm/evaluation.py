@@ -60,35 +60,26 @@ def _f1(pred: set[Span], gold: set[Span]) -> float:
     return 200.0 * precision * recall / (precision + recall)
 
 
-def sentence_f1(pred: Node, gold: Node, pieces: list[str] | None = None) -> float:
+def sentence_f1(pred: Node, gold: Node) -> float:
     """Unlabeled bracket F1 in [0, 100]; gold may be n-ary.
 
-    When `pieces` (the word pieces pred was parsed over) is given, pred
-    brackets are collapsed to word level and gold is read as word-level.
+    Gold is read as word-level; pred brackets are collapsed to word level by
+    its leaves, a '##' leaf continuing the word before it.
     """
-    pred_spans = bracket_spans(pred)
-    n_pred = len(leaves(pred))
-    if pieces is not None:
-        if len(pieces) != n_pred:
-            raise ValueError(f"piece list has {len(pieces)} entries, tree has {n_pred} leaves")
-        mapping = piece_to_word(pieces)
-        pred_spans = collapse_spans(pred_spans, mapping)
-        n_pred = mapping[-1] if mapping else 0
-    n_gold = len(leaves(gold))
+    mapping = piece_to_word([leaf.token or "" for leaf in leaves(pred)])
+    n_pred, n_gold = mapping[-1], len(leaves(gold))
     if n_pred != n_gold:
         raise ValueError(f"length mismatch: pred has {n_pred} words, gold has {n_gold}")
-    return _f1(pred_spans, bracket_spans(gold))
+    return _f1(collapse_spans(bracket_spans(pred), mapping), bracket_spans(gold))
 
 
-def corpus_f1(preds: list[Node], golds: list[Node],
-              pieces: list[list[str]] | None = None) -> float:
+def corpus_f1(preds: list[Node], golds: list[Node]) -> float:
     """Mean sentence F1."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predicted trees vs {len(golds)} gold trees")
     if not preds:
         raise ValueError("empty corpus")
-    piece_lists: list[list[str] | None] = pieces if pieces is not None else [None] * len(preds)
-    scores = [sentence_f1(p, g, w) for p, g, w in zip(preds, golds, piece_lists)]
+    scores = [sentence_f1(p, g) for p, g in zip(preds, golds)]
     return float(sum(scores) / len(scores))
 
 

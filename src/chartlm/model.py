@@ -237,5 +237,5 @@ class ChartLM(Module):
             raise ValueError("positions/targets length mismatch")
         rows = ad.gather(logits, positions)
         logp = ad.log_softmax(rows, axis=-1)
-        picked = ad.take_pairs(logp, np.arange(len(positions)), targets)
+        picked = logp[np.arange(len(positions)), targets]
         return -ad.tmean(picked)

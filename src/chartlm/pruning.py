@@ -53,7 +53,7 @@ class BoundaryScorer(Module):
         # boundary k sits between tokens k and k+1: forward state of the
         # prefix, backward state of the suffix
         feats = ad.concat([states[0:n - 1, 0:h], states[1:n, h:2 * h]], axis=1)
-        return self.head(feats).reshape((n - 1,))
+        return ad.reshape(self.head(feats), (n - 1,))
 
 
 def apply_nonsplittable(scores, forbidden: set[int] | frozenset[int]):

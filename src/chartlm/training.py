@@ -26,6 +26,7 @@ from .checkpoint import (apply_parameters, collect_parameters, load_checkpoint,
                          replace_file, save_checkpoint)
 from .inside_outside import EngineStats
 from .model import ChartLM, Config, ReCatConfig
+from .trees import numbered_lines
 
 MASK_TOKEN = "[MASK]"
 
@@ -70,20 +71,19 @@ class Vocab:
     @classmethod
     def from_file(cls, path: str) -> "Vocab":
         id_of: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    token, token_id = line.split()
-                    token_id = int(token_id)
-                except ValueError:
-                    raise ValueError(f"{path}:{line_no}: expected 'token id', "
-                                     f"got {line!r}") from None
-                if token in id_of:
-                    raise ValueError(f"{path}:{line_no}: duplicate token {token!r}")
-                id_of[token] = token_id
+        for line_no, line in numbered_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                token, token_id = line.split()
+                token_id = int(token_id)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected 'token id', "
+                                 f"got {line!r}") from None
+            if token in id_of:
+                raise ValueError(f"{path}:{line_no}: duplicate token {token!r}")
+            id_of[token] = token_id
         if sorted(id_of.values()) != list(range(len(id_of))):
             raise ValueError(f"{path}: vocabulary ids must be dense, starting at 0")
         return cls(sorted(id_of, key=id_of.__getitem__), source=path)
@@ -96,11 +96,10 @@ class Vocab:
 
 def numbered_sentences(path: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) of each non-blank line, whitespace-tokenized."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            toks = line.split()
-            if toks:
-                yield line_no, toks
+    for line_no, line in numbered_lines(path):
+        toks = line.split()
+        if toks:
+            yield line_no, toks
 
 
 def read_corpus(path: str) -> list[list[str]]:
@@ -424,7 +423,7 @@ def _drop_records_from(path: str, step: int) -> None:
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # JSON nested too deeply
             raise ValueError(f"{path}:{line_no}: not a JSON record: {exc}") from None
         if not isinstance(record, dict) or type(record.get("step")) is not int:
             raise ValueError(f"{path}:{line_no}: record has no integer 'step'")

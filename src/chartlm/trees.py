@@ -187,16 +187,29 @@ def parse_sexpr(text: str) -> Node:
     return root
 
 
+def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, text) of each line of a UTF-8 text file; a line
+    that is not UTF-8 raises ValueError naming its path:line. Undecodable
+    bytes decode to lone surrogates and are caught line by line, so the
+    error names the right line however far ahead the file is buffered."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{line_no}: not UTF-8") from None
+            yield line_no, line
+
+
 def read_tree_file(path: str) -> list[Node]:
     """One tree per non-blank line; a bad line raises ValueError naming its path:line."""
     trees = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                if line.strip():
-                    trees.append(parse_sexpr(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in numbered_lines(path):
+        try:
+            if line.strip():
+                trees.append(parse_sexpr(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return trees
 
 

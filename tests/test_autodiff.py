@@ -193,7 +193,7 @@ def test_take_pairs_gradient():
     a = Parameter("a", rng.standard_normal((4, 5)))
     rows = np.array([0, 1, 3, 3])
     cols = np.array([2, 2, 0, 4])
-    _check(lambda: ad.tsum(ad.take_pairs(a, rows, cols) * np.array([1.0, -2, 3, 0.5])), [a])
+    _check(lambda: ad.tsum(ad.gather(a, (rows, cols)) * np.array([1.0, -2, 3, 0.5])), [a])
 
 
 def test_concat_stack_gradients():
@@ -271,6 +271,21 @@ def test_layer_norm_gradient():
     b = Parameter("b", rng.standard_normal(6))
     w = rng.standard_normal((4, 6))
     _check(lambda: ad.tsum(ad.layer_norm(x, g, b) * w), [x, g, b])
+
+
+def test_gather_mixed_key_gradient():
+    # run_stack reads one compose slot of a (pairs, 3, d) block this way
+    rng = np.random.default_rng(9)
+    a = Parameter("a", rng.standard_normal((4, 3, 5)))
+    w = rng.standard_normal((4, 5))
+    _check(lambda: ad.tsum(ad.gather(a, (slice(None), 1, slice(None))) * w), [a])
+
+
+def test_basic_key_gather_returns_a_copy():
+    src = np.arange(12.0).reshape(3, 4)
+    out = ad.gather(Tensor(src), (slice(None), 1))
+    src[:, 1] = -1.0
+    np.testing.assert_array_equal(out.data, [1.0, 5.0, 9.0])
 
 
 def test_index_scatter_backward():

@@ -355,7 +355,8 @@ def _finished_run(workdir):
 @pytest.mark.parametrize("bad_line, message", [
     ("not json", "not a JSON record"),
     ('{"loss": 1}', "record has no integer 'step'"),
-], ids=["not_json", "no_step"])
+    ("[" * 200000 + "]" * 200000, "not a JSON record"),
+], ids=["not_json", "no_step", "too_deep"])
 def test_resume_names_the_bad_metrics_line(workdir, capsys, bad_line, message):
     ckpt, metrics = _finished_run(workdir)
     with open(metrics, "a", encoding="utf-8") as fh:
@@ -431,6 +432,16 @@ def test_parse_malformed_checkpoint_header_is_numeric_error(workdir, capsys):
                    "--out", _p(workdir, "trees.txt")])
     assert rc == 3
     assert "malformed checkpoint header" in capsys.readouterr().err
+
+
+def test_parse_deeply_nested_checkpoint_header_is_numeric_error(workdir, capsys):
+    header = b"[" * 200000 + b"]" * 200000
+    bad = workdir / "deep.ckpt"
+    bad.write_bytes(b"CLMC" + struct.pack("<IQ", 1, len(header)) + header)
+    rc = dispatch(["parse", "--ckpt", str(bad), "--input", _p(workdir, "corpus.txt"),
+                   "--out", _p(workdir, "trees.txt")])
+    assert rc == 3
+    assert "malformed checkpoint header: JSON nested too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -568,6 +579,15 @@ def test_eval_f1_names_the_bad_tree_line(workdir, capsys):
     assert f"error: {pred}:3: unbalanced tree string" in capsys.readouterr().err
 
 
+def test_eval_f1_collapses_a_piece_level_prediction(workdir, capsys):
+    pred = workdir / "pred.txt"
+    pred.write_text("(X (X play ##ing) (X the (X gui ##tar)))\n")
+    gold = workdir / "gold.txt"
+    gold.write_text("(X playing (X the guitar))\n")
+    assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(gold)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "F1 100.00"
+
+
 def test_eval_f1_mismatched_trees(workdir, capsys):
     left, right = _p(workdir, "l.txt"), _p(workdir, "r.txt")
     dispatch(["export-trees", "--input", _p(workdir, "corpus.txt"),
@@ -590,6 +610,30 @@ def test_eval_f1_reports_label_recall(workdir, capsys):
     assert out[0] == "F1 100.00"
     assert "NP 100.00" in out and "VP 100.00" in out
     assert not any(line.startswith("X ") for line in out)
+
+
+@pytest.mark.parametrize("command, flag, good", [
+    ("pretrain", "--vocab", "a 0\n"),
+    ("pretrain", "--corpus", "a b\n"),
+    ("parse", "--input", "a b\n"),
+    ("export-trees", "--input", "a b\n"),
+    ("eval-f1", "--pred", "(X a b)\n"),
+], ids=["pretrain-vocab", "pretrain-corpus", "parse", "export-trees", "eval-f1"])
+def test_undecodable_input_line_names_its_path_and_line(workdir, capsys, command, flag, good):
+    bad = workdir / "bad.txt"
+    bad.write_bytes(good.encode() + b"\n" + good.encode().replace(b"a", b"\xff", 1))  # line 3
+    args = {
+        "pretrain": ["--corpus", _p(workdir, "corpus.txt"), "--vocab", _p(workdir, "vocab.txt"),
+                     "--config", _p(workdir, "config.txt"), "--out", _p(workdir, "run")],
+        "parse": ["--ckpt", _untrained_ckpt(workdir), "--input", _p(workdir, "corpus.txt"),
+                  "--out", _p(workdir, "trees.txt")],
+        "export-trees": ["--input", _p(workdir, "corpus.txt"), "--out", _p(workdir, "t.txt"),
+                         "--baseline", "left"],
+        "eval-f1": ["--pred", _p(workdir, "corpus.txt"), "--gold", _p(workdir, "corpus.txt")],
+    }[command]
+    args[args.index(flag) + 1] = str(bad)
+    assert dispatch([command, *args]) == 3
+    assert f"error: {bad}:3: not UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

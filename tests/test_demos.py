@@ -27,6 +27,6 @@ def test_demo_exits_zero(demo):
 
 def test_fingerprint_prints_one_digest_per_part_and_a_total():
     lines = _run(ROOT / "scripts" / "fingerprint.py").stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["records", "parameters", "checkpoint",
-                                                   "parses", "total"]
+    assert [line.split()[0] for line in lines] == ["records", "gradients", "parameters",
+                                                   "checkpoint", "parses", "total"]
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{40}", line) for line in lines)

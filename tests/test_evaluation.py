@@ -123,20 +123,12 @@ def test_collapse_spans_drops_trivial():
 
 
 def test_sentence_f1_with_pieces():
-    pieces = ["play", "##ing", "the", "gui", "##tar"]
     # piece-level prediction ((play ##ing) ((the) (gui ##tar))) style
     pred = parse_sexpr("(X (X play ##ing) (X the (X gui ##tar)))")
     gold = parse_sexpr("(X playing (X the guitar))")     # 3 words
     # pred word spans: (1,2)->trivial(1,1)? no: pieces 1,2 -> word 1 only ->
     # dropped; (3,5)->(2,3) kept; (4,5)->(3,3) dropped. gold: (2,3).
-    assert sentence_f1(pred, gold, pieces=pieces) == 100.0
-
-
-def test_sentence_f1_piece_count_mismatch():
-    pred = parse_sexpr("(X a b)")
-    gold = parse_sexpr("(X ab)")
-    with pytest.raises(ValueError, match="piece list"):
-        sentence_f1(pred, gold, pieces=["a", "b", "c"])
+    assert sentence_f1(pred, gold) == 100.0
 
 
 # ---------------------------------------------------------------------------
