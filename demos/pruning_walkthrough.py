@@ -10,7 +10,7 @@ grouped into dependency-ready batches.
 
 import numpy as np
 
-from chartlm.pruning import build_cell_batches, prune_schedule, split_order
+from chartlm.pruning import build_cell_batches, merge_rounds, prune_schedule, split_order
 
 # Boundary k separates tokens k and k+1. Higher score = more likely split.
 scores = np.array([0.1, 0.6, 1.0, 0.8, 0.4])
@@ -23,17 +23,18 @@ for span, k in order.items():
 
 # The split order is replayed bottom-up: the LAST splits taken top-down are
 # the FIRST subtrees merged into single units.
-result = prune_schedule(n, window=2, order=order)
-print(f"\nmerge rounds (grouped by subtree height): {result.merge_groups}")
-print(f"flat merge order: {result.merge_order}")
+rounds = merge_rounds(order)
+print(f"\nmerge rounds (grouped by subtree height): {rounds}")
+print(f"flat merge order: {[k for group in rounds for k in group]}")
 
+cells = prune_schedule(n, window=2, order=order)
 print("\nkept cells and their admissible splits:")
-for span in sorted(result.cells):
-    print(f"  span {span}: splits {list(result.cells[span])}")
+for span in sorted(cells):
+    print(f"  span {span}: splits {list(cells[span])}")
 
 # Cells whose every parent was dropped are removed transitively, then the
 # rest are grouped into waves whose dependencies are already encoded.
-schedule = build_cell_batches(result)
+schedule = build_cell_batches(cells)
 print("\nencoding batches (leaves first, root last):")
 for t, batch in enumerate(schedule.batches):
     print(f"  batch {t}: {batch}")

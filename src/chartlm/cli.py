@@ -1,7 +1,8 @@
 """Command-line surface: pretrain, parse, eval-f1, export-trees, gradcheck.
 
-Exit codes are a stable contract: 0 success, 2 usage errors (bad flags,
-missing files, malformed config), 3 numeric or validation failures.
+Exit codes are a stable contract: 0 success, 2 usage errors (bad flags, a
+path that is missing or cannot be opened, malformed config), 3 numeric or
+validation failures.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .checkpoint import load_checkpoint
 from .evaluation import corpus_f1, label_recalls
 from .model import ChartLM, ReCatConfig
 from .pruning import apply_nonsplittable
-from .training import (TrainConfig, Trainer, Vocab, decode_run, forbidden_boundaries,
-                       load_model, numbered_sentences, read_corpus)
-from .trees import (left_branching, random_binary, read_tree_file, right_branching,
-                    write_tree_file)
+from .training import (CHECKPOINT_FILE, METRICS_FILE, TrainConfig, Trainer, Vocab,
+                       decode_run, forbidden_boundaries, load_model, numbered_sentences,
+                       read_corpus)
+from .trees import (left_branching, numbered_lines, random_binary, read_tree_file,
+                    right_branching, write_tree_file)
 
 
 class UsageError(Exception):
@@ -53,22 +55,30 @@ def _coerce(value: str, default) -> object:
 def parse_config_file(path: str) -> tuple[ReCatConfig, TrainConfig]:
     sections: dict[type, dict] = {ReCatConfig: {}, TrainConfig: {}}
     defaults = {f.name: (cls, f.default) for cls in sections for f in fields(cls)}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in defaults:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            cls, default = defaults[key]
-            try:
-                sections[cls][key] = _coerce(value, default)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+    try:
+        lines = list(numbered_lines(path))
+    except ValueError as exc:  # a line that is not UTF-8
+        raise UsageError(str(exc)) from None
+    set_on: dict[str, int] = {}
+    for line_no, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in defaults:
+            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in set_on:
+            raise UsageError(f"{path}:{line_no}: repeated config key {key!r} "
+                             f"(first set on line {set_on[key]})")
+        set_on[key] = line_no
+        cls, default = defaults[key]
+        try:
+            sections[cls][key] = _coerce(value, default)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     return (ReCatConfig.from_dict(sections[ReCatConfig]),
             TrainConfig.from_dict(sections[TrainConfig]))
 
@@ -126,14 +136,14 @@ def _cmd_pretrain(args) -> int:
                    "train": trainer.cfg.to_dict()},
         "inputs": {os.path.abspath(p): blob_sha1(p)
                    for p in (args.corpus, args.vocab, args.config, args.resume) if p},
-        "layout": {"checkpoint": "model.ckpt", "metrics": "metrics.jsonl",
+        "layout": {"checkpoint": CHECKPOINT_FILE, "metrics": METRICS_FILE,
                    "manifest": "manifest.json"},
     }
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
-    records = trainer.train(metrics_path=os.path.join(args.out, "metrics.jsonl"))
+    records = trainer.train()
     if records:
         last = records[-1]
         print(f"trained {trainer.step} steps; final mlm_loss {last['mlm_loss']:.4f} "
@@ -273,6 +283,11 @@ def dispatch(argv: list[str]) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that exists but cannot be opened as asked
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,6 @@ length for a fixed window m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -122,40 +120,30 @@ def parser_nll(scores, order: dict[Span, int]) -> Tensor | float:
 # chart pruning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PruneResult:
-    """Cells in append order, before dependency batching.
-
-    `cells` maps each surviving span to its kept split points, in the order
-    the spans were first written. `merge_groups` records which boundaries
-    merged simultaneously in each round (tree height order).
-    """
-
-    n: int
-    cells: dict[Span, tuple[int, ...]]
-    merge_groups: list[list[int]]
-
-    @property
-    def merge_order(self) -> list[int]:
-        return [k for group in self.merge_groups for k in group]
-
-
-def _tree_heights(order: dict[Span, int]) -> dict[int, int]:
-    """Height of each split's tree node: 1 + max over children, leaves 0."""
+def merge_rounds(order: dict[Span, int]) -> list[list[int]]:
+    """The bottom-up replay of a split map as rounds of boundaries: a node
+    merges in round h - 1 for its height h (1 + its taller child's, leaves
+    0), and each round is sorted."""
     height: dict[Span, int] = {}
+    rounds: list[list[int]] = []
+    # a child is narrower than its parent, so its height is known first
     for (i, j), k in sorted(order.items(), key=lambda item: item[0][1] - item[0][0]):
-        height[(i, j)] = 1 + max(height.get((i, k), 0), height.get((k + 1, j), 0))
-    return {k: height[span] for span, k in order.items()}
+        h = height[(i, j)] = 1 + max(height.get((i, k), 0), height.get((k + 1, j), 0))
+        if h > len(rounds):
+            rounds.append([])
+        rounds[h - 1].append(k)
+    return [sorted(group) for group in rounds]
 
 
-def prune_schedule(n: int, window: int, order: dict[Span, int]) -> PruneResult:
+def prune_schedule(n: int, window: int, order: dict[Span, int]) -> dict[Span, tuple[int, ...]]:
     """Decide surviving cells and their split points from a decoded tree.
 
     Starts from all spans of width <= window with full split sets, then
-    replays the tree bottom up: boundaries merge in rounds grouped by node
-    height, and after each round every newly expressible contiguous group of
-    at most window+1 units is encoded with the unit boundaries as its splits.
-    The first split set written for a span is the one that is kept.
+    replays the tree bottom up in its `merge_rounds`, and after each round
+    encodes every newly expressible contiguous group of at most window+1
+    units with the unit boundaries as its splits. Returns each cell's kept
+    splits, the first set written for its span, in the order the cells
+    were first written.
     """
     if window < 2:
         # one-split cells only arise from a decoded tree; see tree_schedule
@@ -168,24 +156,16 @@ def prune_schedule(n: int, window: int, order: dict[Span, int]) -> PruneResult:
         for i in range(1, n - width + 2):
             cells[(i, i + width - 1)] = tuple(range(i, i + width - 1))
 
-    merge_groups: list[list[int]] = []
-    if n > min(window, n):
+    if n > window:
         units: list[Span] = [(i, i) for i in range(1, n + 1)]
         span_of = {k: span for span, k in order.items()}
-        heights = _tree_heights(order)
-        by_height: dict[int, list[int]] = {}
-        for k, h in heights.items():
-            by_height.setdefault(h, []).append(k)
-
-        for h in sorted(by_height):
-            group = sorted(by_height[h])
+        for group in merge_rounds(order):
             for k in group:
                 span = span_of[k]
                 first = next(t for t, u in enumerate(units) if u[0] == span[0])
                 if units[first][1] != k or units[first + 1] != (k + 1, span[1]):
                     raise ValueError(f"merge at boundary {k} does not cover two units")
                 units[first:first + 2] = [span]
-            merge_groups.append(group)
             for size in range(2, window + 2):
                 for a in range(len(units) - size + 1):
                     span = (units[a][0], units[a + size - 1][1])
@@ -194,18 +174,19 @@ def prune_schedule(n: int, window: int, order: dict[Span, int]) -> PruneResult:
 
     if (1, n) not in cells and n > 1:
         raise ValueError("pruning never encoded the sentence span")
-    return PruneResult(n=n, cells=cells, merge_groups=merge_groups)
+    return cells
 
 
-def build_cell_batches(result: PruneResult) -> Schedule:
+def build_cell_batches(cells: dict[Span, tuple[int, ...]]) -> Schedule:
     """Turn pruned cells into dependency batches for the chart engine.
 
-    A cell whose outputs no other surviving cell reads is dropped (the
-    sentence span is exempt); drops cascade. Remaining cells are laid out in
-    waves: a cell joins the first batch in which every span its splits touch
-    is already available.
+    The sentence length n is read off the widest span, `(1, n)`, and is 1
+    for an empty map. A cell whose outputs no other surviving cell reads is
+    dropped (the sentence span is exempt); drops cascade. Remaining cells
+    are laid out in waves: a cell joins the first batch in which every span
+    its splits touch is already available.
     """
-    n, cells = result.n, result.cells
+    n = max((j for _, j in cells), default=1)
     root: Span = (1, n)
     if n > 1 and root not in cells:
         raise ValueError("sentence span missing from pruned cells")
@@ -244,6 +225,5 @@ def tree_schedule(n: int, order: dict[Span, int]) -> Schedule:
     Used by the fast encoding mode: the chart degenerates to the tree, so
     each layer runs n-1 inside and n-1 outside compositions.
     """
-    cells = {span: (k,) for span, k in order.items()}
-    return build_cell_batches(PruneResult(n=n, cells=cells, merge_groups=[]))
+    return build_cell_batches({span: (k,) for span, k in order.items()})
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,6 +29,9 @@ from .model import ChartLM, Config, ReCatConfig
 from .trees import numbered_lines
 
 MASK_TOKEN = "[MASK]"
+# the files a run writes in its output directory
+CHECKPOINT_FILE = "model.ckpt"
+METRICS_FILE = "metrics.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +357,19 @@ class Trainer:
         self.step += 1
         return metrics
 
-    def train(self, metrics_path: str | None = None) -> list[dict]:
-        """Run from the current step to the configured horizon; appends one
-        JSON record per step to `metrics_path` when given, after dropping the
-        file's records of the steps this run is about to redo."""
+    def train(self) -> list[dict]:
+        """Run from the current step to the configured horizon. With an
+        `out_dir`, appends one JSON record per step to its METRICS_FILE,
+        after dropping the file's records of the steps this run is about to
+        redo, and saves the final CHECKPOINT_FILE there."""
         total = self.cfg.epochs * len(self.batches)
         if self.cfg.max_steps:
             total = min(total, self.cfg.max_steps)
         records: list[dict] = []
-        if metrics_path and os.path.exists(metrics_path):
-            _drop_records_from(metrics_path, self.step)
-        fh = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
-        try:
+        log_path = os.path.join(self.out_dir, METRICS_FILE) if self.out_dir else None
+        if log_path and os.path.exists(log_path):
+            _drop_records_from(log_path, self.step)
+        with (open(log_path, "a", encoding="utf-8") if log_path else nullcontext()) as fh:
             while self.step < total:
                 epoch, pos = divmod(self.step, len(self.batches))
                 order = self._epoch_order(epoch)
@@ -378,10 +382,7 @@ class Trainer:
                 if self.out_dir and every and self.step % every == 0 and self.step < total:
                     self.save(os.path.join(self.out_dir, f"step{self.step:06d}.ckpt"))
             if self.out_dir:
-                self.save(os.path.join(self.out_dir, "model.ckpt"))
-        finally:
-            if fh is not None:
-                fh.close()
+                self.save(os.path.join(self.out_dir, CHECKPOINT_FILE))
         return records
 
     # ---- persistence -------------------------------------------------------
@@ -414,11 +415,11 @@ class Trainer:
 def _drop_records_from(path: str, step: int) -> None:
     """Rewrite a metrics file without its records of steps >= `step`, and
     without a last line torn by a crash mid-write (it has no newline). A
-    whole line that is not a record raises ValueError naming `path:line:`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    whole line that is not a record, or a line that is not UTF-8, raises
+    ValueError naming `path:line:`."""
+    lines = list(numbered_lines(path))
     kept = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in lines:
         if not line.endswith("\n"):
             continue
         try:

@@ -19,8 +19,8 @@ from chartlm.inside_outside import (CioStack, EngineStats, induce_order,
 from chartlm.model import ChartLM, ReCatConfig
 from chartlm.oracle import (best_tree_exhaustive, cumulative_outside_reference,
                             direct_outside_check, full_chart_reference)
-from chartlm.pruning import (build_cell_batches, parser_nll, prune_schedule,
-                             split_order)
+from chartlm.pruning import (build_cell_batches, merge_rounds, parser_nll,
+                             prune_schedule, split_order)
 from chartlm.synthetic import VOCAB_TOKENS, balanced_scores, generate_corpus
 from chartlm.training import MASK_TOKEN, TrainConfig, Trainer, Vocab
 from chartlm.trees import format_sexpr, in_order, random_binary, tree_from_splits
@@ -178,11 +178,12 @@ def test_criterion_5_pruning_replay():
     scores = np.array([0.1, 0.6, 1.0, 0.8, 0.4])
     order = split_order(scores, 6)
     assert list(order.values()) == [3, 4, 2, 5, 1]
+    rounds = merge_rounds(order)
+    assert [k for group in rounds for k in group] == [1, 5, 2, 4, 3]
+    assert rounds == [[1, 5], [2, 4], [3]]
     result = prune_schedule(6, 2, order)
-    assert result.merge_order == [1, 5, 2, 4, 3]
-    assert result.merge_groups == [[1, 5], [2, 4], [3]]
-    assert result.cells[(1, 4)] == (2, 3)
-    assert result.cells[(3, 6)] == (3, 4)
+    assert result[(1, 4)] == (2, 3)
+    assert result[(3, 6)] == (3, 4)
     print("\ncriterion 5 PASS: merge order [1,5,2,4,3], groups "
           "[[1,5],[2,4],[3]], cells (1,4)->(2,3) and (3,6)->(3,4)")
 

@@ -40,6 +40,14 @@ seed = 0
 """
 
 
+def _config_with(line):
+    """The test config with `line` in place of the line that sets its key."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in (MODEL_CFG + TRAIN_CFG).splitlines(keepends=True)
+            if ln.split("=")[0].strip() != key]
+    return "".join(kept) + line + "\n"
+
+
 @pytest.fixture
 def workdir(tmp_path):
     words = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"]
@@ -74,6 +82,24 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
                    "--out", _p(tmp_path, "o.txt")])
     assert rc == 2
     assert "missing file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["parse", "--ckpt", "sub", "--input", "corpus.txt", "--out", "o.txt"], "sub"),
+    (["export-trees", "--input", "sub", "--out", "o.txt", "--baseline", "left"], "sub"),
+    (["export-trees", "--input", "corpus.txt", "--out", "sub", "--baseline", "left"], "sub"),
+    (["eval-f1", "--pred", "sub", "--gold", "gold.txt"], "sub"),
+    (["pretrain", "--corpus", "corpus.txt", "--vocab", "vocab.txt", "--config", "config.txt",
+      "--out", "taken.txt"], "taken.txt"),
+], ids=["parse_ckpt_dir", "export_input_dir", "export_out_dir", "eval_pred_dir",
+        "pretrain_out_file"])
+def test_a_path_that_cannot_be_opened_is_usage_error(workdir, capsys, argv, bad):
+    (workdir / "sub").mkdir()
+    (workdir / "gold.txt").write_text("(a b)\n")
+    (workdir / "taken.txt").write_text("")
+    names = {"sub", "corpus.txt", "vocab.txt", "config.txt", "o.txt", "gold.txt", "taken.txt"}
+    assert dispatch([_p(workdir, a) if a in names else a for a in argv]) == 2
+    assert f"error: {_p(workdir, bad)}: " in capsys.readouterr().err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -127,6 +153,21 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     cfg.write_text("d = banana\n")
     assert dispatch(["gradcheck", "--config", str(cfg)]) == 2
     assert "bad value for d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "pretrain"])
+@pytest.mark.parametrize("line, message", [
+    (b"# caf\xe9\n", "not UTF-8"),
+    (b"d = 16\n", "repeated config key 'd' (first set on line 4)"),
+], ids=["not_utf8", "repeated_key"])
+def test_bad_config_line_is_usage_error(workdir, capsys, command, line, message):
+    cfg = workdir / "c.txt"
+    cfg.write_bytes((MODEL_CFG + TRAIN_CFG).encode() + line)
+    argv = ["gradcheck", "--config", str(cfg)] if command == "gradcheck" else [
+        "pretrain", "--corpus", _p(workdir, "corpus.txt"), "--vocab", _p(workdir, "vocab.txt"),
+        "--config", str(cfg), "--out", _p(workdir, "run")]
+    assert dispatch(argv) == 2
+    assert f"error: {cfg}:15: {message}" in capsys.readouterr().err
 
 
 def test_invalid_config_combination_is_numeric_error(tmp_path, capsys):
@@ -216,7 +257,7 @@ def test_pretrain_takes_each_setting_from_one_source(workdir, flags):
         "lr_parser", "weight_decay"])
 def test_pretrain_rejects_a_bad_setting_before_any_work(workdir, capsys, line, message):
     cfg = workdir / "bad.txt"
-    cfg.write_text(MODEL_CFG + TRAIN_CFG + line + "\n")
+    cfg.write_text(_config_with(line))
     out = workdir / "run"
     rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"),
                    "--vocab", _p(workdir, "vocab.txt"), "--config", str(cfg), "--out", str(out)])
@@ -302,7 +343,7 @@ def test_pretrain_rejects_an_over_long_line_before_any_work(workdir, capsys, lim
     corpus = workdir / "corpus.txt"
     corpus.write_text("a b c\n\na b c d e f\n")  # the blank line still counts
     cfg = workdir / "limited.txt"
-    cfg.write_text(MODEL_CFG + TRAIN_CFG + limit + "\n")
+    cfg.write_text(_config_with(limit))
     out = workdir / "run"
     rc = dispatch(["pretrain", "--corpus", str(corpus), "--vocab", _p(workdir, "vocab.txt"),
                    "--config", str(cfg), "--out", str(out)])
@@ -356,10 +397,11 @@ def _finished_run(workdir):
     ("not json", "not a JSON record"),
     ('{"loss": 1}', "record has no integer 'step'"),
     ("[" * 200000 + "]" * 200000, "not a JSON record"),
-], ids=["not_json", "no_step", "too_deep"])
+    ('{"step": 0, "x": "\udcff"}', "not UTF-8"),  # writes the raw byte 0xff
+], ids=["not_json", "no_step", "too_deep", "not_utf8"])
 def test_resume_names_the_bad_metrics_line(workdir, capsys, bad_line, message):
     ckpt, metrics = _finished_run(workdir)
-    with open(metrics, "a", encoding="utf-8") as fh:
+    with open(metrics, "a", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(bad_line + "\n")
     capsys.readouterr()
     rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--resume", ckpt,

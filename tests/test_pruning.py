@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
 from chartlm.chart import Schedule, validate_schedule
-from chartlm.pruning import (BoundaryScorer, PruneResult, apply_nonsplittable,
-                             build_cell_batches, parser_nll, prune_schedule,
-                             split_order, tree_schedule)
-from chartlm.trees import format_sexpr, in_order, leaves, tree_from_splits
+from chartlm.pruning import (BoundaryScorer, apply_nonsplittable, build_cell_batches,
+                             merge_rounds, parser_nll, prune_schedule, split_order,
+                             tree_schedule)
+from chartlm.trees import descend, format_sexpr, in_order, leaves, tree_from_splits
 from test_cio import assert_plan_routes_each_parent_edge
 
 
@@ -261,20 +261,36 @@ def test_prune_full_chart_when_window_covers_sentence():
         expect = {(i, j): tuple(range(i, j))
                   for w in range(2, n + 1) for i in range(1, n - w + 2)
                   for j in [i + w - 1]}
-        assert result.cells == expect
-        assert result.merge_groups == []
+        assert result == expect
 
 
 def test_prune_reference_replay():
     scores = np.array([0.1, 0.6, 1.0, 0.8, 0.4])
     order = split_order(scores, 6)
+    rounds = merge_rounds(order)
+    assert rounds == [[1, 5], [2, 4], [3]]
+    assert [k for group in rounds for k in group] == [1, 5, 2, 4, 3]
     result = prune_schedule(6, 2, order)
-    assert result.merge_groups == [[1, 5], [2, 4], [3]]
-    assert result.merge_order == [1, 5, 2, 4, 3]
     # post-descent cells spanning three ragged units keep the unit boundaries
-    assert result.cells[(1, 4)] == (2, 3)
-    assert result.cells[(3, 6)] == (3, 4)
-    assert result.cells[(1, 6)] == (3,)
+    assert result[(1, 4)] == (2, 3)
+    assert result[(3, 6)] == (3, 4)
+    assert result[(1, 6)] == (3,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_merge_rounds_replay_every_node_after_its_children(n, data):
+    order = descend(n, lambda i, j: data.draw(st.integers(i, j - 1)))
+    rounds = merge_rounds(order)
+    round_of = {k: r for r, group in enumerate(rounds) for k in group}
+    assert sorted(round_of) == list(range(1, n))  # each boundary exactly once
+    assert sum(map(len, rounds)) == n - 1
+    for (i, j), k in order.items():
+        for child in ((i, k), (k + 1, j)):
+            if child in order:
+                assert round_of[order[child]] < round_of[k]
+    for window in (2, 3, 4):
+        prune_schedule(n, window, order)
 
 
 def test_prune_rejects_bad_arguments():
@@ -360,10 +376,9 @@ def _heap_split_order(scores, n):
     return order
 
 
-def _drop_loop_batches(result):
-    n = result.n
+def _drop_loop_batches(n, cells):
     root = (1, n)
-    kept = dict(result.cells)
+    kept = dict(cells)
     changed = True
     while changed:
         changed = False
@@ -405,11 +420,11 @@ def test_sort_and_ordered_passes_match_the_references(n, m, seed, ties, forbid):
             np.arange(1, n), size=size, replace=False)})
     order = split_order(scores, n)
     assert list(order.items()) == _heap_split_order(scores, n)
-    tree_cells = PruneResult(n=n, cells={span: (k,) for span, k in order.items()}, merge_groups=[])
-    for got, result in ((build_cell_batches(prune_schedule(n, m, order)),
-                         prune_schedule(n, m, order)),
-                        (tree_schedule(n, order), tree_cells)):
-        want = _drop_loop_batches(result)
+    tree_cells = {span: (k,) for span, k in order.items()}
+    for got, cells in ((build_cell_batches(prune_schedule(n, m, order)),
+                        prune_schedule(n, m, order)),
+                       (tree_schedule(n, order), tree_cells)):
+        want = _drop_loop_batches(n, cells)
         assert got.batches == want.batches
         assert list(got.splits.items()) == list(want.splits.items())
         validate_schedule(got)
@@ -417,6 +432,6 @@ def test_sort_and_ordered_passes_match_the_references(n, m, seed, ties, forbid):
 
 
 def test_split_child_neither_leaf_nor_cell_is_value_error():
-    result = PruneResult(n=4, cells={(1, 4): (2,), (3, 4): (3,)}, merge_groups=[])
+    cells = {(1, 4): (2,), (3, 4): (3,)}
     with pytest.raises(ValueError, match=r"\(1, 2\), which is neither a leaf nor a cell"):
-        build_cell_batches(result)
+        build_cell_batches(cells)

@@ -30,12 +30,12 @@ def _corpus(count=20, seed=0, lo=3, hi=6):
             for _ in range(count)]
 
 
-def _trainer(corpus=None, seed=3, **tkw):
+def _trainer(corpus=None, seed=3, out_dir=None, **tkw):
     kw = {"epochs": 2, "batch_tokens": 24, "seed": seed}
     kw.update(tkw)
     cfg = TrainConfig(**kw)
     model = ChartLM(_tiny_cfg(), np.random.default_rng(seed))
-    return Trainer(model, cfg, corpus if corpus is not None else _corpus(), VOCAB)
+    return Trainer(model, cfg, corpus if corpus is not None else _corpus(), VOCAB, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +328,8 @@ def test_toy_training_learns_predictable_corpus():
 
 def test_metrics_file_and_counters(tmp_path):
     path = str(tmp_path / "metrics.jsonl")
-    tr = _trainer(seed=11, max_steps=3)
-    records = tr.train(metrics_path=path)
+    tr = _trainer(seed=11, max_steps=3, out_dir=str(tmp_path))
+    records = tr.train()
     lines = [json.loads(l) for l in open(path)]
     assert lines == records
     for r in records:
@@ -374,12 +374,12 @@ def test_resume_does_not_repeat_metric_records(tmp_path):
     model = ChartLM(_tiny_cfg(), np.random.default_rng(14))
     first = Trainer(model, TrainConfig(epochs=2, batch_tokens=24, seed=14,
                                        checkpoint_every=2), _corpus(8, seed=6), VOCAB, out)
-    first.train(metrics_path=path)
+    first.train()
     total = first.step
     assert total > 3
 
     resumed = Trainer.resume(str(tmp_path / "step000002.ckpt"), _corpus(8, seed=6), out)
-    resumed.train(metrics_path=path)
+    resumed.train()
     lines = [json.loads(l) for l in open(path)]
     assert [r["step"] for r in lines] == list(range(total))
 
