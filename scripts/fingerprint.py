@@ -19,9 +19,13 @@ from perfbench's workload generators at seed 1:
 - parses: the first 10 ladder sentences, each parsed in full and in fast
   mode by a fresh `new_model()`; the logits and the split map of each.
 
-It prints one sha1 per part, then one over all parts.
+It prints one sha1 per part, then one over all parts. With `--expect
+DIGEST` it then exits 1, printing MISMATCH, unless the total is DIGEST:
+
+    PYTHONPATH=src python3 scripts/fingerprint.py --expect 04f31ac7ed6c208c0bc74751a6dd1a7ae212d052
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -82,12 +86,18 @@ def parse_part() -> str:
     return parses.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="bit-level fingerprint of training and parsing")
+    p.add_argument("--expect", metavar="DIGEST", help="exit 1 unless the total is DIGEST")
+    args = p.parse_args(argv)
     parts = train_parts()
     parts["parses"] = parse_part()
     parts["total"] = hashlib.sha1("".join(parts.values()).encode()).hexdigest()
     for name, digest in parts.items():
         print(f"{name:<10} {digest}")
+    if args.expect is not None and parts["total"] != args.expect:
+        print(f"MISMATCH: expected total {args.expect}")
+        return 1
     return 0
 
 

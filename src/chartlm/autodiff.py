@@ -12,7 +12,17 @@ The op contract: an op computes its output array, then returns
 gradient per input, in `inputs` order, constants included. `_node` alone
 decides whether the result is recorded, and `Tensor.backward` alone decides
 which inputs receive their gradient and adds it up, so an op (a fused one
-too) is its forward plus one VJP.
+too) is its forward plus one VJP. An input the op uses k times is passed k
+times and gets k gradients, in the order the tape would add them: summing
+them inside the VJP instead would reorder float additions.
+
+Three fused ops follow this contract outside this module:
+`nn.TransformerLayer`, `inside_outside.CompatHead` and each direction of
+`nn.BiLstm`. Each records one node whose VJP replays the tape VJPs of the
+composite it replaced, bit for bit; the composites are kept as the tests'
+reference in tests/composites.py. The plain-array formulas below (layer
+norm, GELU, sigmoid, tanh) are the one copy they, the tape ops and the
+reference share.
 """
 
 from __future__ import annotations
@@ -196,6 +206,63 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# plain-array formulas: the one copy that tape ops, fused ops and the tests'
+# reference composites all call
+# ---------------------------------------------------------------------------
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-5
+
+
+def sigmoid_np(x: Array) -> Array:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def sigmoid_grad(y: Array) -> Array:
+    """Derivative of the sigmoid, from its output y."""
+    return y * (1.0 - y)
+
+
+def tanh_grad(y: Array) -> Array:
+    """Derivative of tanh, from its output y."""
+    return 1.0 - y * y
+
+
+def gelu_np(x: Array) -> Array:
+    """Exact-erf GELU."""
+    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+
+
+def gelu_grad(x: Array) -> Array:
+    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def mT(a: Array) -> Array:
+    """`a` with its last two axes swapped (a view), as matmul's VJP reads it."""
+    return np.swapaxes(a, -1, -2)
+
+
+def layer_norm_np(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
+    """LayerNorm over the last axis: the output, and the normalized input
+    and inverse deviation that `layer_norm_vjp` reads."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_vjp(g: Array, xhat: Array, inv: Array, gain: Array) -> tuple[Array, Array, Array]:
+    """Gradients of x, gain and bias (bias has gain's shape)."""
+    dxhat = g * gain
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * term, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, gain.shape)
+
+
+# ---------------------------------------------------------------------------
 # elementwise / arithmetic ops
 # ---------------------------------------------------------------------------
 
@@ -232,25 +299,9 @@ def _unary(a, fwd: Callable[[Array], Array], dfd: Callable[[Array, Array], Array
     return _node(out_data, (a,), lambda g: (g * dfd(a.data, out_data),))
 
 
-def tanh(a) -> Tensor:
-    return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
-
-
-def sigmoid(a) -> Tensor:
-    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y))
-
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
 def gelu(a) -> Tensor:
     """Exact-erf GELU."""
-    return _unary(
-        a,
-        lambda x: 0.5 * x * (1.0 + erf(x / _SQRT2)),
-        lambda x, y: 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x),
-    )
+    return _unary(a, gelu_np, lambda x, y: gelu_grad(x))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +382,8 @@ def matmul(a, b) -> Tensor:
     if a.ndim < 2 or a.ndim != b.ndim:
         raise ValueError(f"matmul needs equal ndim >= 2, got {a.shape} @ {b.shape}")
     return _node(a.data @ b.data, (a, b),
-                 lambda g: (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
+                 lambda g: (_unbroadcast(g @ mT(b.data), a.shape),
+                            _unbroadcast(mT(a.data) @ g, b.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +417,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     ls = a.data - logsumexp_np(a.data, axis=axis, keepdims=True)
     return _node(ls, (a,), lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
-
-
-LAYER_NORM_EPS = 1e-5
-
-
-def layer_norm(x, gain, bias) -> Tensor:
-    """LayerNorm over the last axis with learned gain/bias."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-
-    def vjp(g):
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * term, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
-
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

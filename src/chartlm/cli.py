@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import partial
 
@@ -96,52 +97,75 @@ def blob_sha1(path: str) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_pretrain(args) -> int:
-    if args.resume:  # the checkpoint's configs and vocabulary govern a resumed run
-        if args.config or args.vocab:
-            raise UsageError("pretrain --resume takes no --config or --vocab")
-        tensors, config, extra = load_checkpoint(args.resume)
-        model, tcfg, vocab = decode_run(tensors, config, extra)
-    elif args.config and args.vocab:
-        mcfg, tcfg = parse_config_file(args.config)
-        vocab = Vocab.from_file(args.vocab)
-        if mcfg.vocab_size != len(vocab):
-            raise ValueError(f"config vocab_size {mcfg.vocab_size} does not match "
-                             f"vocabulary size {len(vocab)}")
-        model = ChartLM(mcfg, np.random.default_rng(tcfg.seed))
+@contextmanager
+def _output(path: str, directory: bool = False):
+    """Create the output `path` (a file, or a directory) before the work, so
+    a path that cannot be written fails in milliseconds, not after the work.
+    If the work then fails, a file this run created is removed, as is a
+    directory it created that is still empty; an existing file is left as
+    it was (opening it to append writes nothing)."""
+    existed = os.path.lexists(path)
+    if directory:
+        os.makedirs(path, exist_ok=True)
     else:
-        raise UsageError("pretrain needs --config and --vocab (or --resume)")
-    max_len, budget = model.cfg.max_len, tcfg.batch_tokens
-    corpus = []
-    for line_no, tokens in numbered_sentences(args.corpus):
-        try:
-            vocab.encode(tokens)
-            if len(tokens) > max_len:
-                raise ValueError(f"sentence length {len(tokens)} exceeds configured max {max_len}")
-            if len(tokens) > budget:
-                raise ValueError(f"sentence has {len(tokens)} tokens, over the batch budget {budget}")
-            apply_nonsplittable(np.zeros(len(tokens) - 1), forbidden_boundaries(tokens))
-        except ValueError as exc:
-            raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
-        corpus.append(tokens)
-    trainer = Trainer(model, tcfg, corpus, vocab, out_dir=args.out)
-    if args.resume:
-        trainer.restore(tensors, extra)
+        open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            with suppress(OSError):
+                (os.rmdir if directory else os.remove)(path)
+        raise
 
-    os.makedirs(args.out, exist_ok=True)
-    manifest = {
-        "command": "pretrain",
-        "seed": trainer.cfg.seed,
-        "config": {"model": trainer.model.cfg.to_dict(),
-                   "train": trainer.cfg.to_dict()},
-        "inputs": {os.path.abspath(p): blob_sha1(p)
-                   for p in (args.corpus, args.vocab, args.config, args.resume) if p},
-        "layout": {"checkpoint": CHECKPOINT_FILE, "metrics": METRICS_FILE,
-                   "manifest": "manifest.json"},
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+
+def _cmd_pretrain(args) -> int:
+    with _output(args.out, directory=True):
+        if args.resume:  # the checkpoint's configs and vocabulary govern a resumed run
+            if args.config or args.vocab:
+                raise UsageError("pretrain --resume takes no --config or --vocab")
+            tensors, config, extra = load_checkpoint(args.resume)
+            model, tcfg, vocab = decode_run(tensors, config, extra)
+        elif args.config and args.vocab:
+            mcfg, tcfg = parse_config_file(args.config)
+            vocab = Vocab.from_file(args.vocab)
+            if mcfg.vocab_size != len(vocab):
+                raise ValueError(f"config vocab_size {mcfg.vocab_size} does not match "
+                                 f"vocabulary size {len(vocab)}")
+            model = ChartLM(mcfg, np.random.default_rng(tcfg.seed))
+        else:
+            raise UsageError("pretrain needs --config and --vocab (or --resume)")
+        max_len, budget = model.cfg.max_len, tcfg.batch_tokens
+        corpus = []
+        for line_no, tokens in numbered_sentences(args.corpus):
+            try:
+                vocab.encode(tokens)
+                if len(tokens) > max_len:
+                    raise ValueError(f"sentence length {len(tokens)} exceeds configured "
+                                     f"max {max_len}")
+                if len(tokens) > budget:
+                    raise ValueError(f"sentence has {len(tokens)} tokens, over the batch "
+                                     f"budget {budget}")
+                apply_nonsplittable(np.zeros(len(tokens) - 1), forbidden_boundaries(tokens))
+            except ValueError as exc:
+                raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
+            corpus.append(tokens)
+        trainer = Trainer(model, tcfg, corpus, vocab, out_dir=args.out)
+        if args.resume:
+            trainer.restore(tensors, extra)
+
+        manifest = {
+            "command": "pretrain",
+            "seed": trainer.cfg.seed,
+            "config": {"model": trainer.model.cfg.to_dict(),
+                       "train": trainer.cfg.to_dict()},
+            "inputs": {os.path.abspath(p): blob_sha1(p)
+                       for p in (args.corpus, args.vocab, args.config, args.resume) if p},
+            "layout": {"checkpoint": CHECKPOINT_FILE, "metrics": METRICS_FILE,
+                       "manifest": "manifest.json"},
+        }
+        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
 
     records = trainer.train()
     if records:
@@ -154,11 +178,11 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_parse(args) -> int:
-    model, vocab, _ = load_model(args.ckpt)
-    sentences = list(numbered_sentences(args.input))
-    forward = model.fast_encode if args.mode == "fast" else model.forward_pretrain
-    trees = []
-    with no_grad():
+    with _output(args.out), no_grad():
+        model, vocab, _ = load_model(args.ckpt)
+        sentences = list(numbered_sentences(args.input))
+        forward = model.fast_encode if args.mode == "fast" else model.forward_pretrain
+        trees = []
         for line_no, tokens in sentences:
             try:
                 out = forward(vocab.encode(tokens), forbidden=forbidden_boundaries(tokens),
@@ -166,7 +190,7 @@ def _cmd_parse(args) -> int:
             except ValueError as exc:  # unknown token or over-long sentence
                 raise ValueError(f"{args.input}:{line_no}: {exc}") from None
             trees.append(out.tree)
-    write_tree_file(args.out, trees)
+        write_tree_file(args.out, trees)
     print(f"wrote {len(trees)} trees to {args.out}")
     return 0
 
@@ -182,13 +206,13 @@ def _cmd_eval_f1(args) -> int:
 
 
 def _cmd_export_trees(args) -> int:
-    sentences = read_corpus(args.input)
     rng = np.random.default_rng(args.seed)
     builders = {"random": lambda toks: random_binary(toks, rng),
                 "left": left_branching, "right": right_branching}
     build = builders[args.baseline]
-    trees = [build(tokens) for tokens in sentences]
-    write_tree_file(args.out, trees)
+    with _output(args.out):
+        trees = [build(tokens) for tokens in read_corpus(args.input)]
+        write_tree_file(args.out, trees)
     print(f"wrote {len(trees)} {args.baseline}-baseline trees to {args.out}")
     return 0
 

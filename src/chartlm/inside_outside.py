@@ -66,11 +66,33 @@ class CompatHead(Module):
         }
 
     def __call__(self, x: Tensor, y: Tensor, head: str) -> Tensor:
-        """(B, d) x (B, d) -> (B,) scaled inner products."""
+        """(B, d) x (B, d) -> (B,) scaled inner products, as one tape node.
+
+        x and y each feed a map's residual path and its fc1, so each is an
+        input twice, residual gradient first: the tape's order for the
+        composite (tests/composites.py), which the VJP replays bit for bit.
+        """
         if x.shape[-1] != self.d or y.shape[-1] != self.d:
             raise ValueError(f"compatibility expects dim {self.d}")
-        ml, mr = self.maps[head]
-        return ad.tsum(ml(x) * mr(y), axis=-1) * (1.0 / np.sqrt(self.d))
+        maps = self.maps[head]
+        params = tuple(p for m in maps for p in m.parameters())
+        scale = x.dtype.type(1.0 / np.sqrt(self.d))
+        pre = [v.data @ m.fc1.w.data + m.fc1.b.data for v, m in zip((x, y), maps)]
+        act = [ad.gelu_np(a) for a in pre]
+        lx, ry = (v.data + (a @ m.fc2.w.data + m.fc2.b.data)  # v + W2 gelu(W1 v)
+                  for v, a, m in zip((x, y), act, maps))
+
+        def vjp(g):
+            gp = np.broadcast_to(np.expand_dims(g * scale, -1), lx.shape)
+            grads, weights = [], []
+            for v, p, a, m, gm in zip((x, y), pre, act, maps, (gp * ry, gp * lx)):
+                gpre = (gm @ ad.mT(m.fc2.w.data)) * ad.gelu_grad(p)
+                grads += [gm, gpre @ ad.mT(m.fc1.w.data)]  # residual path, then fc1
+                weights += [ad.mT(v.data) @ gpre, gpre.sum(axis=0), ad.mT(a) @ gm, gm.sum(axis=0)]
+            return grads + weights
+
+        out = (lx * ry).sum(axis=-1) * scale
+        return ad._node(out, (x, x, y, y) + params, vjp)
 
 
 class CioStack(Module):

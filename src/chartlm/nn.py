@@ -69,13 +69,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
+    """Gain and bias of a LayerNorm over the last axis (a parameter holder)."""
+
     def __init__(self, name: str, d: int):
         super().__init__()
         self.gain = self._param(f"{name}.gain", np.ones(d))
         self.bias = self._param(f"{name}.bias", np.zeros(d))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class Mlp(Module):
@@ -91,22 +90,19 @@ class Mlp(Module):
 
 
 class ResidualMlp(Module):
-    """x + W2 gelu(W1 x): zero-init W2 makes it the identity at init.
-
-    Used for the compatibility feature maps, whose tests rely on the
-    zero-weight = identity property.
-    """
+    """Weights of x + W2 gelu(W1 x) (a parameter holder; `CompatHead` runs
+    it): zero-init W2 makes it the identity at init."""
 
     def __init__(self, name: str, d: int, rng: np.random.Generator):
         super().__init__()
         self.fc1 = self._child(Linear(f"{name}.fc1", d, d, rng))
         self.fc2 = self._child(Linear(f"{name}.fc2", d, d, rng, zero_init=True))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x + self.fc2(ad.gelu(self.fc1(x)))
-
 
 class MultiHeadAttention(Module):
+    """Projections of multi-head self-attention (a parameter holder;
+    `TransformerLayer` runs it)."""
+
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator):
         super().__init__()
         if d % n_heads != 0:
@@ -118,20 +114,14 @@ class MultiHeadAttention(Module):
         self.wv = self._child(Linear(f"{name}.wv", d, d, rng))
         self.wo = self._child(Linear(f"{name}.wo", d, d, rng))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        def heads(lin):
-            y = lin(ad.reshape(x, (b * t, d)))
-            return ad.transpose(ad.reshape(y, (b, t, self.h, self.dh)), (0, 2, 1, 3))
-        q, k, v = heads(self.wq), heads(self.wk), heads(self.wv)
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.dh))
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), v)  # (b, h, t, dh)
-        merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * t, d))
-        return ad.reshape(self.wo(merged), (b, t, d))
-
 
 class TransformerLayer(Module):
-    """Pre-norm self-attention + GELU feed-forward of width 4d."""
+    """Pre-norm self-attention + GELU feed-forward of width 4d, one tape node.
+
+    The VJP replays the tape's VJPs of the composite (tests/composites.py)
+    in the tape's order, so gradients match it bit for bit. x feeds the
+    residual and ln1, so it is an input twice: residual gradient first.
+    """
 
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator):
         super().__init__()
@@ -142,11 +132,54 @@ class TransformerLayer(Module):
         self.fc2 = self._child(Linear(f"{name}.ffn2", 4 * d, d, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
         b, t, d = x.shape
-        h = ad.reshape(x, (b * t, d))
-        ff = self.fc2(ad.gelu(self.fc1(self.ln2(h))))
-        return x + ad.reshape(ff, (b, t, d))
+        h, dh = self.attn.h, self.attn.dh
+        params = tuple(self.parameters())
+        (gain1, bias1, wq, bq, wk, bk, wv, bv, wo, bo,
+         gain2, bias2, w1, b1, w2, b2) = (p.data for p in params)
+        scale = x.dtype.type(1.0 / np.sqrt(dh))
+
+        y1, xhat1, inv1 = ad.layer_norm_np(x.data, gain1, bias1)
+        rows = y1.reshape(b * t, d)
+
+        def heads(w, bias):  # (b*t, d) rows -> (b, h, t, dh) view
+            return np.transpose((rows @ w + bias).reshape(b, t, h, dh), (0, 2, 1, 3))
+
+        q, k, v = heads(wq, bq), heads(wk, bk), heads(wv, bv)
+        kt = np.transpose(k, (0, 1, 3, 2))
+        att = ad.softmax_np((q @ kt) * scale, axis=-1)
+        merged = np.transpose(att @ v, (0, 2, 1, 3)).reshape(b * t, d)
+        x1 = x.data + (merged @ wo + bo).reshape(b, t, d)
+        y2, xhat2, inv2 = ad.layer_norm_np(x1.reshape(b * t, d), gain2, bias2)
+        a1 = y2 @ w1 + b1
+        act = ad.gelu_np(a1)
+        out = x1 + (act @ w2 + b2).reshape(b, t, d)
+
+        def vjp(g):
+            gff = g.reshape(b * t, d)
+            ga1 = (gff @ ad.mT(w2)) * ad.gelu_grad(a1)
+            gx2, ggain2, gbias2 = ad.layer_norm_vjp(ga1 @ ad.mT(w1), xhat2, inv2, gain2)
+            gx1 = np.array(g, copy=True)  # x1 feeds the output, then ln2; g stays as it is
+            gx1 += gx2.reshape(b, t, d)
+            go = gx1.reshape(b * t, d)
+            gctx = np.transpose((go @ ad.mT(wo)).reshape(b, t, h, dh), (0, 2, 1, 3))
+            gatt = gctx @ ad.mT(v)
+            gs = att * (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * scale
+            gq, gk, gv = (np.transpose(gh, (0, 2, 1, 3)).reshape(b * t, d)  # back to rows
+                          for gh in (gs @ ad.mT(kt),
+                                     np.transpose(ad.mT(q) @ gs, (0, 1, 3, 2)),
+                                     ad.mT(att) @ gctx))
+            gy1 = (gq @ ad.mT(wq)).reshape(b, t, d)  # ln1 output: q's, then k's, then v's
+            gy1 += (gk @ ad.mT(wk)).reshape(b, t, d)
+            gy1 += (gv @ ad.mT(wv)).reshape(b, t, d)
+            gx, ggain1, gbias1 = ad.layer_norm_vjp(gy1, xhat1, inv1, gain1)
+            return (gx1, gx, ggain1, gbias1,
+                    ad.mT(rows) @ gq, gq.sum(axis=0), ad.mT(rows) @ gk, gk.sum(axis=0),
+                    ad.mT(rows) @ gv, gv.sum(axis=0), ad.mT(merged) @ go, go.sum(axis=0),
+                    ggain2, gbias2, ad.mT(y2) @ ga1, ga1.sum(axis=0), ad.mT(act) @ gff,
+                    gff.sum(axis=0))
+
+        return ad._node(out, (x, x) + params, vjp)
 
 
 class AttentionBlock(Module):
@@ -188,22 +221,51 @@ class BiLstm(Module):
             })
 
     def _run_direction(self, x: Tensor, cell: dict, reverse: bool) -> Tensor:
-        n = x.shape[0]
-        h = self.hidden
-        zx = ad.matmul(x, cell["wx"]) + cell["b"]  # (n, 4h): input part hoisted
-        h_t = c_t = Tensor(np.zeros((1, h), dtype=cell["wh"].dtype))  # a constant: never written
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        outs: list[Tensor | None] = [None] * n
-        for t in order:
-            z = zx[t:t + 1, :] + ad.matmul(h_t, cell["wh"])  # (1, 4h)
-            i = ad.sigmoid(z[:, 0 * h:1 * h])
-            f = ad.sigmoid(z[:, 1 * h:2 * h])
-            g = ad.tanh(z[:, 2 * h:3 * h])
-            o = ad.sigmoid(z[:, 3 * h:4 * h])
-            c_t = f * c_t + i * g
-            h_t = o * ad.tanh(c_t)
-            outs[t] = h_t
-        return ad.concat(outs, axis=0)  # (n, h)
+        """One direction's (n, h) states as one tape node.
+
+        wh serves every step, so it is an input once per step and its step
+        gradients come in the tape's order, the last step's first; the
+        tests' composite (tests/composites.py) is the reference.
+        """
+        n, hd = x.shape[0], self.hidden
+        wx, wh, bias = cell["wx"], cell["wh"], cell["b"]
+        zx = x.data @ wx.data + bias.data  # (n, 4h): input part hoisted
+        h_t = c_t = np.zeros((1, hd), dtype=wh.dtype)
+        steps = range(n - 1, -1, -1) if reverse else range(n)
+        out = np.empty((n, hd), dtype=zx.dtype)
+        saved = []
+        for t in steps:
+            z = zx[t:t + 1] + h_t @ wh.data
+            i, f, o = (ad.sigmoid_np(z[:, q * hd:(q + 1) * hd]) for q in (0, 1, 3))
+            g = np.tanh(z[:, 2 * hd:3 * hd])
+            c_next = f * c_t + i * g
+            tc = np.tanh(c_next)
+            saved.append((h_t, c_t, i, f, g, o, tc))
+            h_t, c_t = o * tc, c_next
+            out[t] = h_t
+
+        def vjp(gout):
+            gzx = np.zeros_like(zx)
+            gwh = []
+            gh_next = gc_next = None
+            for t, (h_prev, c_prev, i, f, g, o, tc) in zip(reversed(steps), reversed(saved)):
+                gh = gout[t:t + 1] if gh_next is None else gout[t:t + 1] + gh_next
+                gc = (gh * o) * ad.tanh_grad(tc)
+                if gc_next is not None:
+                    gc = gc + gc_next
+                # the tape scattered each gate into zeros: adding into zeros
+                # keeps its bits, -0.0 turned to +0.0 included
+                gz = np.zeros((1, 4 * hd), dtype=zx.dtype)
+                gz[:, 0:hd] += (gc * g) * ad.sigmoid_grad(i)
+                gz[:, hd:2 * hd] += (gc * c_prev) * ad.sigmoid_grad(f)
+                gz[:, 2 * hd:3 * hd] += (gc * i) * ad.tanh_grad(g)
+                gz[:, 3 * hd:4 * hd] += (gh * tc) * ad.sigmoid_grad(o)
+                gwh.append(ad.mT(h_prev) @ gz)
+                gh_next, gc_next = gz @ ad.mT(wh.data), gc * f
+                gzx[t:t + 1] += gz
+            return (gzx @ ad.mT(wx.data), ad.mT(x.data) @ gzx, gzx.sum(axis=0), *gwh)
+
+        return ad._node(out, (x, wx, bias) + (wh,) * n, vjp)
 
     def __call__(self, x: Tensor) -> Tensor:
         fwd = self._run_direction(x, self.cells[0], reverse=False)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from chartlm import autodiff as ad
+from chartlm import cli
 from chartlm.autodiff import Tensor
 from chartlm.checkpoint import load_checkpoint, save_checkpoint
 from chartlm.cli import _build_parser, dispatch, parse_config_file
@@ -100,6 +101,51 @@ def test_a_path_that_cannot_be_opened_is_usage_error(workdir, capsys, argv, bad)
     names = {"sub", "corpus.txt", "vocab.txt", "config.txt", "o.txt", "gold.txt", "taken.txt"}
     assert dispatch([_p(workdir, a) if a in names else a for a in argv]) == 2
     assert f"error: {_p(workdir, bad)}: " in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work done before the output was checked")
+
+
+@pytest.mark.parametrize("command", ["parse", "export-trees"])
+def test_an_unwritable_out_fails_before_any_work(workdir, capsys, monkeypatch, command):
+    ckpt = _untrained_ckpt(workdir)
+    for method in ("forward_pretrain", "fast_encode"):
+        monkeypatch.setattr(ChartLM, method, _never)
+    monkeypatch.setattr(cli, "numbered_sentences", _never)
+    monkeypatch.setattr(cli, "read_corpus", _never)
+    (workdir / "outdir").mkdir()
+    argv = {"parse": ["parse", "--ckpt", ckpt],
+            "export-trees": ["export-trees", "--baseline", "right"]}[command]
+    rc = dispatch(argv + ["--input", _p(workdir, "corpus.txt"), "--out", _p(workdir, "outdir")])
+    assert rc == 2
+    assert f"error: {_p(workdir, 'outdir')}: Is a directory" in capsys.readouterr().err
+
+
+def test_pretrain_makes_out_before_building_the_trainer(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Trainer", _never)
+    monkeypatch.setattr(cli, "numbered_sentences", _never)
+    rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"),
+                   "--vocab", _p(workdir, "vocab.txt"), "--config", _p(workdir, "config.txt"),
+                   "--out", _p(workdir, "corpus.txt/run")])
+    assert rc == 2
+    assert f"error: {_p(workdir, 'corpus.txt/run')}: Not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["existing", "new"])
+def test_a_failed_parse_leaves_out_as_it_was(workdir, capsys, existed):
+    (workdir / "bad.txt").write_text("a b\nzebra\n")
+    out = workdir / "trees.txt"
+    if existed:
+        out.write_text("(old tree)\n")
+    rc = dispatch(["parse", "--ckpt", _untrained_ckpt(workdir), "--input",
+                   _p(workdir, "bad.txt"), "--out", str(out)])
+    assert rc == 3
+    assert "unknown token 'zebra'" in capsys.readouterr().err
+    if existed:
+        assert out.read_text() == "(old tree)\n"
+    else:
+        assert not out.exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,0 +1,200 @@
+"""Each fused op equals the tape composite it replaced (tests/composites.py):
+to 1e-10 at float64, and bit for bit at float32 where inputs and parameters
+are shared, which pins the rule that an input used k times is passed k
+times."""
+
+import numpy as np
+import pytest
+
+import composites
+from chartlm import autodiff as ad
+from chartlm import nn
+from chartlm.autodiff import Parameter
+from chartlm.inside_outside import CompatHead
+from chartlm.model import ChartLM, ReCatConfig
+
+TOL = 1e-10
+
+
+def _perturbed(module, seed):
+    """Move every parameter off its init (zero weights, unit gains), so no
+    term of the VJP multiplies out to zero."""
+    rng = np.random.default_rng(seed)
+    for p in module.parameters():
+        p.data = p.data + rng.standard_normal(p.data.shape).astype(p.data.dtype) * 0.3
+    return module
+
+
+def _run(build, inputs):
+    """Forward value of `build()`, then every input's gradient of a random
+    weighting of it."""
+    for t in inputs:
+        t.grad = None
+    out = build()
+    w = np.random.default_rng(99).standard_normal(out.shape).astype(out.data.dtype)
+    ad.tsum(out * w).backward()
+    return out.data, [t.grad for t in inputs]
+
+
+def _assert_close(fused, composite, inputs):
+    out_f, grads_f = _run(fused, inputs)
+    out_c, grads_c = _run(composite, inputs)
+    np.testing.assert_allclose(out_f, out_c, rtol=0, atol=TOL)
+    for t, gf, gc in zip(inputs, grads_f, grads_c):
+        assert gf is not None and gc is not None, getattr(t, "name", t)
+        np.testing.assert_allclose(gf, gc, rtol=0, atol=TOL, err_msg=getattr(t, "name", ""))
+
+
+def _bits(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+def _assert_bit_identical(build, inputs, monkeypatch):
+    out_f, grads_f = _run(build, inputs)
+    with monkeypatch.context() as m:
+        composites.use_composites(m)
+        out_c, grads_c = _run(build, inputs)
+    assert _bits(out_f) == _bits(out_c)
+    for t, gf, gc in zip(inputs, grads_f, grads_c):
+        assert _bits(gf) == _bits(gc), getattr(t, "name", t)
+
+
+# ---------------------------------------------------------------------------
+# float64: forward and every input's gradient
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("b,t", [(1, 3), (5, 3), (1, 15)])
+def test_transformer_layers_equal_the_composite(b, t, depth):
+    block = _perturbed(nn.AttentionBlock("blk", 8, 2, depth, np.random.default_rng(0)), 1)
+    x = Parameter("x", np.random.default_rng(2).standard_normal((b, t, 8)))
+
+    def composite():
+        y = x
+        for layer in block.layers:
+            y = composites.transformer_layer(layer, y)
+        return y
+
+    _assert_close(lambda: block(x), composite, [x] + block.parameters())
+
+
+@pytest.mark.parametrize("head", ["inside", "outside"])
+@pytest.mark.parametrize("b", [1, 5, 15])
+def test_compat_head_equals_the_composite(b, head):
+    compat = _perturbed(CompatHead("c", 8, np.random.default_rng(3)), 4)
+    rng = np.random.default_rng(5)
+    x = Parameter("x", rng.standard_normal((b, 8)))
+    y = Parameter("y", rng.standard_normal((b, 8)))
+    _assert_close(lambda: compat(x, y, head),
+                  lambda: composites.compat(compat, x, y, head),
+                  [x, y] + [p for m in compat.maps[head] for p in m.parameters()])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_bilstm_direction_equals_the_composite(n, reverse):
+    lstm = _perturbed(nn.BiLstm("b", din=5, hidden=3, rng=np.random.default_rng(6)), 7)
+    x = Parameter("x", np.random.default_rng(8).standard_normal((n, 5)))
+    cell = lstm.cells[int(reverse)]
+    _assert_close(lambda: lstm._run_direction(x, cell, reverse),
+                  lambda: composites.lstm_direction(lstm, x, cell, reverse),
+                  [x, cell["wx"], cell["wh"], cell["b"]])
+
+
+# ---------------------------------------------------------------------------
+# float32, bit for bit: an input that feeds the op and another op, and a
+# parameter that serves two calls
+# ---------------------------------------------------------------------------
+
+def _float32(module, seed):
+    module = _perturbed(module, seed)
+    module.astype(np.float32)
+    return module
+
+
+def _input(shape, seed):
+    return Parameter("x", np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
+
+
+def test_transformer_layer_is_bit_identical_when_shared(monkeypatch):
+    layer = _float32(nn.TransformerLayer("t", 8, 2, np.random.default_rng(10)), 11)
+    x = _input((3, 3, 8), 12)
+
+    def build():
+        u = x * 1.5
+        return layer(u) * u + layer(layer(u))
+
+    _assert_bit_identical(build, [x] + layer.parameters(), monkeypatch)
+
+
+def test_compat_head_is_bit_identical_when_shared(monkeypatch):
+    compat = _float32(CompatHead("c", 8, np.random.default_rng(13)), 14)
+    x, y = _input((6, 8), 15), _input((6, 8), 16)
+
+    def build():
+        u = x * 1.5
+        return (compat(u, y, "inside") + compat(y, u, "outside")
+                + compat(u, u, "outside") + ad.tsum(u * y, axis=-1))
+
+    _assert_bit_identical(build, [x, y] + compat.parameters(), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_bilstm_is_bit_identical_when_shared(n, monkeypatch):
+    lstm = _float32(nn.BiLstm("b", din=5, hidden=3, rng=np.random.default_rng(17)), 18)
+    x = _input((n, 5), 19)
+
+    def build():
+        u = x * 1.5
+        return lstm(u) + lstm(u * u) + ad.concat([u, u], axis=1)[:, :6]
+
+    _assert_bit_identical(build, [x] + lstm.parameters(), monkeypatch)
+
+
+@pytest.mark.parametrize("forward", ["forward_pretrain", "fast_encode"])
+def test_model_step_is_bit_identical_to_the_composites(forward, monkeypatch):
+    model = ChartLM(ReCatConfig(d=16, heads=2, parser_dim=8, parser_hidden=8),
+                    np.random.default_rng(20))
+    ids = np.array([3, 17, 5, 41, 8, 22, 9, 30, 12])
+    masked = ids.copy()
+    masked[[2, 6]] = 0
+    params = model.parameters()
+
+    def run():
+        for p in params:
+            p.grad = None
+        out = getattr(model, forward)(ids, masked=masked, target_positions=np.array([2, 6]),
+                                      target_ids=ids[[2, 6]], forbidden={4})
+        (out.parser_loss + out.mlm_loss).backward()
+        return [out.logits.data] + [p.grad for p in params]
+
+    fused = run()
+    with monkeypatch.context() as m:
+        composites.use_composites(m)
+        composite = run()
+    for name, a, b in zip(["logits"] + [p.name for p in params], fused, composite):
+        assert _bits(a) == _bits(b), name
+
+
+# ---------------------------------------------------------------------------
+# tape size
+# ---------------------------------------------------------------------------
+
+# Nodes of one default-config forward_pretrain on the sentence below, counted
+# from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705.
+TAPE_NODES = 705
+
+
+def test_forward_tape_stays_fused():
+    model = ChartLM(ReCatConfig(), np.random.default_rng(0))
+    ids = np.array([3, 17, 5, 41, 8, 22, 9, 30, 12, 1, 44, 6])
+    out = model.forward_pretrain(ids, masked=ids, target_positions=np.array([2, 7]),
+                                 target_ids=ids[[2, 7]])
+    root = out.parser_loss + out.mlm_loss
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for p in todo.pop()._prev:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    assert len(seen) <= TAPE_NODES

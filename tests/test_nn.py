@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+import composites
 import chartlm.model  # noqa: F401  (registers every Module subclass)
 from chartlm import autodiff as ad
 from chartlm import nn
@@ -101,7 +102,7 @@ def test_residual_mlp_is_identity_at_init():
     rng = np.random.default_rng(4)
     m = nn.ResidualMlp("m", 6, rng)
     x = rng.standard_normal((3, 6))
-    np.testing.assert_array_equal(m(Tensor(x)).data, x)
+    np.testing.assert_array_equal(composites.residual_mlp(m, Tensor(x)).data, x)
 
 
 def test_residual_mlp_gradients_flow_through_both_layers():
@@ -110,7 +111,7 @@ def test_residual_mlp_gradients_flow_through_both_layers():
     # perturb fc2 away from zero so fc1 receives signal
     m.fc2.w.data[...] = rng.standard_normal((4, 4)) * 0.1
     x = rng.standard_normal((2, 4))
-    report = ad.gradient_check(lambda: ad.tsum(m(Tensor(x)) * x),
+    report = ad.gradient_check(lambda: ad.tsum(composites.residual_mlp(m, Tensor(x)) * x),
                                m.parameters(), rng, samples_per_param=4)
     assert max(report.values()) < 1e-6
 
