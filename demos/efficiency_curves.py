@@ -22,11 +22,12 @@ print(f"{'n':>5} {'m':>3} {'cells':>7} {'<=2mn':>7} {'full':>8} "
 for m in (2, 3):
     n = 8
     while n <= 512:
-        sch = build_cell_batches(prune_schedule(n, m, split_order(balanced_scores(n), n)))
+        plan = plan_engine(build_cell_batches(
+            prune_schedule(n, m, split_order(balanced_scores(n), n))))
         bound = (m - 1) + 2 * int(np.ceil(np.log2(n)))
         full = n * (n + 1) // 2
-        print(f"{n:>5} {m:>3} {sch.cell_count():>7} {2 * m * n:>7} {full:>8} "
-              f"{sch.non_leaf_batches():>6} {bound:>6}")
+        print(f"{n:>5} {m:>3} {plan.rows:>7} {2 * m * n:>7} {full:>8} "
+              f"{plan.non_leaf_batches():>6} {bound:>6}")
         n *= 2
 
 # the same sweep with a live forward pass: one layer, d=32, float32
@@ -36,8 +37,8 @@ stack = CioStack("cio", layers=1, d=d, heads=4, depth=1, share=True,
                  rng=np.random.default_rng(0))
 stack.astype(np.float32)
 for n in (16, 64, 256):
-    sch = build_cell_batches(prune_schedule(n, 2, split_order(balanced_scores(n), n)))
-    plan = plan_engine(sch)
+    plan = plan_engine(build_cell_batches(
+        prune_schedule(n, 2, split_order(balanced_scores(n), n))))
     x = Tensor(np.random.default_rng(n).standard_normal((n, d)).astype(np.float32))
     stats = EngineStats()
     t0 = time.perf_counter()

@@ -23,9 +23,9 @@ stack = CioStack("cio", layers=layers, d=d, heads=4, depth=1, share=True, rng=rn
 # window >= n keeps every span, so the pruned engine must agree with the
 # reference on the complete chart
 order = split_order(rng.standard_normal(n - 1), n)
-schedule = build_cell_batches(prune_schedule(n, n, order))
-plan = plan_engine(schedule)
-print(f"full chart: {schedule.cell_count()} cells in {len(schedule.batches)} batches")
+plan = plan_engine(build_cell_batches(prune_schedule(n, n, order)))
+# the leaves are the first batch
+print(f"full chart: {plan.rows} cells in {1 + plan.non_leaf_batches()} batches")
 
 x = Tensor(rng.standard_normal((n, d)))
 result = run_stack(x, stack, plan)

@@ -34,11 +34,12 @@ for span in sorted(cells):
 
 # Cells whose every parent was dropped are removed transitively, then the
 # rest are grouped into waves whose dependencies are already encoded.
-schedule = build_cell_batches(cells)
+waves = build_cell_batches(cells)
 print("\nencoding batches (leaves first, root last):")
-for t, batch in enumerate(schedule.batches):
-    print(f"  batch {t}: {batch}")
+print(f"  batch 0: {[(i, i) for i in range(1, n + 1)]}")
+for t, wave in enumerate(waves, 1):
+    print(f"  batch {t}: {list(wave)}")
 
-width2 = sum(1 for (i, j) in schedule.splits if j - i == 1)
-print(f"\ncell count {schedule.cell_count()} (bound 2*m*n = {2 * 2 * n}); "
+width2 = sum(1 for wave in waves for (i, j) in wave if j - i == 1)
+print(f"\ncell count {n + sum(map(len, waves))} (bound 2*m*n = {2 * 2 * n}); "
       f"{width2} width-2 cells survived")

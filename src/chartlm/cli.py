@@ -20,13 +20,13 @@ import numpy as np
 
 from .autodiff import gradient_check, no_grad
 from .checkpoint import load_checkpoint
-from .evaluation import corpus_f1, label_recalls
+from .evaluation import corpus_f1, label_recalls, sentence_f1
 from .model import ChartLM, ReCatConfig
 from .pruning import apply_nonsplittable
 from .training import (CHECKPOINT_FILE, METRICS_FILE, TrainConfig, Trainer, Vocab,
                        decode_run, forbidden_boundaries, load_model, numbered_sentences,
                        read_corpus)
-from .trees import (left_branching, numbered_lines, random_binary, read_tree_file,
+from .trees import (left_branching, numbered_lines, numbered_trees, random_binary,
                     right_branching, write_tree_file)
 
 
@@ -86,7 +86,8 @@ def parse_config_file(path: str) -> tuple[ReCatConfig, TrainConfig]:
 
 def blob_sha1(path: str) -> str:
     """Git-style blob hash of a file's contents."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     h = hashlib.sha1()
     h.update(b"blob %d\0" % len(data))
     h.update(data)
@@ -196,8 +197,17 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval_f1(args) -> int:
-    preds = read_tree_file(args.pred)
-    golds = read_tree_file(args.gold)
+    pred, gold = list(numbered_trees(args.pred)), list(numbered_trees(args.gold))
+    if len(pred) != len(gold):
+        raise ValueError(f"{len(pred)} predicted trees in {args.pred} vs "
+                         f"{len(gold)} gold trees in {args.gold}")
+    for (pred_line, p), (gold_line, g) in zip(pred, gold):
+        try:
+            sentence_f1(p, g)
+        except ValueError as exc:  # the pair is not the same sentence
+            raise ValueError(f"{args.pred}:{pred_line} vs {args.gold}:{gold_line}: "
+                             f"{exc}") from None
+    preds, golds = [tree for _, tree in pred], [tree for _, tree in gold]
     print(f"F1 {corpus_f1(preds, golds):.2f}")
     for label, recall in label_recalls(preds, golds).items():
         if label != "X":

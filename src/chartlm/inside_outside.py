@@ -1,14 +1,14 @@
 """Chart encoder: pruned inside pass, contextual outside pass, tree induction.
 
 Each layer runs one bottom-up (inside) and one top-down (outside) sweep over
-the cells a Schedule kept. Cell vectors live in a flat arena (leaf rows first,
-then cells in batch order) so a whole batch is one gather / compose / scatter
-round. The outside sweep walks batches in reverse and grows a second arena,
-of outside candidates: row 0 is the layer's learned root vector, then each
-batch appends the candidates it emits for its cells' children. Both sweeps
-pool a cell's candidates (one per split inside, one per parent path outside)
-the same way: one gather from the arena, then a masked softmax over their
-scores weights the candidate vectors and scores.
+the cells `build_cell_batches` kept. Cell vectors live in a flat arena (leaf
+rows first, then cells in wave order) so a whole wave is one gather /
+compose / scatter round. The outside sweep walks the waves in reverse and
+grows a second arena, of outside candidates: row 0 is the layer's learned
+root vector, then each wave appends the candidates it emits for its cells'
+children. Both sweeps pool a cell's candidates (one per split inside, one
+per parent path outside) the same way: one gather from the arena, then a
+masked softmax over their scores weights the candidate vectors and scores.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chart import Schedule, Span
 from .nn import AttentionBlock, Module, ResidualMlp, _normal
-from .trees import descend
+from .trees import Span, descend
 
 ROLE_LEFT, ROLE_RIGHT, ROLE_PARENT = 0, 1, 2
 
@@ -150,7 +149,7 @@ class EnginePlan:
     """Everything index-shaped the engine needs, computed once per sentence."""
 
     n: int
-    schedule: Schedule
+    splits: dict[Span, tuple[int, ...]]  # every kept cell's splits, in wave order
     spans: list[Span]
     row_of: dict[Span, int]
     batches: list[BatchPlan]    # non-leaf batches in execution order
@@ -159,6 +158,9 @@ class EnginePlan:
     @property
     def rows(self) -> int:
         return len(self.spans)
+
+    def non_leaf_batches(self) -> int:
+        return len(self.batches)
 
 
 def _pad_matrix(groups: list[list[int]]) -> np.ndarray:
@@ -171,37 +173,36 @@ def _pad_matrix(groups: list[list[int]]) -> np.ndarray:
     return out
 
 
-def plan_engine(schedule: Schedule) -> EnginePlan:
-    """Lower a Schedule to flat gather/scatter index arrays.
+def plan_engine(waves: list[dict[Span, tuple[int, ...]]]) -> EnginePlan:
+    """Lower `build_cell_batches`' waves to flat gather/scatter index arrays.
 
-    Also fixes the outside candidate routing. The candidate arena's row 0 is
-    the root; then each batch, last first, emits one candidate per child of
-    each of its pairs (left children then right children, in pair order), so
-    a cell's candidates are exactly the rows its parent paths emitted.
+    The waves were checked when they were built, so this only lays out
+    rows: leaves first, then each wave's cells. It also fixes the outside
+    candidate routing. The candidate arena's row 0 is the root; then each
+    wave, last first, emits one candidate per child of each of its pairs
+    (left children then right children, in pair order), so a cell's
+    candidates are exactly the rows its parent paths emitted.
     """
-    n = schedule.n
-    spans = schedule.ordered_spans()
+    n = next(iter(waves[-1]))[1] if waves else 1
+    splits = {span: ks for wave in waves for span, ks in wave.items()}
+    spans = [(i, i) for i in range(1, n + 1)] + list(splits)
     row_of = {s: r for r, s in enumerate(spans)}
 
     plans: list[BatchPlan] = []
-    for batch in schedule.batches[1:]:
+    for wave in waves:
         pl, pr, pc, pp = [], [], [], []
         groups: list[list[int]] = []
-        for pos, span in enumerate(batch):
-            i, j = span
-            ks = schedule.splits[span]
-            if tuple(sorted(ks)) != tuple(ks):
-                raise ValueError(f"splits of {span} not sorted")
+        for pos, ((i, j), ks) in enumerate(wave.items()):
             group = []
             for k in ks:
                 group.append(len(pl))
                 pl.append(row_of[(i, k)])
                 pr.append(row_of[(k + 1, j)])
-                pc.append(row_of[span])
+                pc.append(row_of[(i, j)])
                 pp.append(pos)
             groups.append(group)
         plans.append(BatchPlan(
-            spans=list(batch),
+            spans=list(wave),
             pair_left=np.array(pl, dtype=np.intp),
             pair_right=np.array(pr, dtype=np.intp),
             pair_cell=np.array(pc, dtype=np.intp),
@@ -210,18 +211,15 @@ def plan_engine(schedule: Schedule) -> EnginePlan:
         ))
 
     # candidate-arena row c pools into arena row targets[c]
-    targets = np.concatenate([[row_of[schedule.root]]] + [
+    targets = np.concatenate([[row_of[(1, n)]]] + [
         np.concatenate([bp.pair_left, bp.pair_right]) for bp in reversed(plans)])
     parents: list[list[int]] = [[] for _ in spans]
     for c, r in enumerate(targets):
         parents[r].append(c)
-    for r, cands in enumerate(parents):
-        if not cands:
-            raise ValueError(f"schedule violation: {spans[r]} has no parent candidates")
     for bp in plans:
         bp.pool_pad = _pad_matrix([parents[row_of[s]] for s in bp.spans])
 
-    return EnginePlan(n=n, schedule=schedule, spans=spans, row_of=row_of,
+    return EnginePlan(n=n, splits=splits, spans=spans, row_of=row_of,
                       batches=plans, leaf_pool=_pad_matrix(parents[:n]))
 
 
@@ -312,7 +310,7 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
             scores = ad.concat([scores, cell_score], axis=0)
             if last:  # the raw a[k] of each kept split, for tree induction
                 for span, pad in zip(bp.spans, bp.score_pad):
-                    pair_scores[span] = totals.data[pad[:len(plan.schedule.splits[span])]]
+                    pair_scores[span] = totals.data[pad[:len(plan.splits[span])]]
 
         # ---- outside sweep ------------------------------------------------
         cand_v = ad.reshape(stack.roots[l], (1, stack.d))
@@ -365,7 +363,7 @@ def induce_order(result: StackResult, forbidden: set[int] | None = None) -> dict
     in preorder. A forbidden boundary is only chosen when every kept split
     of the span is forbidden (the forced move inside a multi-piece word).
     """
-    splits = result.plan.schedule.splits
+    splits = result.plan.splits
 
     def pick(i: int, j: int) -> int:
         ks, scores = splits[(i, j)], result.pair_scores[(i, j)]

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .chart import Schedule
-from .inside_outside import (CioStack, EngineStats, StackResult, induce_order,
-                             plan_engine, run_stack)
+from .inside_outside import (CioStack, EnginePlan, EngineStats, StackResult,
+                             induce_order, plan_engine, run_stack)
 from .nn import AttentionBlock, Embedding, Module
 from .pruning import (BoundaryScorer, apply_nonsplittable, parser_nll,
                       split_order, tree_schedule, prune_schedule,
@@ -115,7 +114,7 @@ class ForwardOutput:
     mlm_loss: Tensor
     result: StackResult
     order: dict[Span, int]    # the tree as its split map, in preorder
-    schedule: Schedule
+    schedule: EnginePlan      # the plan the chart ran under (result.plan)
 
 
 class ChartLM(Module):
@@ -186,18 +185,18 @@ class ChartLM(Module):
 
     def _forward(self, build_schedule, sentence, masked, target_positions, target_ids,
                  forbidden, token_strs, stats) -> ForwardOutput:
-        """Parse, build the schedule with `build_schedule(n, order)`, run the
-        chart, and read the tree from it: in a tree schedule that is the
-        parser's own tree."""
+        """Parse, build the waves with `build_schedule(n, order)`, lower them
+        with `plan_engine`, run the chart, and read the tree from it: in a
+        tree schedule that is the parser's own tree."""
         sentence = np.asarray(sentence)
         n = self._check_length(sentence)
         scores = self.parser(sentence)
         if forbidden:
             scores = apply_nonsplittable(scores, forbidden)
-        schedule = build_schedule(n, split_order(scores.data, n))
+        plan = plan_engine(build_schedule(n, split_order(scores.data, n)))
 
         x = self.embedding(masked if masked is not None else sentence)
-        result = run_stack(x, self.cio, plan_engine(schedule), stats)
+        result = run_stack(x, self.cio, plan, stats)
 
         order = induce_order(result, forbidden)
         strs = token_strs if token_strs is not None else [str(t) for t in sentence]
@@ -206,7 +205,7 @@ class ChartLM(Module):
         mlm_loss = self._mlm_loss(logits, target_positions, target_ids, x.data.dtype)
         return ForwardOutput(nodes=nodes, tree=tree, logits=logits,
                              parser_loss=parser_nll(scores, order), mlm_loss=mlm_loss,
-                             result=result, order=order, schedule=schedule)
+                             result=result, order=order, schedule=plan)
 
     # ---- shared tails ------------------------------------------------------
 

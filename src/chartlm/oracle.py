@@ -14,9 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chart import Span
 from .inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT, CioStack,
                              StackResult)
+from .trees import Span
 
 ORACLE_MAX_N = 12
 
@@ -200,7 +200,7 @@ def direct_outside_check(result: StackResult, stack: CioStack) -> float:
     """Max abs deviation between the engine's pooled outside values and a
     direct per-cell softmax recomputation from the same layer states."""
     plan = result.plan
-    parents = parents_from_splits(plan.schedule.splits)
+    parents = parents_from_splits(plan.splits)
     worst = 0.0
     for l, state in enumerate(result.layers):
         inside = state.inside.data

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chart import Schedule, Span, validate_schedule
 from .nn import BiLstm, Embedding, Mlp, Module
-from .trees import descend
+from .trees import Span, descend
 
 
 class BoundaryScorer(Module):
@@ -177,14 +176,19 @@ def prune_schedule(n: int, window: int, order: dict[Span, int]) -> dict[Span, tu
     return cells
 
 
-def build_cell_batches(cells: dict[Span, tuple[int, ...]]) -> Schedule:
-    """Turn pruned cells into dependency batches for the chart engine.
+def build_cell_batches(cells: dict[Span, tuple[int, ...]]) -> list[dict[Span, tuple[int, ...]]]:
+    """Turn pruned cells into the chart engine's waves, checking the chart.
 
     The sentence length n is read off the widest span, `(1, n)`, and is 1
-    for an empty map. A cell whose outputs no other surviving cell reads is
-    dropped (the sentence span is exempt); drops cascade. Remaining cells
-    are laid out in waves: a cell joins the first batch in which every span
-    its splits touch is already available.
+    for an empty map. A cell whose outputs no other kept cell reads is
+    dropped (the sentence span is exempt); drops cascade. The kept cells
+    are laid out in waves: a cell joins the first wave in which every span
+    its splits read is a leaf or a cell of an earlier wave. Returns the
+    non-leaf waves, each a split map in sorted-span order; the leaves are
+    implicit and the last wave is `{(1, n): ...}`. This is the one check
+    of a chart: it raises ValueError when the root is missing, or when a
+    kept cell has no splits, has splits out of order or outside its span,
+    or reads a span that is neither a leaf nor a cell.
     """
     n = max((j for _, j in cells), default=1)
     root: Span = (1, n)
@@ -193,37 +197,40 @@ def build_cell_batches(cells: dict[Span, tuple[int, ...]]) -> Schedule:
     # a cell is read only by wider cells, so one widest-first pass from the
     # root finds every cell that a kept cell reads
     read = {root}
+    kept: list[Span] = []
     for span in sorted(cells, key=lambda s: s[0] - s[1]):
         if span in read:
             i, j = span
-            for k in cells[span]:
+            ks = cells[span]
+            if not ks:
+                raise ValueError(f"non-leaf span {span} has no splits")
+            if list(ks) != sorted(ks):
+                raise ValueError(f"splits of {span} not sorted")
+            if not (i <= ks[0] and ks[-1] < j):
+                raise ValueError(f"splits {ks} of {span} not inside it")
+            kept.append(span)
+            for k in ks:
                 read.update(((i, k), (k + 1, j)))
-    splits = {span: ks for span, ks in cells.items() if span in read}
 
     # narrowest first: a cell's wave is one past the latest wave it reads
     wave = {(i, i): 0 for i in range(1, n + 1)}
-    for span in sorted(splits, key=lambda s: s[1] - s[0]):
+    for span in reversed(kept):
         i, j = span
         try:
-            wave[span] = 1 + max((max(wave[(i, k)], wave[(k + 1, j)]) for k in splits[span]),
-                                 default=0)
+            wave[span] = 1 + max(max(wave[(i, k)], wave[(k + 1, j)]) for k in cells[span])
         except KeyError as exc:
             raise ValueError(f"cell {span} reads {exc.args[0]}, "
                              "which is neither a leaf nor a cell") from None
-    batches: list[list[Span]] = [[] for _ in range(1 + max(wave.values(), default=0))]
-    for span in sorted(wave):
-        batches[wave[span]].append(span)
-
-    schedule = Schedule(n=n, batches=batches, splits=splits)
-    validate_schedule(schedule)
-    return schedule
+    waves: list[dict[Span, tuple[int, ...]]] = [{} for _ in range(wave[root])]
+    for span in sorted(kept):
+        waves[wave[span] - 1][span] = cells[span]
+    return waves
 
 
-def tree_schedule(n: int, order: dict[Span, int]) -> Schedule:
-    """Single-split-per-cell schedule following a decoded tree exactly.
+def tree_schedule(n: int, order: dict[Span, int]) -> list[dict[Span, tuple[int, ...]]]:
+    """Single-split-per-cell waves following a decoded tree exactly.
 
     Used by the fast encoding mode: the chart degenerates to the tree, so
     each layer runs n-1 inside and n-1 outside compositions.
     """
     return build_cell_batches({span: (k,) for span, k in order.items()})
-

@@ -201,16 +201,15 @@ def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def read_tree_file(path: str) -> list[Node]:
-    """One tree per non-blank line; a bad line raises ValueError naming its path:line."""
-    trees = []
+def numbered_trees(path: str) -> Iterator[tuple[int, Node]]:
+    """(1-based line number, tree) of each non-blank line; a bad line raises
+    ValueError naming its path:line."""
     for line_no, line in numbered_lines(path):
         try:
             if line.strip():
-                trees.append(parse_sexpr(line))
+                yield line_no, parse_sexpr(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return trees
 
 
 def write_tree_file(path: str, roots: list[Node]) -> None:

@@ -160,9 +160,10 @@ def test_criterion_4_schedule_complexity():
     m = 2
     rows = []
     for n in (8, 16, 32, 64, 128, 256, 512):
-        sch = build_cell_batches(prune_schedule(n, m, split_order(balanced_scores(n), n)))
-        steps = sch.non_leaf_batches()
-        cells = sch.cell_count()
+        plan = plan_engine(build_cell_batches(
+            prune_schedule(n, m, split_order(balanced_scores(n), n))))
+        steps = plan.non_leaf_batches()
+        cells = plan.rows
         assert steps <= (m - 1) + 2 * math.ceil(math.log2(n)), (n, steps)
         assert cells <= 2 * m * n, (n, cells)
         rows.append((n, steps, cells))

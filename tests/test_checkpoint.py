@@ -5,6 +5,7 @@ import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_wrong_version(tmp_path):
 def test_truncated_blob_names_tensor(tmp_path):
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(path, {"w": np.ones((4, 4))}, {})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated checkpoint at tensor w"):
@@ -89,7 +90,7 @@ def test_every_truncation_raises_value_error(tmp_path):
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(2, dtype=np.float32)},
                     {"d": 3}, {"step": 1})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     cut = tmp_path / "cut.ckpt"
     for size in range(len(blob)):
         cut.write_bytes(blob[:size])
@@ -166,7 +167,7 @@ def _fuzz_blob(tmp_path):
     save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
                            "step": np.array(3, dtype=np.int64), "b": np.ones(2)},
                     {"d": 3}, {"step": 1, "vocab": ["a", "b"]})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
     return blob, header_end
 
@@ -264,7 +265,7 @@ def test_failed_save_keeps_the_previous_file_whole(tmp_path, monkeypatch):
     path = str(tmp_path / "model.ckpt")
     old = {"w": np.arange(64, dtype=np.float64).reshape(8, 8)}
     save_checkpoint(path, old, {"step": 1})
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
 
     def failing_open(file, mode="r", *args, **kwargs):
         return _DiskFullAfter(open(file, mode, *args, **kwargs), budget=100)
@@ -274,7 +275,7 @@ def test_failed_save_keeps_the_previous_file_whole(tmp_path, monkeypatch):
         save_checkpoint(path, {"w": np.ones((8, 8))}, {"step": 2})
     monkeypatch.undo()
 
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     tensors, config, _ = load_checkpoint(path)
     assert config == {"step": 1}
     np.testing.assert_array_equal(tensors["w"], old["w"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chartlm import autodiff as ad
 from chartlm import inside_outside
 from chartlm.autodiff import Tensor
-from chartlm.chart import Schedule, validate_schedule
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT,
                                     CioStack, ComposeParams, EngineStats,
                                     induce_order, plan_engine, run_stack)
@@ -22,8 +21,7 @@ from chartlm.trees import format_sexpr, tree_from_splits
 
 def _full_plan(n, seed=0):
     scores = np.random.default_rng(seed).standard_normal(max(n - 1, 0))
-    sch = build_cell_batches(prune_schedule(n, max(n, 2), split_order(scores, n)))
-    return plan_engine(sch)
+    return plan_engine(build_cell_batches(prune_schedule(n, max(n, 2), split_order(scores, n))))
 
 
 def _stack(layers=1, d=8, seed=0, share=True, depth=1):
@@ -205,17 +203,17 @@ def _pad_row_pool(vecs, scores, pad):
 
 
 def _schedules():
-    """Pruned schedules at several windows plus a tree schedule, per n."""
+    """Waves of pruned charts at several windows plus a tree's, per n."""
     for n in (1, 2, 5, 12, 40):
         order = split_order(np.random.default_rng(n).standard_normal(max(n - 1, 0)), n)
         for m in sorted({2, 3, max(n, 2)}):
-            yield pytest.param(build_cell_batches(prune_schedule(n, m, order)),
+            yield pytest.param(n, build_cell_batches(prune_schedule(n, m, order)),
                                id=f"n{n}-m{m}")
-        yield pytest.param(tree_schedule(n, order), id=f"n{n}-tree")
+        yield pytest.param(n, tree_schedule(n, order), id=f"n{n}-tree")
 
 
-@pytest.mark.parametrize("schedule", list(_schedules()))
-def test_stack_equals_pad_row_pooling_bit_for_bit(schedule, monkeypatch):
+@pytest.mark.parametrize("n, waves", list(_schedules()))
+def test_stack_equals_pad_row_pooling_bit_for_bit(n, waves, monkeypatch):
     # duplicate-index padding must change no bit of any output or gradient
     def run(pool):
         monkeypatch.setattr(inside_outside, "_softmax_pool", pool)
@@ -223,8 +221,8 @@ def test_stack_equals_pad_row_pooling_bit_for_bit(schedule, monkeypatch):
         rng = np.random.default_rng(37)
         for p in stack.parameters():
             p.data += rng.standard_normal(p.data.shape) * 0.1
-        x = Tensor(rng.standard_normal((schedule.n, stack.d)), requires_grad=True)
-        result = run_stack(x, stack, plan_engine(schedule))
+        x = Tensor(rng.standard_normal((n, stack.d)), requires_grad=True)
+        result = run_stack(x, stack, plan_engine(waves))
         loss = Tensor(np.zeros(()))
         arrays = []
         for state in result.layers:
@@ -251,12 +249,12 @@ def _pool_entries(row):
     return [int(r) for r in row[:k]]
 
 
-def assert_plan_routes_each_parent_edge(schedule):
+def assert_plan_routes_each_parent_edge(waves):
     """Each cell's outside pool holds exactly its parent edges, the root's
     only entry is arena row 0."""
     # candidate-arena row 0 is the root; then each batch, last first, emits
     # one candidate per pair for the left child, then one for the right
-    plan = plan_engine(schedule)
+    plan = plan_engine(waves)
     emitted = [None]
     for bp in reversed(plan.batches):
         for slot in (ROLE_LEFT, ROLE_RIGHT):
@@ -267,10 +265,10 @@ def assert_plan_routes_each_parent_edge(schedule):
         assert bp.pool_pad.shape[0] == len(bp.spans)
         pools.update(zip(bp.spans, bp.pool_pad))
     assert sorted(pools) == sorted(plan.spans)
-    edges = parents_from_splits(schedule.splits)
+    edges = parents_from_splits(plan.splits)
     for span, row in pools.items():
         got = _pool_entries(row)
-        if span == schedule.root:
+        if span == (1, plan.n):
             assert got == [0]
         else:
             assert len(set(got)) == len(got) and 0 not in got
@@ -278,20 +276,9 @@ def assert_plan_routes_each_parent_edge(schedule):
                           key=lambda e: (e.parent, e.split, e.slot)) == list(edges[span])
 
 
-@pytest.mark.parametrize("schedule", list(_schedules()))
-def test_plan_routes_each_parent_edge_to_its_child(schedule):
-    assert_plan_routes_each_parent_edge(schedule)
-
-
-def test_plan_rejects_a_cell_beside_the_root():
-    # (2,3) is well formed but shares the last batch with the root, so no
-    # later batch can emit its parent candidate
-    leaves = [(1, 1), (2, 2), (3, 3)]
-    schedule = Schedule(n=3, batches=[leaves, [(1, 2)], [(1, 3), (2, 3)]],
-                        splits={(1, 2): (1,), (1, 3): (2,), (2, 3): (2,)})
-    validate_schedule(schedule)
-    with pytest.raises(ValueError, match=r"\(2, 3\) has no parent candidates"):
-        plan_engine(schedule)
+@pytest.mark.parametrize("n, waves", list(_schedules()))
+def test_plan_routes_each_parent_edge_to_its_child(n, waves):
+    assert_plan_routes_each_parent_edge(waves)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +355,7 @@ def test_pruned_engine_pools_outside_directly_and_splits_words_last(inputs, data
     result = run_stack(x, stack, plan_engine(build_cell_batches(
         prune_schedule(n, window, split_order(masked, n)))))
     assert direct_outside_check(result, stack) <= 1e-9
-    splits = result.plan.schedule.splits
+    splits = result.plan.splits
     for span, k in induce_order(result, forbidden).items():
         assert k not in forbidden or set(splits[span]) <= forbidden, (span, k, splits[span])
 
@@ -495,7 +482,7 @@ def test_equal_candidates_average():
 def test_induce_trivial_sizes():
     stack = _stack(layers=1, seed=21)
     x = Tensor(np.random.default_rng(22).standard_normal((1, stack.d)))
-    result = run_stack(x, stack, plan_engine(_full_plan(1).schedule))
+    result = run_stack(x, stack, _full_plan(1))
     assert induce_order(result) == {}
     assert format_sexpr(tree_from_splits(induce_order(result), ["w1"])) == "(w1)"
 

@@ -18,7 +18,7 @@ from chartlm.checkpoint import load_checkpoint, save_checkpoint
 from chartlm.cli import _build_parser, dispatch, parse_config_file
 from chartlm.model import ChartLM, ReCatConfig
 from chartlm.training import TrainConfig, Trainer, Vocab
-from chartlm.trees import format_sexpr, left_branching, read_tree_file
+from chartlm.trees import format_sexpr, left_branching, numbered_trees
 
 MODEL_CFG = """\
 layers = 1
@@ -235,10 +235,10 @@ def test_pretrain_parse_eval_roundtrip(workdir, capsys):
     assert "trained 2 steps" in capsys.readouterr().out
     assert os.path.exists(os.path.join(out, "model.ckpt"))
 
-    metrics = [json.loads(l) for l in open(os.path.join(out, "metrics.jsonl"))]
+    metrics = [json.loads(l) for l in Path(out, "metrics.jsonl").read_text().splitlines()]
     assert [m["step"] for m in metrics] == [0, 1]
 
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["command"] == "pretrain"
     assert manifest["config"]["model"]["d"] == 8
     assert len(manifest["inputs"]) == 3  # corpus, vocab, config hashes
@@ -257,7 +257,7 @@ def test_pretrain_parse_eval_roundtrip(workdir, capsys):
                        "--input", _p(workdir, "corpus.txt"),
                        "--mode", mode, "--out", tree_path])
         assert rc == 0
-        trees = read_tree_file(tree_path)
+        trees = [tree for _, tree in numbered_trees(tree_path)]
         assert len(trees) == 5
         assert format_sexpr(trees[3]) == "(a)"  # single-token line
 
@@ -463,7 +463,7 @@ def test_resume_drops_a_torn_last_metrics_line(workdir, capsys):
     rc = dispatch(["pretrain", "--corpus", _p(workdir, "corpus.txt"), "--resume", ckpt,
                    "--out", os.path.dirname(ckpt)])
     assert rc == 0
-    assert [json.loads(l)["step"] for l in open(metrics)] == [0, 1]
+    assert [json.loads(l)["step"] for l in Path(metrics).read_text().splitlines()] == [0, 1]
 
 
 def test_pretrain_names_the_bad_vocabulary_line(workdir, capsys):
@@ -505,7 +505,7 @@ def test_pretrain_without_a_mask_token_fails_before_writing(workdir, capsys):
 
 def test_parse_truncated_checkpoint_is_numeric_error(workdir, capsys):
     cut = workdir / "cut.ckpt"
-    cut.write_bytes(open(_untrained_ckpt(workdir), "rb").read()[:9])
+    cut.write_bytes(Path(_untrained_ckpt(workdir)).read_bytes()[:9])
     rc = dispatch(["parse", "--ckpt", str(cut), "--input", _p(workdir, "corpus.txt"),
                    "--out", _p(workdir, "trees.txt")])
     assert rc == 3
@@ -615,7 +615,7 @@ def test_bad_checkpoint_vocabulary_names_the_field(workdir, capsys, command, tok
 
 def test_parse_rejects_a_big_endian_tensor(workdir, capsys):
     ckpt = _untrained_ckpt(workdir)
-    raw = open(ckpt, "rb").read()
+    raw = Path(ckpt).read_bytes()
     with open(ckpt, "wb") as fh:  # one flipped bit: '<' is 0x3c, '>' is 0x3e
         fh.write(raw.replace(b'"dtype": "<f8"', b'"dtype": ">f8"', 1))
     out = _p(workdir, "trees.txt")
@@ -637,7 +637,7 @@ def test_export_trees_baselines(workdir):
         rc = dispatch(["export-trees", "--input", _p(workdir, "corpus.txt"),
                        "--out", path, "--baseline", baseline])
         assert rc == 0
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 5
         assert lines[3] == "(a)"
         assert lines[4] == third_line
@@ -649,7 +649,7 @@ def test_export_random_trees_deterministic(workdir):
         rc = dispatch(["export-trees", "--input", _p(workdir, "corpus.txt"),
                        "--out", path, "--baseline", "random", "--seed", "5"])
         assert rc == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_eval_f1_on_a_deep_tree(workdir, capsys):
@@ -686,6 +686,26 @@ def test_eval_f1_mismatched_trees(workdir, capsys):
               "--baseline", "left"])
     capsys.readouterr()
     assert dispatch(["eval-f1", "--pred", left, "--gold", right]) == 3
+
+
+def test_eval_f1_names_both_lines_of_a_pair_that_differs_in_length(workdir, capsys):
+    pred = workdir / "pred.txt"
+    pred.write_text("(X a b)\n\n(X a b)\n")
+    gold = workdir / "gold.txt"
+    gold.write_text("(X a b)\n(X a (X b c))\n")
+    assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(gold)]) == 3
+    assert capsys.readouterr().err == (f"error: {pred}:3 vs {gold}:2: length mismatch: "
+                                       "pred has 2 words, gold has 3\n")
+
+
+def test_eval_f1_names_both_files_of_a_tree_count_mismatch(workdir, capsys):
+    pred = workdir / "pred.txt"
+    pred.write_text("(X a b)\n(X a b)\n")
+    gold = workdir / "gold.txt"
+    gold.write_text("(X a b)\n(X a b)\n(X a b)\n")
+    assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(gold)]) == 3
+    assert capsys.readouterr().err == (f"error: 2 predicted trees in {pred} vs "
+                                       f"3 gold trees in {gold}\n")
 
 
 def test_eval_f1_reports_label_recall(workdir, capsys):

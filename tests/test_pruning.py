@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
-from chartlm.chart import Schedule, validate_schedule
+from chartlm.inside_outside import plan_engine
 from chartlm.pruning import (BoundaryScorer, apply_nonsplittable, build_cell_batches,
                              merge_rounds, parser_nll, prune_schedule, split_order,
                              tree_schedule)
 from chartlm.trees import descend, format_sexpr, in_order, leaves, tree_from_splits
+from test_chart import assert_chart_contract
 from test_cio import assert_plan_routes_each_parent_edge
 
 
@@ -306,25 +307,26 @@ def test_pruned_schedule_is_valid_and_linear(n, m, seed):
     scores = np.random.default_rng(seed).standard_normal(max(n - 1, 0))
     order = split_order(scores, n)
     result = prune_schedule(n, m, order)
-    sch = build_cell_batches(result)
-    validate_schedule(sch)
-    assert sch.cell_count() <= 2 * m * n
-    for span, ks in sch.splits.items():
+    waves = build_cell_batches(result)
+    assert_chart_contract(waves, n)
+    plan = plan_engine(waves)
+    assert plan.rows <= 2 * m * n
+    for span, ks in plan.splits.items():
         assert len(ks) <= m  # per-cell split sets stay within the window
     if n > 1:
         # the top split merges last, so it is a unit boundary in any range
         # that first covers the whole sentence
-        assert next(iter(order.values())) in sch.splits[sch.root]
+        assert next(iter(order.values())) in plan.splits[(1, n)]
 
 
 def test_chain_tree_schedule_cannot_batch():
     n = 8
     order = split_order(np.arange(n - 1, 0, -1, dtype=float), n)
     assert list(order.values()) == list(range(1, n))  # right-branching chain
-    sch = build_cell_batches(prune_schedule(n, 2, order))
-    validate_schedule(sch)
+    waves = build_cell_batches(prune_schedule(n, 2, order))
+    assert_chart_contract(waves, n)
     # a maximally unbalanced tree serializes: each suffix span waits on the next
-    assert sch.non_leaf_batches() >= n - 1
+    assert len(waves) >= n - 1
 
 
 def test_balanced_scores_decode_to_the_midpoint_tree():
@@ -338,19 +340,19 @@ def test_balanced_scores_decode_to_the_midpoint_tree():
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_balanced_schedule_batches_logarithmically(n):
     from chartlm.synthetic import balanced_scores
-    sch = build_cell_batches(prune_schedule(n, 2, split_order(balanced_scores(n), n)))
-    assert sch.cell_count() <= 2 * 2 * n
-    assert sch.non_leaf_batches() <= 1 + 2 * int(np.ceil(np.log2(n)))
-    assert sch.batches[-1] == [(1, n)]
+    waves = build_cell_batches(prune_schedule(n, 2, split_order(balanced_scores(n), n)))
+    assert plan_engine(waves).rows <= 2 * 2 * n
+    assert len(waves) <= 1 + 2 * int(np.ceil(np.log2(n)))
+    assert list(waves[-1]) == [(1, n)]
 
 
 def test_tree_schedule_is_minimal():
     order = split_order(np.array([0.3, 0.9, 0.5]), 4)
-    sch = tree_schedule(4, order)
-    validate_schedule(sch)
-    non_leaves = [s for b in sch.batches[1:] for s in b]
-    assert len(non_leaves) == 3  # exactly n-1 cells, one split each
-    assert all(len(sch.splits[s]) == 1 for s in non_leaves)
+    waves = tree_schedule(4, order)
+    assert_chart_contract(waves, 4)
+    splits = [ks for wave in waves for ks in wave.values()]
+    assert len(splits) == 3  # exactly n-1 cells, one split each
+    assert all(len(ks) == 1 for ks in splits)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +394,18 @@ def _drop_loop_batches(n, cells):
                 del kept[span]
                 changed = True
     ready = {(i, i) for i in range(1, n + 1)}
-    batches = [sorted(ready)]
+    waves = []
     pending = dict(kept)
     while pending:
         wave = sorted(span for span, splits in pending.items()
                       if all((span[0], k) in ready and (k + 1, span[1]) in ready
                              for k in splits))
         assert wave, "cyclic or unsatisfiable cell dependencies"
-        batches.append(wave)
+        waves.append({span: kept[span] for span in wave})
         ready.update(wave)
         for span in wave:
             del pending[span]
-    return Schedule(n=n, batches=batches, splits=dict(kept))
+    return waves
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,9 +427,8 @@ def test_sort_and_ordered_passes_match_the_references(n, m, seed, ties, forbid):
                         prune_schedule(n, m, order)),
                        (tree_schedule(n, order), tree_cells)):
         want = _drop_loop_batches(n, cells)
-        assert got.batches == want.batches
-        assert list(got.splits.items()) == list(want.splits.items())
-        validate_schedule(got)
+        assert [list(wave.items()) for wave in got] == [list(wave.items()) for wave in want]
+        assert_chart_contract(got, n)
         assert_plan_routes_each_parent_edge(got)
 
 

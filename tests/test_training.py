@@ -327,10 +327,10 @@ def test_toy_training_learns_predictable_corpus():
 
 
 def test_metrics_file_and_counters(tmp_path):
-    path = str(tmp_path / "metrics.jsonl")
+    path = tmp_path / "metrics.jsonl"
     tr = _trainer(seed=11, max_steps=3, out_dir=str(tmp_path))
     records = tr.train()
-    lines = [json.loads(l) for l in open(path)]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines == records
     for r in records:
         assert set(r) == {"step", "mlm_loss", "parser_loss", "cells_encoded",
@@ -370,7 +370,7 @@ def test_resume_equals_uninterrupted(tmp_path):
 
 def test_resume_does_not_repeat_metric_records(tmp_path):
     out = str(tmp_path)
-    path = str(tmp_path / "metrics.jsonl")
+    path = tmp_path / "metrics.jsonl"
     model = ChartLM(_tiny_cfg(), np.random.default_rng(14))
     first = Trainer(model, TrainConfig(epochs=2, batch_tokens=24, seed=14,
                                        checkpoint_every=2), _corpus(8, seed=6), VOCAB, out)
@@ -380,7 +380,7 @@ def test_resume_does_not_repeat_metric_records(tmp_path):
 
     resumed = Trainer.resume(str(tmp_path / "step000002.ckpt"), _corpus(8, seed=6), out)
     resumed.train()
-    lines = [json.loads(l) for l in open(path)]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [r["step"] for r in lines] == list(range(total))
 
 

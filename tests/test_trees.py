@@ -96,8 +96,9 @@ def test_tree_file_roundtrip(tmp_path):
     src = [left_branching(_tokens(3)), right_branching(_tokens(5)),
            left_branching(["only"])]
     trees.write_tree_file(path, src)
-    back = trees.read_tree_file(path)
-    assert [format_sexpr(t) for t in back] == [format_sexpr(t) for t in src]
+    back = list(trees.numbered_trees(path))
+    assert [line_no for line_no, _ in back] == [1, 2, 3]
+    assert [format_sexpr(t) for _, t in back] == [format_sexpr(t) for t in src]
 
 
 def test_deep_tree_survives_iteration():
