@@ -121,6 +121,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
                                  f"{entry['shape']} of {dtype}")
             arr = np.frombuffer(fh.read(nbytes), dtype=dtype)
             tensors[name] = arr.reshape(entry["shape"]).copy()
+        if size > fh.tell():
+            raise ValueError(f"checkpoint has {size - fh.tell()} bytes after its last tensor")
     return tensors, header["config"], header["extra"]
 
 

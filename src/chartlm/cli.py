@@ -19,13 +19,10 @@ from functools import partial
 import numpy as np
 
 from .autodiff import gradient_check, no_grad
-from .checkpoint import load_checkpoint
 from .evaluation import corpus_f1, label_recalls, sentence_f1
 from .model import ChartLM, ReCatConfig
-from .pruning import apply_nonsplittable
-from .training import (CHECKPOINT_FILE, METRICS_FILE, TrainConfig, Trainer, Vocab,
-                       decode_run, forbidden_boundaries, load_model, numbered_sentences,
-                       read_corpus)
+from .training import (CHECKPOINT_FILE, METRICS_FILE, SentenceError, TrainConfig, Trainer,
+                       Vocab, forbidden_boundaries, load_model, numbered_sentences, read_corpus)
 from .trees import (left_branching, numbered_lines, numbered_trees, random_binary,
                     right_branching, write_tree_file)
 
@@ -124,8 +121,6 @@ def _cmd_pretrain(args) -> int:
         if args.resume:  # the checkpoint's configs and vocabulary govern a resumed run
             if args.config or args.vocab:
                 raise UsageError("pretrain --resume takes no --config or --vocab")
-            tensors, config, extra = load_checkpoint(args.resume)
-            model, tcfg, vocab = decode_run(tensors, config, extra)
         elif args.config and args.vocab:
             mcfg, tcfg = parse_config_file(args.config)
             vocab = Vocab.from_file(args.vocab)
@@ -135,24 +130,13 @@ def _cmd_pretrain(args) -> int:
             model = ChartLM(mcfg, np.random.default_rng(tcfg.seed))
         else:
             raise UsageError("pretrain needs --config and --vocab (or --resume)")
-        max_len, budget = model.cfg.max_len, tcfg.batch_tokens
-        corpus = []
-        for line_no, tokens in numbered_sentences(args.corpus):
-            try:
-                vocab.encode(tokens)
-                if len(tokens) > max_len:
-                    raise ValueError(f"sentence length {len(tokens)} exceeds configured "
-                                     f"max {max_len}")
-                if len(tokens) > budget:
-                    raise ValueError(f"sentence has {len(tokens)} tokens, over the batch "
-                                     f"budget {budget}")
-                apply_nonsplittable(np.zeros(len(tokens) - 1), forbidden_boundaries(tokens))
-            except ValueError as exc:
-                raise ValueError(f"{args.corpus}:{line_no}: {exc}") from None
-            corpus.append(tokens)
-        trainer = Trainer(model, tcfg, corpus, vocab, out_dir=args.out)
-        if args.resume:
-            trainer.restore(tensors, extra)
+        numbered = list(numbered_sentences(args.corpus))
+        corpus = [tokens for _, tokens in numbered]
+        try:
+            trainer = (Trainer.resume(args.resume, corpus, out_dir=args.out) if args.resume
+                       else Trainer(model, tcfg, corpus, vocab, out_dir=args.out))
+        except SentenceError as exc:
+            raise ValueError(f"{args.corpus}:{numbered[exc.index][0]}: {exc.reason}") from None
 
         manifest = {
             "command": "pretrain",

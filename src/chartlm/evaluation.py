@@ -9,6 +9,7 @@ Word-piece trees are collapsed to word-level spans before scoring.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 from .trees import Node, Span, leaves, walk
 
@@ -60,17 +61,20 @@ def _f1(pred: set[Span], gold: set[Span]) -> float:
     return 200.0 * precision * recall / (precision + recall)
 
 
-def sentence_f1(pred: Node, gold: Node) -> float:
-    """Unlabeled bracket F1 in [0, 100]; gold may be n-ary.
-
-    Gold is read as word-level; pred brackets are collapsed to word level by
-    its leaves, a '##' leaf continuing the word before it.
-    """
+def word_level(pred: Node, gold: Node) -> tuple[set[Span], list[tuple[str, Span]]]:
+    """Pred's brackets collapsed to words (a '##' leaf continues the word before
+    it) and gold's labeled spans; ValueError if the word counts differ."""
     mapping = piece_to_word([leaf.token or "" for leaf in leaves(pred)])
     n_pred, n_gold = mapping[-1], len(leaves(gold))
     if n_pred != n_gold:
         raise ValueError(f"length mismatch: pred has {n_pred} words, gold has {n_gold}")
-    return _f1(collapse_spans(bracket_spans(pred), mapping), bracket_spans(gold))
+    return collapse_spans(bracket_spans(pred), mapping), labeled_spans(gold)
+
+
+def sentence_f1(pred: Node, gold: Node) -> float:
+    """Unlabeled bracket F1 in [0, 100] at word level; gold may be n-ary."""
+    pred_spans, gold_spans = word_level(pred, gold)
+    return _f1(pred_spans, {span for _, span in gold_spans})
 
 
 def corpus_f1(preds: list[Node], golds: list[Node]) -> float:
@@ -83,28 +87,25 @@ def corpus_f1(preds: list[Node], golds: list[Node]) -> float:
     return float(sum(scores) / len(scores))
 
 
-def constituent_recall(preds: list[Node], golds: list[Node], label: str) -> float:
-    """Fraction (in %) of gold spans carrying `label` found in the predicted
-    bracket sets. Only non-trivial gold spans can ever match, so the
-    denominator uses the same exclusions as bracket_spans."""
+def label_recalls(preds: list[Node], golds: list[Node]) -> dict[str, float]:
+    """Recall (in %) of each label in the gold trees: the share of gold spans
+    carrying it found in the predicted bracket sets, at word level. Only
+    non-trivial gold spans can ever match, so the denominator uses the same
+    exclusions as bracket_spans."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predicted trees vs {len(golds)} gold trees")
-    total = 0
-    hit = 0
+    total, hit = Counter(), Counter()
     for pred, gold in zip(preds, golds):
-        pred_spans = bracket_spans(pred)
-        for lab, span in labeled_spans(gold):
-            if lab == label:
-                total += 1
-                hit += span in pred_spans
-    if total == 0:
+        pred_spans, gold_spans = word_level(pred, gold)
+        for label, span in gold_spans:
+            total[label] += 1
+            hit[label] += span in pred_spans
+    return {label: 100.0 * hit[label] / total[label] for label in sorted(total)}
+
+
+def constituent_recall(preds: list[Node], golds: list[Node], label: str) -> float:
+    """label_recalls for one `label`; 0, with a warning, if no gold span has it."""
+    recalls = label_recalls(preds, golds)
+    if label not in recalls:
         warnings.warn(f"no gold spans labeled {label!r}; recall defined as 0", stacklevel=2)
-        return 0.0
-    return 100.0 * hit / total
-
-
-def label_recalls(preds: list[Node], golds: list[Node]) -> dict[str, float]:
-    """Constituent recall for every label present in the gold trees."""
-    labels = sorted({lab for g in golds for lab, _ in labeled_spans(g)})
-    return {lab: constituent_recall(preds, golds, lab) for lab in labels}
-
+    return recalls.get(label, 0.0)

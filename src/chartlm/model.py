@@ -145,7 +145,7 @@ class ChartLM(Module):
 
     # ---- forward paths -----------------------------------------------------
 
-    def _check_length(self, ids: np.ndarray) -> int:
+    def check_length(self, ids: np.ndarray) -> int:
         n = int(np.asarray(ids).size)
         if n == 0:
             raise ValueError("empty sentence")
@@ -189,7 +189,7 @@ class ChartLM(Module):
         with `plan_engine`, run the chart, and read the tree from it: in a
         tree schedule that is the parser's own tree."""
         sentence = np.asarray(sentence)
-        n = self._check_length(sentence)
+        n = self.check_length(sentence)
         scores = self.parser(sentence)
         if forbidden:
             scores = apply_nonsplittable(scores, forbidden)

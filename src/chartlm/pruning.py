@@ -233,4 +233,7 @@ def tree_schedule(n: int, order: dict[Span, int]) -> list[dict[Span, tuple[int, 
     Used by the fast encoding mode: the chart degenerates to the tree, so
     each layer runs n-1 inside and n-1 outside compositions.
     """
+    root = max(order, key=lambda span: span[1] - span[0], default=(1, 1))
+    if root != (1, n):
+        raise ValueError(f"split map covers {root}, not a sentence of {n} tokens")
     return build_cell_batches({span: (k,) for span, k in order.items()})

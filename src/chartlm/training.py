@@ -26,6 +26,7 @@ from .checkpoint import (apply_parameters, collect_parameters, load_checkpoint,
                          replace_file, save_checkpoint)
 from .inside_outside import EngineStats
 from .model import ChartLM, Config, ReCatConfig
+from .pruning import apply_nonsplittable
 from .trees import numbered_lines
 
 MASK_TOKEN = "[MASK]"
@@ -137,16 +138,26 @@ def mask_tokens(ids: np.ndarray, rate: float, rng: np.random.Generator,
     return x, picked, ids[picked]
 
 
+class SentenceError(ValueError):
+    """Corpus sentence `index` cannot be trained on, for `reason`; Trainer checks
+    every sentence before its first step (see `Trainer.__init__`)."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"sentence {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
 def batches_by_length(lengths: list[int], budget: int) -> list[list[int]]:
     """Greedy length-sorted batching. Sentences are never split and each
-    batch holds at most `budget` tokens."""
+    batch holds at most `budget` tokens; a sentence over it raises SentenceError."""
     order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
     batches: list[list[int]] = []
     cur: list[int] = []
     cur_tokens = 0
     for i in order:
         if lengths[i] > budget:
-            raise ValueError(f"sentence {i} has {lengths[i]} tokens, over the batch budget {budget}")
+            raise SentenceError(i, f"sentence has {lengths[i]} tokens, over the batch "
+                                   f"budget {budget}")
         if cur and cur_tokens + lengths[i] > budget:
             batches.append(cur)
             cur, cur_tokens = [], 0
@@ -283,8 +294,16 @@ class Trainer:
         self.vocab = vocab
         self.mask_id = vocab.mask_id
         self.out_dir = out_dir
-        self.sentences = [vocab.encode(s) for s in corpus]
-        self.forbidden = [forbidden_boundaries(s) or None for s in corpus]
+        self.sentences, self.forbidden = [], []
+        for i, tokens in enumerate(corpus):
+            try:
+                ids, forbidden = vocab.encode(tokens), forbidden_boundaries(tokens)
+                model.check_length(ids)
+                apply_nonsplittable(np.zeros(len(ids) - 1), forbidden)
+            except ValueError as exc:
+                raise SentenceError(i, str(exc)) from None
+            self.sentences.append(ids)
+            self.forbidden.append(forbidden or None)
         self.batches = batches_by_length([len(s) for s in self.sentences],
                                          cfg.batch_tokens)
         self.opt_model = AdamW(model.model_parameters(), cfg.lr_model,
@@ -399,17 +418,15 @@ class Trainer:
     @classmethod
     def resume(cls, path: str, corpus: list[list[str]],
                out_dir: str | None = None) -> "Trainer":
+        """A trainer at the step, settings and state of a checkpoint from `save`."""
         tensors, config, extra = load_checkpoint(path)
-        model, cfg, vocab = decode_run(tensors, config, extra)
-        trainer = cls(model, cfg, corpus, vocab, out_dir)
-        trainer.restore(tensors, extra)
-        return trainer
-
-    def restore(self, tensors: dict[str, np.ndarray], extra: dict) -> None:
-        """Take the optimizer state and step of a checkpoint written by `save`."""
-        for prefix, opt in (("opt_model", self.opt_model), ("opt_parser", self.opt_parser)):
+        model, vocab = model_from_checkpoint(tensors, config, extra)
+        trainer = cls(model, TrainConfig.from_dict(_entry(config, "train", dict)),
+                      corpus, vocab, out_dir)
+        for prefix, opt in (("opt_model", trainer.opt_model), ("opt_parser", trainer.opt_parser)):
             opt.load_state_tensors(tensors, prefix, _entry(extra, f"{prefix}_t", int))
-        self.step = _entry(extra, "step", int)
+        trainer.step = _entry(extra, "step", int)
+        return trainer
 
 
 def _drop_records_from(path: str, step: int) -> None:
@@ -457,14 +474,6 @@ def model_from_checkpoint(tensors: dict[str, np.ndarray], config: dict,
     model = ChartLM(mcfg, np.random.default_rng(0))
     apply_parameters(model, tensors)
     return model, Vocab(tokens, source="checkpoint field vocab")
-
-
-def decode_run(tensors: dict[str, np.ndarray], config: dict,
-               extra: dict) -> tuple[ChartLM, TrainConfig, Vocab]:
-    """The model, trainer config and vocabulary of a checkpoint written by
-    `Trainer.save`; `Trainer.restore` takes the rest."""
-    model, vocab = model_from_checkpoint(tensors, config, extra)
-    return model, TrainConfig.from_dict(_entry(config, "train", dict)), vocab
 
 
 def load_model(path: str) -> tuple[ChartLM, Vocab, dict]:

@@ -86,6 +86,14 @@ def test_truncated_blob_names_tensor(tmp_path):
         load_checkpoint(str(cut))
 
 
+def test_bytes_after_the_last_tensor_are_value_error(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(str(path), {"w": np.ones((2, 3))}, {})
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ValueError, match="7 bytes after its last tensor"):
+        load_checkpoint(str(path))
+
+
 def test_every_truncation_raises_value_error(tmp_path):
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(2, dtype=np.float32)},

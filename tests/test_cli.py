@@ -708,6 +708,15 @@ def test_eval_f1_names_both_files_of_a_tree_count_mismatch(workdir, capsys):
                                        f"3 gold trees in {gold}\n")
 
 
+def test_eval_f1_label_recall_collapses_a_piece_level_prediction(workdir, capsys):
+    gold = workdir / "gold.txt"
+    gold.write_text("(S (NP the unable) (NP story))\n")
+    pred = workdir / "pred.txt"
+    pred.write_text("(X (X the (X un ##able)) (X story))\n")
+    assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(gold)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["F1 100.00", "NP 100.00"]
+
+
 def test_eval_f1_reports_label_recall(workdir, capsys):
     gold = workdir / "gold.txt"
     gold.write_text("(S (NP a b) (VP c (NP d e)))\n")

@@ -160,3 +160,17 @@ def test_label_recalls_covers_gold_labels():
     assert list(out) == ["NP", "VP"]  # sorted; S spans only (1,5), excluded
     assert out == {"NP": 100.0, "VP": 100.0}
 
+
+
+def test_label_recall_collapses_pieces_as_f1_does():
+    pred = [parse_sexpr("(X (X the (X un ##able)) (X story))")]
+    gold = [parse_sexpr("(S (NP the unable) (NP story))")]
+    assert corpus_f1(pred, gold) == 100.0
+    assert label_recalls(pred, gold) == {"NP": 100.0}
+
+
+def test_label_recall_rejects_a_length_mismatch():
+    pred = [parse_sexpr("(X a b)")]
+    gold = [parse_sexpr("(S (NP a b) (VP c d))")]
+    with pytest.raises(ValueError, match="pred has 2 words, gold has 4"):
+        label_recalls(pred, gold)

@@ -355,6 +355,16 @@ def test_tree_schedule_is_minimal():
     assert all(len(ks) == 1 for ks in splits)
 
 
+@pytest.mark.parametrize("n, order", [
+    (5, {}),
+    (5, {(1, 4): 2, (1, 2): 1, (3, 4): 3}),
+    (1, {(1, 2): 1}),
+], ids=["empty", "short", "long"])
+def test_tree_schedule_rejects_a_map_that_is_not_the_sentence(n, order):
+    with pytest.raises(ValueError, match=f"not a sentence of {n} tokens"):
+        tree_schedule(n, order)
+
+
 # ---------------------------------------------------------------------------
 # references: the best-first heap decoder and the drop-until-stable batcher
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from chartlm.autodiff import Parameter, Tensor
 from chartlm.checkpoint import load_checkpoint, save_checkpoint
 from chartlm.model import ChartLM, ReCatConfig
-from chartlm.training import (MASK_TOKEN, AdamW, TrainConfig, Trainer, Vocab,
-                              batches_by_length, forbidden_boundaries,
+from chartlm.training import (MASK_TOKEN, AdamW, SentenceError, TrainConfig, Trainer,
+                              Vocab, batches_by_length, forbidden_boundaries,
                               load_model, mask_tokens, read_corpus)
 
 VOCAB = Vocab([MASK_TOKEN, "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"])
@@ -254,6 +254,32 @@ def test_checkpoint_with_retired_keys_at_their_old_values_loads(tmp_path):
     for a, b, c in zip(model.parameters(), resumed.model.parameters(), tr.model.parameters()):
         np.testing.assert_array_equal(a.data, c.data)
         np.testing.assert_array_equal(b.data, c.data)
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+@pytest.mark.parametrize("bad, limits, reason", [
+    (["a", "zz", "b"], {}, "unknown token 'zz'"),
+    (list("abcdef"), {"max_len": 4}, "sentence length 6 exceeds configured max 4"),
+    (list("abcdef"), {"batch_tokens": 5}, "sentence has 6 tokens, over the batch budget 5"),
+    (["a", "##k"], {}, "no admissible tree: every boundary is non-splittable"),
+], ids=["unknown_token", "max_len", "batch_tokens", "one_word"])
+def test_trainer_refuses_a_bad_sentence_before_any_step(tmp_path, resume, bad, limits, reason):
+    """Trainer and Trainer.resume put every sentence to the checks a step
+    would, and name the one that fails by its index."""
+    vocab = Vocab(VOCAB.tokens[:-1] + ["##k"])
+    mcfg, tcfg = _tiny_cfg(), TrainConfig(batch_tokens=limits.get("batch_tokens", 24))
+    mcfg.max_len = limits.get("max_len", mcfg.max_len)
+    corpus = [["a", "b"], ["c", "##k", "d"], bad, ["e"]]
+    if resume:
+        ckpt = str(tmp_path / "m.ckpt")
+        Trainer(ChartLM(mcfg, np.random.default_rng(0)), tcfg, corpus[:2], vocab).save(ckpt)
+        build = lambda: Trainer.resume(ckpt, corpus)
+    else:
+        build = lambda: Trainer(ChartLM(mcfg, np.random.default_rng(0)), tcfg, corpus, vocab)
+    with pytest.raises(SentenceError) as info:
+        build()
+    assert (info.value.index, info.value.reason) == (2, reason)
+    assert str(info.value) == f"sentence 2: {reason}"
 
 
 def test_trainer_rejects_empty_corpus():
