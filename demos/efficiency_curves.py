@@ -5,17 +5,22 @@ How the pruned chart scales
 Sweeps sentence length with balanced parser scores and prints the schedule
 counters against their bounds: encoded cells stay linear in n (vs n^2/2 for
 the full chart) and inside batch count stays logarithmic. Then times a real
-forward pass at a few lengths so the constants are honest.
+forward pass at a few lengths so the constants are honest. The balanced
+scores come from the test suite's `tests/oracle.py`.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from chartlm.autodiff import Tensor, no_grad
-from chartlm.inside_outside import CioStack, EngineStats, plan_engine, run_stack
-from chartlm.pruning import build_cell_batches, prune_schedule, split_order
-from chartlm.synthetic import balanced_scores
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from chartlm.autodiff import Tensor, no_grad  # noqa: E402
+from chartlm.inside_outside import CioStack, EngineStats, plan_engine, run_stack  # noqa: E402
+from chartlm.pruning import build_cell_batches, prune_schedule, split_order  # noqa: E402
+from oracle import balanced_scores  # noqa: E402
 
 print(f"{'n':>5} {'m':>3} {'cells':>7} {'<=2mn':>7} {'full':>8} "
       f"{'steps':>6} {'bound':>6}")

@@ -5,15 +5,21 @@ Batched chart engine vs cubic brute force
 Runs the batched inside-outside engine over a full chart and recomputes
 every quantity with the independent per-span reference. The point of the
 exercise: gather/scatter index plumbing is where chart engines rot, so we
-check every representation and score, not just the final loss.
+check every representation and score, not just the final loss. The reference
+is the test suite's `tests/oracle.py`.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from chartlm.autodiff import Tensor
-from chartlm.inside_outside import CioStack, induce_order, plan_engine, run_stack
-from chartlm.oracle import best_tree_exhaustive, full_chart_reference
-from chartlm.pruning import build_cell_batches, prune_schedule, split_order
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from chartlm.autodiff import Tensor  # noqa: E402
+from chartlm.inside_outside import CioStack, induce_order, plan_engine, run_stack  # noqa: E402
+from chartlm.pruning import build_cell_batches, prune_schedule, split_order  # noqa: E402
+from oracle import best_tree_exhaustive, full_chart_reference  # noqa: E402
 
 n, d, layers = 7, 16, 2
 rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ minute.
 import numpy as np
 
 from chartlm.autodiff import no_grad
-from chartlm.evaluation import corpus_f1
+from chartlm.evaluation import corpus_scores
 from chartlm.model import ChartLM, ReCatConfig
 from chartlm.synthetic import VOCAB_TOKENS, generate_corpus
 from chartlm.training import TrainConfig, Trainer, Vocab
@@ -43,10 +43,10 @@ preds = []
 with no_grad():
     for toks in tokens:
         preds.append(model.forward_pretrain(vocab.encode(toks), token_strs=toks).tree)
-induced = corpus_f1(preds, golds)
+induced, _ = corpus_scores(preds, golds)
 
 rng = np.random.default_rng(0)
-baseline = corpus_f1([random_binary(t, rng) for t in tokens], golds)
+baseline, _ = corpus_scores([random_binary(t, rng) for t in tokens], golds)
 
 print(f"\ninduced-tree F1 {induced:.2f} vs random-binary baseline {baseline:.2f}")
 print(f"an induced tree: {format_sexpr(preds[0])}")

@@ -14,34 +14,14 @@ import json
 import math
 import os
 import struct
-from contextlib import suppress
-from typing import Iterable
 
 import numpy as np
 
 from .nn import Module
+from .trees import replace_file
 
 MAGIC = b"CLMC"
 VERSION = 1
-
-
-def replace_file(path: str, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` to `path` so the file is either whole or absent: they go
-    to a temp file in the same directory, which is flushed, synced and then
-    renamed over `path`. On failure the temp file is removed and whatever
-    was at `path` before is left untouched."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict,

@@ -19,12 +19,12 @@ from functools import partial
 import numpy as np
 
 from .autodiff import gradient_check, no_grad
-from .evaluation import corpus_f1, label_recalls, sentence_f1
+from .evaluation import PairError, corpus_scores
 from .model import ChartLM, ReCatConfig
 from .training import (CHECKPOINT_FILE, METRICS_FILE, SentenceError, TrainConfig, Trainer,
                        Vocab, forbidden_boundaries, load_model, numbered_sentences, read_corpus)
 from .trees import (left_branching, numbered_lines, numbered_trees, random_binary,
-                    right_branching, write_tree_file)
+                    replace_file, right_branching, write_tree_file)
 
 
 class UsageError(Exception):
@@ -148,9 +148,8 @@ def _cmd_pretrain(args) -> int:
             "layout": {"checkpoint": CHECKPOINT_FILE, "metrics": METRICS_FILE,
                        "manifest": "manifest.json"},
         }
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        replace_file(os.path.join(args.out, "manifest.json"),
+                     [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])
 
     records = trainer.train()
     if records:
@@ -185,15 +184,13 @@ def _cmd_eval_f1(args) -> int:
     if len(pred) != len(gold):
         raise ValueError(f"{len(pred)} predicted trees in {args.pred} vs "
                          f"{len(gold)} gold trees in {args.gold}")
-    for (pred_line, p), (gold_line, g) in zip(pred, gold):
-        try:
-            sentence_f1(p, g)
-        except ValueError as exc:  # the pair is not the same sentence
-            raise ValueError(f"{args.pred}:{pred_line} vs {args.gold}:{gold_line}: "
-                             f"{exc}") from None
-    preds, golds = [tree for _, tree in pred], [tree for _, tree in gold]
-    print(f"F1 {corpus_f1(preds, golds):.2f}")
-    for label, recall in label_recalls(preds, golds).items():
+    try:
+        f1, recalls = corpus_scores([tree for _, tree in pred], [tree for _, tree in gold])
+    except PairError as exc:  # the pair is not the same sentence
+        raise ValueError(f"{args.pred}:{pred[exc.index][0]} vs "
+                         f"{args.gold}:{gold[exc.index][0]}: {exc.reason}") from None
+    print(f"F1 {f1:.2f}")
+    for label, recall in recalls.items():
         if label != "X":
             print(f"{label} {recall:.2f}")
     return 0

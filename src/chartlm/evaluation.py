@@ -8,7 +8,6 @@ Word-piece trees are collapsed to word-level spans before scoring.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 
 from .trees import Node, Span, leaves, walk
@@ -77,35 +76,35 @@ def sentence_f1(pred: Node, gold: Node) -> float:
     return _f1(pred_spans, {span for _, span in gold_spans})
 
 
-def corpus_f1(preds: list[Node], golds: list[Node]) -> float:
-    """Mean sentence F1."""
+class PairError(ValueError):
+    """Pair `index` (0-based) of a corpus cannot be scored, for `reason`."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"pair {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
+def corpus_scores(preds: list[Node], golds: list[Node]) -> tuple[float, dict[str, float]]:
+    """Mean sentence F1, and the recall (in %) of each label in the gold trees:
+    the share of gold spans carrying it found in the predicted bracket sets.
+    Both are at word level, from one `word_level` call per pair; a pair whose
+    word counts differ raises PairError. Only non-trivial gold spans can ever
+    match, so the recall denominator uses the same exclusions as
+    bracket_spans."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predicted trees vs {len(golds)} gold trees")
     if not preds:
         raise ValueError("empty corpus")
-    scores = [sentence_f1(p, g) for p, g in zip(preds, golds)]
-    return float(sum(scores) / len(scores))
-
-
-def label_recalls(preds: list[Node], golds: list[Node]) -> dict[str, float]:
-    """Recall (in %) of each label in the gold trees: the share of gold spans
-    carrying it found in the predicted bracket sets, at word level. Only
-    non-trivial gold spans can ever match, so the denominator uses the same
-    exclusions as bracket_spans."""
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predicted trees vs {len(golds)} gold trees")
+    scores: list[float] = []
     total, hit = Counter(), Counter()
-    for pred, gold in zip(preds, golds):
-        pred_spans, gold_spans = word_level(pred, gold)
+    for index, (pred, gold) in enumerate(zip(preds, golds)):
+        try:
+            pred_spans, gold_spans = word_level(pred, gold)
+        except ValueError as exc:
+            raise PairError(index, str(exc)) from None
+        scores.append(_f1(pred_spans, {span for _, span in gold_spans}))
         for label, span in gold_spans:
             total[label] += 1
             hit[label] += span in pred_spans
-    return {label: 100.0 * hit[label] / total[label] for label in sorted(total)}
-
-
-def constituent_recall(preds: list[Node], golds: list[Node], label: str) -> float:
-    """label_recalls for one `label`; 0, with a warning, if no gold span has it."""
-    recalls = label_recalls(preds, golds)
-    if label not in recalls:
-        warnings.warn(f"no gold spans labeled {label!r}; recall defined as 0", stacklevel=2)
-    return recalls.get(label, 0.0)
+    recalls = {label: 100.0 * hit[label] / total[label] for label in sorted(total)}
+    return float(sum(scores) / len(scores)), recalls

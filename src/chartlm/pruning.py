@@ -88,19 +88,15 @@ def split_order(scores: np.ndarray, n: int) -> dict[Span, int]:
     return {span: k for _, k, span in picks}
 
 
-def parser_nll(scores, order: dict[Span, int]) -> Tensor | float:
+def parser_nll(scores: Tensor, order: dict[Span, int]) -> Tensor:
     """Negative log-likelihood of a split map under boundary scores.
 
     Each tree node contributes -log softmax over the boundaries inside its
     span. Spans whose boundaries are all -inf (forced single moves)
-    contribute zero. A plain array is scored as a float64 tensor and gives a
-    float. The sum is mathematically invariant to the order the nodes are
-    visited in, but its terms are added in `order`, left to right: training
-    depends on the float32 accumulation order.
+    contribute zero. The sum is mathematically invariant to the order the
+    nodes are visited in, but its terms are added in `order`, left to right:
+    training depends on the float32 accumulation order.
     """
-    taped = isinstance(scores, Tensor)
-    if not taped:
-        scores = Tensor(np.asarray(scores, dtype=np.float64))
     total = None
     for (i, j), k in order.items():
         seg = scores.data[i - 1:j - 1]
@@ -112,7 +108,7 @@ def parser_nll(scores, order: dict[Span, int]) -> Tensor | float:
         total = term if total is None else total + term
     if total is None:
         total = Tensor(np.zeros((), dtype=scores.dtype))
-    return total if taped else float(total.data)
+    return total
 
 
 # ---------------------------------------------------------------------------

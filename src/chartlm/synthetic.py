@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .training import MASK_TOKEN
-from .trees import Node, assign_spans, descend, leaves
+from .trees import Node, assign_spans, leaves
 
 DET =["the", "a", "every", "some"]
 NOUN = ["dog", "cat", "bird", "fox", "man", "woman", "child", "king",
@@ -94,12 +94,3 @@ def generate_corpus(rng: np.random.Generator, count: int, min_len: int = 4,
                     max_len: int = 16) -> list[tuple[list[str], Node]]:
     return [sample_sentence(rng, min_len, max_len) for _ in range(count)]
 
-
-def balanced_scores(n: int) -> np.ndarray:
-    """Boundary scores whose top-down decoding is the most balanced tree:
-    each span's midpoint scores the span's width, above every boundary of
-    its narrower sub-spans."""
-    v = np.zeros(max(n - 1, 0), dtype=np.float64)
-    for (i, j), k in descend(n, lambda i, j: (i + j) // 2).items():
-        v[k - 1] = j - i + 1
-    return v

@@ -22,12 +22,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .checkpoint import (apply_parameters, collect_parameters, load_checkpoint,
-                         replace_file, save_checkpoint)
+from .checkpoint import apply_parameters, collect_parameters, load_checkpoint, save_checkpoint
 from .inside_outside import EngineStats
 from .model import ChartLM, Config, ReCatConfig
 from .pruning import apply_nonsplittable
-from .trees import numbered_lines
+from .trees import numbered_lines, replace_file
 
 MASK_TOKEN = "[MASK]"
 # the files a run writes in its output directory

@@ -1,6 +1,7 @@
 """Constituency-tree containers, the two traversals every tree job uses
-(`descend` top down over spans, `walk` over nodes), and bracketed
-s-expression I/O.
+(`descend` top down over spans, `walk` over nodes), bracketed
+s-expression I/O, and the package's one line reader (`numbered_lines`) and
+one whole-file writer (`replace_file`).
 
 Induced trees are proper binary trees over token positions; gold trees read
 from disk may be n-ary and labeled. Serialized form: "(X (X w1 w2) (X w3))",
@@ -9,7 +10,9 @@ with a bare "(w1)" for single-token sentences.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import os
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,22 +84,6 @@ def leaves(root: Node) -> list[Node]:
     return [node for node in walk(root) if node.is_leaf]
 
 
-def in_order(root: Node) -> list[Node]:
-    """Left subtree, node, right subtree; binary trees only."""
-    out: list[Node] = []
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.is_leaf or expanded:
-            out.append(node)
-            continue
-        if len(node.children) != 2:
-            raise ValueError(f"in_order needs a binary tree, node has {len(node.children)} children")
-        left, right = node.children
-        stack += [(right, False), (node, True), (left, False)]
-    return out
-
-
 def tree_from_splits(split_of: dict[Span, int], tokens: list[str]) -> Node:
     """Binary tree over `tokens` in which span (i, j) splits after token
     split_of[(i, j)]; built narrowest span first, so a deep tree needs no
@@ -105,10 +92,6 @@ def tree_from_splits(split_of: dict[Span, int], tokens: list[str]) -> Node:
     for (i, j), k in sorted(split_of.items(), key=lambda item: item[0][1] - item[0][0]):
         node[(i, j)] = branch([node[(i, k)], node[(k + 1, j)]])
     return node[(1, len(tokens))]
-
-
-def node_count(root: Node) -> int:
-    return sum(1 for _ in walk(root))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +184,25 @@ def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def replace_file(path: str, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to `path` so the file is either whole or absent: they go
+    to a temp file in the same directory, which is flushed, synced and then
+    renamed over `path`. On failure the temp file is removed and whatever
+    was at `path` before is left untouched."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def numbered_trees(path: str) -> Iterator[tuple[int, Node]]:
     """(1-based line number, tree) of each non-blank line; a bad line raises
     ValueError naming its path:line."""
@@ -213,9 +215,8 @@ def numbered_trees(path: str) -> Iterator[tuple[int, Node]]:
 
 
 def write_tree_file(path: str, roots: list[Node]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for root in roots:
-            fh.write(format_sexpr(root) + "\n")
+    """One tree per line, written whole through `replace_file`."""
+    replace_file(path, ((format_sexpr(root) + "\n").encode("utf-8") for root in roots))
 
 
 # ---------------------------------------------------------------------------

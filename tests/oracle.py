@@ -1,9 +1,14 @@
-"""Cubic reference implementations used only by tests and diagnostics.
+"""Cubic reference implementations, used only by tests and the demos that
+check the engine against them.
 
 Everything here recomputes the chart quantities with plain per-span loops and
 the direct softmax-weighted formulas, sharing only the parameterized forward
 functions with the engine. Span/loop traversal, weighting, and tree search
-are written independently so engine bugs cannot hide in shared code.
+are written independently so engine bugs cannot hide in shared code: nothing
+here reads the engine's plan, its sweeps or the pruning code. `in_order` is
+the node layout reference, independent of the split map, and
+`balanced_scores` gives parser scores whose decoded tree is the most
+balanced one.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT, CioStack,
-                             StackResult)
-from .trees import Span
+from chartlm import autodiff as ad
+from chartlm.autodiff import Tensor
+from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT, CioStack,
+                                    StackResult)
+from chartlm.trees import Node, Span, descend
 
 ORACLE_MAX_N = 12
 
@@ -252,3 +257,29 @@ def cumulative_outside_reference(cands: np.ndarray, scores: np.ndarray
         total = keep * total + add * scores[u]
         m = m_new
     return vec, float(total)
+
+
+def in_order(root: Node) -> list[Node]:
+    """Left subtree, node, right subtree; binary trees only."""
+    out: list[Node] = []
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.is_leaf or expanded:
+            out.append(node)
+            continue
+        if len(node.children) != 2:
+            raise ValueError(f"in_order needs a binary tree, node has {len(node.children)} children")
+        left, right = node.children
+        stack += [(right, False), (node, True), (left, False)]
+    return out
+
+
+def balanced_scores(n: int) -> np.ndarray:
+    """Boundary scores whose top-down decoding is the most balanced tree:
+    each span's midpoint scores the span's width, above every boundary of
+    its narrower sub-spans."""
+    v = np.zeros(max(n - 1, 0), dtype=np.float64)
+    for (i, j), k in descend(n, lambda i, j: (i + j) // 2).items():
+        v[k - 1] = j - i + 1
+    return v

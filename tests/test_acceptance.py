@@ -13,17 +13,17 @@ import pytest
 
 from chartlm.autodiff import Tensor, gradient_check, no_grad
 from chartlm.checkpoint import collect_parameters, load_checkpoint
-from chartlm.evaluation import corpus_f1
+from chartlm.evaluation import corpus_scores
 from chartlm.inside_outside import (CioStack, EngineStats, induce_order,
                                     plan_engine, run_stack)
 from chartlm.model import ChartLM, ReCatConfig
-from chartlm.oracle import (best_tree_exhaustive, cumulative_outside_reference,
-                            direct_outside_check, full_chart_reference)
 from chartlm.pruning import (build_cell_batches, merge_rounds, parser_nll,
                              prune_schedule, split_order)
-from chartlm.synthetic import VOCAB_TOKENS, balanced_scores, generate_corpus
+from chartlm.synthetic import VOCAB_TOKENS, generate_corpus
 from chartlm.training import MASK_TOKEN, TrainConfig, Trainer, Vocab
-from chartlm.trees import format_sexpr, in_order, random_binary, tree_from_splits
+from chartlm.trees import format_sexpr, random_binary, tree_from_splits
+from oracle import (balanced_scores, best_tree_exhaustive, cumulative_outside_reference,
+                    direct_outside_check, full_chart_reference, in_order)
 
 
 def _full_chart_plan(n, seed):
@@ -200,7 +200,7 @@ def test_criterion_6_hard_em_loss_contract():
         n = int(rng.integers(3, 10))
         scores = rng.standard_normal(n - 1)
         order = split_order(scores, n)
-        nll = parser_nll(scores, order)
+        nll = parser_nll(Tensor(scores), order).item()
         direct = 0.0
         for (i, j), k in order.items():
             seg = scores[i - 1:j - 1]
@@ -212,7 +212,7 @@ def test_criterion_6_hard_em_loss_contract():
     for n in (3, 5, 8):  # uniform logits: each span costs ln(its width - 1)
         order = split_order(np.zeros(n - 1), n)
         closed = sum(math.log(j - i) for i, j in order)
-        assert parser_nll(np.zeros(n - 1), order) == pytest.approx(closed, rel=1e-12)
+        assert parser_nll(Tensor(np.zeros(n - 1)), order).item() == pytest.approx(closed, rel=1e-12)
     print(f"\ncriterion 6 PASS: worst dev {worst:.2e}; uniform closed form exact")
 
 
@@ -240,9 +240,9 @@ def test_criterion_7_toy_training_trend():
         for toks in tokens:
             preds.append(model.forward_pretrain(vocab.encode(toks),
                                                 token_strs=toks).tree)
-    induced_f1 = corpus_f1(preds, golds)
+    induced_f1, _ = corpus_scores(preds, golds)
     rng_b = np.random.default_rng(0)
-    rand_f1 = corpus_f1([random_binary(t, rng_b) for t in tokens], golds)
+    rand_f1, _ = corpus_scores([random_binary(t, rng_b) for t in tokens], golds)
     assert induced_f1 >= rand_f1 + 10.0, (induced_f1, rand_f1)
 
     elapsed = time.perf_counter() - t_start

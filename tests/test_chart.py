@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartlm.inside_outside import plan_engine
-from chartlm.oracle import ParentEdge, parents_from_splits
 from chartlm.pruning import build_cell_batches, prune_schedule, split_order, tree_schedule
 from chartlm.trees import descend
+from oracle import ParentEdge, parents_from_splits
 
 
 def _waves(n, window=2, seed=0):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chartlm import checkpoint
+from chartlm import trees
 from chartlm.checkpoint import (MAGIC, VERSION, apply_parameters,
                                 collect_parameters, load_checkpoint,
                                 save_checkpoint)
@@ -278,7 +278,7 @@ def test_failed_save_keeps_the_previous_file_whole(tmp_path, monkeypatch):
     def failing_open(file, mode="r", *args, **kwargs):
         return _DiskFullAfter(open(file, mode, *args, **kwargs), budget=100)
 
-    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    monkeypatch.setattr(trees, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(path, {"w": np.ones((8, 8))}, {"step": 2})
     monkeypatch.undo()

@@ -11,12 +11,12 @@ from chartlm.autodiff import Tensor
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT,
                                     CioStack, ComposeParams, EngineStats,
                                     induce_order, plan_engine, run_stack)
-from chartlm.oracle import (ORACLE_MAX_N, ParentEdge, best_tree_exhaustive,
-                            cumulative_outside_reference, direct_outside_check,
-                            full_chart_reference, parents_from_splits)
 from chartlm.pruning import (apply_nonsplittable, build_cell_batches,
                              prune_schedule, split_order, tree_schedule)
 from chartlm.trees import format_sexpr, tree_from_splits
+from oracle import (ORACLE_MAX_N, ParentEdge, best_tree_exhaustive,
+                    cumulative_outside_reference, direct_outside_check,
+                    full_chart_reference, parents_from_splits)
 
 
 def _full_plan(n, seed=0):

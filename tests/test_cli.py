@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, files produced, stdout contracts."""
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from chartlm import autodiff as ad
-from chartlm import cli
+from chartlm import cli, evaluation, trees
 from chartlm.autodiff import Tensor
 from chartlm.checkpoint import load_checkpoint, save_checkpoint
 from chartlm.cli import _build_parser, dispatch, parse_config_file
@@ -146,6 +147,28 @@ def test_a_failed_parse_leaves_out_as_it_was(workdir, capsys, existed):
         assert out.read_text() == "(old tree)\n"
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "export-trees"])
+def test_a_failed_tree_write_leaves_out_as_it_was(workdir, capsys, monkeypatch, command):
+    (workdir / "two.txt").write_text("a b\nc d\n")
+    out = workdir / "trees.txt"
+    out.write_text("(X old tree)\n")
+    argv = {"parse": ["parse", "--ckpt", _untrained_ckpt(workdir)],
+            "export-trees": ["export-trees", "--baseline", "right"]}[command]
+    formatted = []
+
+    def format_until_the_disk_fills(root):
+        if formatted:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
+        formatted.append(root)
+        return format_sexpr(root)
+
+    monkeypatch.setattr(trees, "format_sexpr", format_until_the_disk_fills)
+    assert dispatch(argv + ["--input", _p(workdir, "two.txt"), "--out", str(out)]) == 2
+    assert f"error: {out}: No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "(X old tree)\n"
+    assert not (workdir / "trees.txt.tmp").exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -715,6 +738,21 @@ def test_eval_f1_label_recall_collapses_a_piece_level_prediction(workdir, capsys
     pred.write_text("(X (X the (X un ##able)) (X story))\n")
     assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(gold)]) == 0
     assert capsys.readouterr().out.splitlines() == ["F1 100.00", "NP 100.00"]
+
+
+def test_eval_f1_reduces_each_pair_to_word_level_once(workdir, capsys, monkeypatch):
+    pred = workdir / "pred.txt"
+    pred.write_text("(S (NP a b) (VP c d))\n(X a (X b c))\n(X a b)\n")
+    calls, word_level = [], evaluation.word_level
+
+    def counted(*args):
+        calls.append(args)
+        return word_level(*args)
+
+    monkeypatch.setattr(evaluation, "word_level", counted)
+    assert dispatch(["eval-f1", "--pred", str(pred), "--gold", str(pred)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["F1 100.00", "NP 100.00", "VP 100.00"]
+    assert len(calls) == 3
 
 
 def test_eval_f1_reports_label_recall(workdir, capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartlm.evaluation import (bracket_spans, collapse_spans, constituent_recall,
-                                corpus_f1, label_recalls, labeled_spans,
+from chartlm.evaluation import (bracket_spans, collapse_spans, corpus_scores, labeled_spans,
                                 piece_to_word, sentence_f1)
 from chartlm.trees import (left_branching, parse_sexpr, random_binary,
                            right_branching)
@@ -91,7 +90,7 @@ def test_corpus_f1_is_mean_and_thread_safe():
     for n in (3, 4, 5, 6, 7, 8):
         preds.append(random_binary(_words(n), rng))
         golds.append(random_binary(_words(n), rng))
-    serial = corpus_f1(preds, golds)
+    serial, _ = corpus_scores(preds, golds)
     expected = np.mean([sentence_f1(p, g) for p, g in zip(preds, golds)])
     assert serial == pytest.approx(float(expected))
 
@@ -99,9 +98,9 @@ def test_corpus_f1_is_mean_and_thread_safe():
 def test_corpus_f1_errors():
     t = left_branching(_words(3))
     with pytest.raises(ValueError, match="predicted trees vs"):
-        corpus_f1([t], [t, t])
+        corpus_scores([t], [t, t])
     with pytest.raises(ValueError, match="empty corpus"):
-        corpus_f1([], [])
+        corpus_scores([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +137,18 @@ def test_sentence_f1_with_pieces():
 def test_constituent_recall_full_and_partial():
     gold = [parse_sexpr("(S (NP a b) (VP c (NP d e)))")]
     exact = [parse_sexpr("(X (X a b) (X c (X d e)))")]
-    assert constituent_recall(exact, gold, "NP") == 100.0
-    assert constituent_recall(exact, gold, "VP") == 100.0
+    assert corpus_scores(exact, gold)[1]["NP"] == 100.0
+    assert corpus_scores(exact, gold)[1]["VP"] == 100.0
     # right-branching misses (1,2) but keeps (4,5) and (3,5)
     rb = [right_branching(["a", "b", "c", "d", "e"])]
-    assert constituent_recall(rb, gold, "NP") == 50.0
-    assert constituent_recall(rb, gold, "VP") == 100.0
-
-
-def test_constituent_recall_missing_label_warns():
-    gold = [parse_sexpr("(S (NP a b) c)")]
-    pred = [left_branching(["a", "b", "c"])]
-    with pytest.warns(UserWarning, match="no gold spans labeled 'ADJP'"):
-        assert constituent_recall(pred, gold, "ADJP") == 0.0
+    assert corpus_scores(rb, gold)[1]["NP"] == 50.0
+    assert corpus_scores(rb, gold)[1]["VP"] == 100.0
 
 
 def test_label_recalls_covers_gold_labels():
     gold = [parse_sexpr("(S (NP a b) (VP c (NP d e)))")]
     pred = [parse_sexpr("(X (X a b) (X c (X d e)))")]
-    out = label_recalls(pred, gold)
+    _, out = corpus_scores(pred, gold)
     assert list(out) == ["NP", "VP"]  # sorted; S spans only (1,5), excluded
     assert out == {"NP": 100.0, "VP": 100.0}
 
@@ -165,12 +157,12 @@ def test_label_recalls_covers_gold_labels():
 def test_label_recall_collapses_pieces_as_f1_does():
     pred = [parse_sexpr("(X (X the (X un ##able)) (X story))")]
     gold = [parse_sexpr("(S (NP the unable) (NP story))")]
-    assert corpus_f1(pred, gold) == 100.0
-    assert label_recalls(pred, gold) == {"NP": 100.0}
+    assert corpus_scores(pred, gold) == (100.0, {"NP": 100.0})
 
 
 def test_label_recall_rejects_a_length_mismatch():
     pred = [parse_sexpr("(X a b)")]
     gold = [parse_sexpr("(S (NP a b) (VP c d))")]
     with pytest.raises(ValueError, match="pred has 2 words, gold has 4"):
-        label_recalls(pred, gold)
+        corpus_scores(pred, gold)
+

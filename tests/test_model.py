@@ -11,7 +11,7 @@ from chartlm import model as model_module
 from chartlm.autodiff import Tensor, no_grad
 from chartlm.inside_outside import ComposeParams, EngineStats, StackResult, run_stack
 from chartlm.model import ChartLM, ForwardOutput, ReCatConfig
-from chartlm.trees import format_sexpr, leaves, node_count, tree_from_splits
+from chartlm.trees import format_sexpr, leaves, tree_from_splits, walk
 
 
 def _tiny_cfg(**kw):
@@ -88,7 +88,7 @@ def test_node_count_matches_sentence_length(n):
     ids = np.random.default_rng(n).integers(0, 12, size=n)
     out = model.forward_pretrain(ids)
     assert out.nodes.shape == (2 * n - 1, model.cfg.d)
-    assert node_count(out.tree) == 2 * n - 1
+    assert sum(1 for _ in walk(out.tree)) == 2 * n - 1
     assert [l.token for l in leaves(out.tree)] == [str(t) for t in ids]
     assert out.logits.shape == (n, 12)
 
@@ -119,7 +119,7 @@ def test_both_forward_modes_take_the_same_keyword_only_arguments():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_nodes_are_laid_out_in_order_over_the_induced_tree(n):
-    from chartlm.trees import in_order
+    from oracle import in_order
 
     model = _model(seed=4, transformer_depth=0)
     for forward in (model.forward_pretrain, model.fast_encode):
@@ -131,7 +131,7 @@ def test_nodes_are_laid_out_in_order_over_the_induced_tree(n):
 
 
 def test_transformer_depth_zero_returns_gathered_outside():
-    from chartlm.trees import in_order
+    from oracle import in_order
 
     model = _model(seed=4, transformer_depth=0)
     ids = np.array([1, 2, 3, 4])

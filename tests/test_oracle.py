@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from chartlm.inside_outside import CioStack
-from chartlm.oracle import (ORACLE_MAX_N, best_tree_exhaustive,
-                            full_chart_reference)
+from oracle import ORACLE_MAX_N, best_tree_exhaustive, full_chart_reference
 
 
 def _stack(seed=0, d=6, layers=1):
@@ -31,7 +30,7 @@ def test_oracle_two_tokens_by_hand():
     np.testing.assert_array_equal(layer.inside[(1, 1)], x[0])
     assert layer.inside_score[(1, 1)] == 0.0
     # one split: the cell score is the bare compatibility of the two leaves
-    from chartlm.oracle import _compat_np
+    from oracle import _compat_np
     assert layer.inside_score[(1, 2)] == pytest.approx(
         _compat_np(stack, "inside", x[0], x[1]), abs=1e-12)
     np.testing.assert_array_equal(layer.outside[(1, 2)], stack.roots[0].data)
@@ -42,7 +41,7 @@ def test_oracle_outside_scores_softmax_weighted():
     # b of a leaf is the softmax-weighted mean of its parent candidates'
     # scores; recompute one cell by hand from the oracle's own tables
     from chartlm.autodiff import softmax_np
-    from chartlm.oracle import _compat_np
+    from oracle import _compat_np
 
     stack = _stack(seed=3)
     n = 4

