@@ -16,13 +16,13 @@ too) is its forward plus one VJP. An input the op uses k times is passed k
 times and gets k gradients, in the order the tape would add them: summing
 them inside the VJP instead would reorder float additions.
 
-Three fused ops follow this contract outside this module:
-`nn.TransformerLayer`, `inside_outside.CompatHead` and each direction of
-`nn.BiLstm`. Each records one node whose VJP replays the tape VJPs of the
-composite it replaced, bit for bit; the composites are kept as the tests'
-reference in tests/composites.py. The plain-array formulas below (layer
-norm, GELU, sigmoid, tanh) are the one copy they, the tape ops and the
-reference share.
+Fused ops follow this contract outside this module: `nn.TransformerLayer`,
+`inside_outside.CompatHead` (one score, and the outside sweep's two sibling
+scores per pair) and each direction of `nn.BiLstm`. Each records one node
+whose VJP replays the tape VJPs of the composite it replaced, bit for bit;
+the composites are kept as the tests' reference in tests/composites.py. The
+plain-array formulas below (layer norm, GELU, sigmoid, tanh) are the one
+copy they, the tape ops and the reference share.
 """
 
 from __future__ import annotations
@@ -229,13 +229,24 @@ def tanh_grad(y: Array) -> Array:
     return 1.0 - y * y
 
 
-def gelu_np(x: Array) -> Array:
-    """Exact-erf GELU."""
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu_np(x: Array) -> tuple[Array, Array]:
+    """Exact-erf GELU: the output, and e = 1 + erf(x / sqrt 2), which
+    `gelu_grad` reads so that a backward pass calls `erf` no more."""
+    e = 1.0 + erf(x / _SQRT2)
+    return 0.5 * x * e, e
 
 
-def gelu_grad(x: Array) -> Array:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: Array, e: Array) -> Array:
+    """Derivative of GELU at x, from the forward's e = 1 + erf(x / sqrt 2)."""
+    return 0.5 * e + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def _mean_last(x: Array) -> Array:
+    """`x.mean(axis=-1, keepdims=True)` as `np.mean` computes it (a sum, then
+    a division by the count as an intp, cast back), bit for bit, without
+    its Python-level overhead."""
+    s = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(x.shape[-1]), out=s, casting="unsafe")
 
 
 def mT(a: Array) -> Array:
@@ -246,9 +257,8 @@ def mT(a: Array) -> Array:
 def layer_norm_np(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
     """LayerNorm over the last axis: the output, and the normalized input
     and inverse deviation that `layer_norm_vjp` reads."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = x - _mean_last(x)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -292,16 +302,11 @@ def div(a, b) -> Tensor:
                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
-def _unary(a, fwd: Callable[[Array], Array], dfd: Callable[[Array, Array], Array]) -> Tensor:
-    """Elementwise op whose derivative `dfd(x, y)` reads its input and output."""
-    a = as_tensor(a)
-    out_data = fwd(a.data)
-    return _node(out_data, (a,), lambda g: (g * dfd(a.data, out_data),))
-
-
 def gelu(a) -> Tensor:
     """Exact-erf GELU."""
-    return _unary(a, gelu_np, lambda x, y: gelu_grad(x))
+    a = as_tensor(a)
+    out, e = gelu_np(a.data)
+    return _node(out, (a,), lambda g: (g * gelu_grad(a.data, e),))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +341,11 @@ def gather(a, key) -> Tensor:
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
+               for k in (key if isinstance(key, tuple) else (key,))):
+            full[key] += g  # a basic key: the same 0 + g as np.add.at, but fast
+        else:
+            np.add.at(full, key, g)
         return (full,)
 
     return _node(out, (a,), vjp)
@@ -393,6 +402,14 @@ def matmul(a, b) -> Tensor:
 def softmax_np(x: Array, axis: int = -1) -> Array:
     """Plain-array stable softmax (shared by ops and tape-free callers)."""
     x = np.asarray(x, dtype=np.result_type(x, np.float32))
+    if x.shape[axis] == 3 and axis % x.ndim == x.ndim - 1:
+        # the compose block's 3x3 scores: numpy's max and sum over a last
+        # axis of width 3, elementwise (its sum adds (e0 + e1) + e2)
+        x0, x1, x2 = x[..., 0:1], x[..., 1:2], x[..., 2:3]
+        m = np.maximum(np.maximum(x0, x1), x2)
+        m = np.where(np.isfinite(m), m, 0.0)
+        e = np.exp(x - m)
+        return e / ((e[..., 0:1] + e[..., 1:2]) + e[..., 2:3])
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)  # all -inf row: avoid inf - inf
     e = np.exp(x - m)

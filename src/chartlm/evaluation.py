@@ -49,7 +49,9 @@ def collapse_spans(spans: set[Span], mapping: list[int]) -> set[Span]:
     return out
 
 
-def _f1(pred: set[Span], gold: set[Span]) -> float:
+def _f1(pred: set[Span], gold_spans: list[tuple[str, Span]]) -> float:
+    """Unlabeled F1 of one pair as `word_level` returns it."""
+    gold = {span for _, span in gold_spans}
     if not pred and not gold:
         return 100.0
     hits = len(pred & gold)
@@ -72,8 +74,7 @@ def word_level(pred: Node, gold: Node) -> tuple[set[Span], list[tuple[str, Span]
 
 def sentence_f1(pred: Node, gold: Node) -> float:
     """Unlabeled bracket F1 in [0, 100] at word level; gold may be n-ary."""
-    pred_spans, gold_spans = word_level(pred, gold)
-    return _f1(pred_spans, {span for _, span in gold_spans})
+    return _f1(*word_level(pred, gold))
 
 
 class PairError(ValueError):
@@ -102,7 +103,7 @@ def corpus_scores(preds: list[Node], golds: list[Node]) -> tuple[float, dict[str
             pred_spans, gold_spans = word_level(pred, gold)
         except ValueError as exc:
             raise PairError(index, str(exc)) from None
-        scores.append(_f1(pred_spans, {span for _, span in gold_spans}))
+        scores.append(_f1(pred_spans, gold_spans))
         for label, span in gold_spans:
             total[label] += 1
             hit[label] += span in pred_spans

@@ -30,8 +30,8 @@ class ComposeParams(Module):
 
     The three inputs are placed in (left, right, parent) slots, each offset
     by a learned role embedding, and run through a small transformer; the
-    caller reads whichever slot the pass needs (inside: parent slot, outside:
-    the target child's slot).
+    caller names the slots its pass reads, and only those leave the last
+    layer's feed-forward.
     """
 
     def __init__(self, name: str, d: int, heads: int, depth: int, rng: np.random.Generator):
@@ -40,11 +40,28 @@ class ComposeParams(Module):
         self.roles = self._param(f"{name}.roles", _normal(rng, (3, d)))
         self.block = self._child(AttentionBlock(f"{name}.block", d, heads, depth, rng))
 
-    def __call__(self, slots: Tensor) -> Tensor:
-        """slots (B, 3, d) -> (B, 3, d); slot selection is the caller's."""
+    def __call__(self, slots: Tensor, read: list[int] | None = None) -> Tensor:
+        """slots (B, 3, d) -> (B, len(read), d), the slots `read` of the output
+        (all three when None): the inside sweep reads the parent slot, the
+        outside sweep both child slots."""
         if slots.shape[-2:] != (3, self.d):
             raise ValueError(f"compose expects (*, 3, {self.d}) slots, got {slots.shape}")
-        return self.block(slots + ad.reshape(self.roles, (1, 3, self.d)))
+        return self.block(slots + ad.reshape(self.roles, (1, 3, self.d)), read)
+
+
+def _residual_mlp(m: ResidualMlp, v: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """v + W2 gelu(W1 v), and what `_residual_mlp_vjp` reads."""
+    pre = v @ m.fc1.w.data + m.fc1.b.data
+    act, e = ad.gelu_np(pre)
+    return v + (act @ m.fc2.w.data + m.fc2.b.data), (v, pre, act, e)
+
+
+def _residual_mlp_vjp(m: ResidualMlp, saved: tuple, gm: np.ndarray) -> tuple[list, list]:
+    """The input's gradients (residual path, then fc1) and the weights'."""
+    v, pre, act, e = saved
+    gpre = (gm @ ad.mT(m.fc2.w.data)) * ad.gelu_grad(pre, e)
+    return ([gm, gpre @ ad.mT(m.fc1.w.data)],
+            [ad.mT(v) @ gpre, gpre.sum(axis=0), ad.mT(act) @ gm, gm.sum(axis=0)])
 
 
 class CompatHead(Module):
@@ -64,34 +81,63 @@ class CompatHead(Module):
                         self._child(ResidualMlp(f"{name}.beta.r", d, rng))),
         }
 
-    def __call__(self, x: Tensor, y: Tensor, head: str) -> Tensor:
-        """(B, d) x (B, d) -> (B,) scaled inner products, as one tape node.
+    def _score(self, y, lx, sx, maps):
+        """One compat score's forward from MLP_L(x) = lx, and its VJP: the
+        gradients of x twice and y twice (residual path first: the tape's
+        order for the composite, tests/composites.py), then the weights'."""
+        scale = lx.dtype.type(1.0 / np.sqrt(self.d))
+        ry, sy = _residual_mlp(maps[1], y.data)
 
+        def vjp(g):
+            gp = np.broadcast_to(np.expand_dims(g * scale, -1), lx.shape)
+            gx, wx = _residual_mlp_vjp(maps[0], sx, gp * ry)
+            gy, wy = _residual_mlp_vjp(maps[1], sy, gp * lx)
+            return gx + gy + wx + wy
+
+        return (lx * ry).sum(axis=-1) * scale, vjp
+
+    def __call__(self, x: Tensor, y: Tensor, head: str) -> Tensor:
+        """(B, d) x (B, d) -> (B,) scaled inner products, as one tape node;
         x and y each feed a map's residual path and its fc1, so each is an
-        input twice, residual gradient first: the tape's order for the
-        composite (tests/composites.py), which the VJP replays bit for bit.
-        """
+        input twice."""
         if x.shape[-1] != self.d or y.shape[-1] != self.d:
             raise ValueError(f"compatibility expects dim {self.d}")
         maps = self.maps[head]
         params = tuple(p for m in maps for p in m.parameters())
-        scale = x.dtype.type(1.0 / np.sqrt(self.d))
-        pre = [v.data @ m.fc1.w.data + m.fc1.b.data for v, m in zip((x, y), maps)]
-        act = [ad.gelu_np(a) for a in pre]
-        lx, ry = (v.data + (a @ m.fc2.w.data + m.fc2.b.data)  # v + W2 gelu(W1 v)
-                  for v, a, m in zip((x, y), act, maps))
+        out, vjp = self._score(y, *_residual_mlp(maps[0], x.data), maps)
+        return ad._node(out, (x, x, y, y) + params, vjp)
+
+    def sibling_scores(self, parent: Tensor, parent_b: Tensor, left: Tensor, right: Tensor,
+                       left_a: Tensor, right_a: Tensor) -> Tensor:
+        """The outside scores of each pair's left child, then of its right
+        child, (2B,), as one tape node: the left child's is its sibling's
+        inside score + compat(parent, right) + the parent's outside score,
+        and the right child's the same with left. MLP_L(parent) runs once.
+
+        The VJP is the tape's for two `__call__`s and their adds (the
+        composite in tests/composites.py), the left child's first. Inputs
+        are listed so that a backward pass reaches them in that tape's
+        order: the left child's terms, the right child's, then parent_b.
+        """
+        for t in (parent, left, right):
+            if t.shape[-1] != self.d:
+                raise ValueError(f"compatibility expects dim {self.d}")
+        maps = self.maps["outside"]
+        params = tuple(p for m in maps for p in m.parameters())
+        lx, sx = _residual_mlp(maps[0], parent.data)
+        score_l, vjp_l = self._score(right, lx, sx, maps)
+        score_r, vjp_r = self._score(left, lx, sx, maps)
+        b = len(score_l)
 
         def vjp(g):
-            gp = np.broadcast_to(np.expand_dims(g * scale, -1), lx.shape)
-            grads, weights = [], []
-            for v, p, a, m, gm in zip((x, y), pre, act, maps, (gp * ry, gp * lx)):
-                gpre = (gm @ ad.mT(m.fc2.w.data)) * ad.gelu_grad(p)
-                grads += [gm, gpre @ ad.mT(m.fc1.w.data)]  # residual path, then fc1
-                weights += [ad.mT(v.data) @ gpre, gpre.sum(axis=0), ad.mT(a) @ gm, gm.sum(axis=0)]
-            return grads + weights
+            g_l, g_r = g[:b], g[b:]
+            return [g_l, *vjp_l(g_l), g_r, *vjp_r(g_r), g_l, g_r]
 
-        out = (lx * ry).sum(axis=-1) * scale
-        return ad._node(out, (x, x, y, y) + params, vjp)
+        out = np.concatenate([(right_a.data + score_l) + parent_b.data,
+                              (left_a.data + score_r) + parent_b.data])
+        return ad._node(out, (right_a, parent, parent, right, right) + params
+                        + (left_a, parent, parent, left, left) + params
+                        + (parent_b, parent_b), vjp)
 
 
 class CioStack(Module):
@@ -301,8 +347,9 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
             left = ad.gather(arena, bp.pair_left)
             right = ad.gather(arena, bp.pair_right)
             parent_slot = ad.gather(prev_out, bp.pair_cell)
-            slots = stack.alpha[l](ad.stack([left, right, parent_slot], axis=1))
-            composed = slots[:, ROLE_PARENT, :]
+            composed = stack.alpha[l](ad.stack([left, right, parent_slot], axis=1),
+                                      [ROLE_PARENT])
+            composed = ad.reshape(composed, (len(bp.pair_cell), stack.d))
             totals = stack.compat(left, right, "inside") \
                 + ad.gather(scores, bp.pair_left) + ad.gather(scores, bp.pair_right)
             cell_vec, cell_score = _softmax_pool(composed, totals, bp.score_pad)
@@ -327,13 +374,13 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
             right = ad.gather(arena, bp.pair_right)
             parent_out = ad.gather(out_vec, bp.pair_cell_pos)
             parent_b = ad.gather(out_b, bp.pair_cell_pos)
-            y = stack.beta[l](ad.stack([left, right, parent_out], axis=1))
-            b_left = ad.gather(scores, bp.pair_right) \
-                + stack.compat(parent_out, right, "outside") + parent_b
-            b_right = ad.gather(scores, bp.pair_left) \
-                + stack.compat(parent_out, left, "outside") + parent_b
-            cand_v = ad.concat([cand_v, y[:, ROLE_LEFT, :], y[:, ROLE_RIGHT, :]], axis=0)
-            cand_s = ad.concat([cand_s, b_left, b_right], axis=0)
+            y = stack.beta[l](ad.stack([left, right, parent_out], axis=1),
+                              [ROLE_LEFT, ROLE_RIGHT])
+            cand_b = stack.compat.sibling_scores(
+                parent_out, parent_b, left, right,
+                ad.gather(scores, bp.pair_left), ad.gather(scores, bp.pair_right))
+            cand_v = ad.concat([cand_v, y[:, 0, :], y[:, 1, :]], axis=0)  # y's left, right
+            cand_s = ad.concat([cand_s, cand_b], axis=0)
 
         leaf_out, leaf_b = _softmax_pool(cand_v, cand_s, plan.leaf_pool)
         outside = ad.concat([leaf_out] + out_vecs[::-1], axis=0)

@@ -131,9 +131,24 @@ class TransformerLayer(Module):
         self.fc1 = self._child(Linear(f"{name}.ffn1", d, 4 * d, rng))
         self.fc2 = self._child(Linear(f"{name}.ffn2", 4 * d, d, rng))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
+        """x (b, t, d) -> (b, len(read), d): the positions `read` (all when
+        None) of the layer's output. Attention runs over all t positions;
+        `wo`, the residual, ln2 and the feed-forward only on the read ones.
+
+        Two BLAS facts keep this equal to the full layer followed by a read
+        (tests/test_fused.py): rows of X @ W are the full product's rows
+        when X has two or more of them, so a one-row read runs every
+        position; and X.T @ G is the same without G's zero rows. Rows of
+        G @ W.T do depend on the row count, so the VJP puts the read rows
+        back in the full (b*t)-row shape, zeros elsewhere, before those.
+        """
         b, t, d = x.shape
         h, dh = self.attn.h, self.attn.dh
+        whole = read is None
+        read = list(range(t)) if whole else read
+        keep = read if b * len(read) > 1 else list(range(t))  # the rows computed
+        r = len(keep)
         params = tuple(self.parameters())
         (gain1, bias1, wq, bq, wk, bk, wv, bv, wo, bo,
          gain2, bias2, w1, b1, w2, b2) = (p.data for p in params)
@@ -148,21 +163,34 @@ class TransformerLayer(Module):
         q, k, v = heads(wq, bq), heads(wk, bk), heads(wv, bv)
         kt = np.transpose(k, (0, 1, 3, 2))
         att = ad.softmax_np((q @ kt) * scale, axis=-1)
-        merged = np.transpose(att @ v, (0, 2, 1, 3)).reshape(b * t, d)
-        x1 = x.data + (merged @ wo + bo).reshape(b, t, d)
-        y2, xhat2, inv2 = ad.layer_norm_np(x1.reshape(b * t, d), gain2, bias2)
+        merged = np.transpose(att @ v, (0, 2, 1, 3))[:, keep].reshape(b * r, d)
+        x1 = x.data[:, keep] + (merged @ wo + bo).reshape(b, r, d)
+        y2, xhat2, inv2 = ad.layer_norm_np(x1.reshape(b * r, d), gain2, bias2)
         a1 = y2 @ w1 + b1
-        act = ad.gelu_np(a1)
-        out = x1 + (act @ w2 + b2).reshape(b, t, d)
+        act, e1 = ad.gelu_np(a1)
+        out = x1 + (act @ w2 + b2).reshape(b, r, d)
+        if keep is not read:
+            out = out[:, read]
+
+        def through(gr, w):  # kept rows @ w.T, computed in the (b*t)-row shape
+            full = np.zeros((b, t, gr.shape[-1]), dtype=gr.dtype)
+            full[:, keep] = gr.reshape(b, r, -1)
+            return (full.reshape(b * t, -1) @ ad.mT(w)).reshape(b, t, -1)
 
         def vjp(g):
-            gff = g.reshape(b * t, d)
-            ga1 = (gff @ ad.mT(w2)) * ad.gelu_grad(a1)
-            gx2, ggain2, gbias2 = ad.layer_norm_vjp(ga1 @ ad.mT(w1), xhat2, inv2, gain2)
-            gx1 = np.array(g, copy=True)  # x1 feeds the output, then ln2; g stays as it is
-            gx1 += gx2.reshape(b, t, d)
-            go = gx1.reshape(b * t, d)
-            gctx = np.transpose((go @ ad.mT(wo)).reshape(b, t, h, dh), (0, 2, 1, 3))
+            if whole:  # x1 feeds the output, then ln2; g stays as it is
+                gx1 = np.array(g, copy=True)
+            else:  # the read's scatter adds g into zeros
+                gx1 = np.zeros((b, t, d), dtype=g.dtype)
+                gx1[:, read] += g
+            gff = gx1[:, keep].reshape(b * r, d)
+            ga1 = through(gff, w2)[:, keep].reshape(b * r, -1) * ad.gelu_grad(a1, e1)
+            gx2, ggain2, gbias2 = ad.layer_norm_vjp(
+                through(ga1, w1)[:, keep].reshape(b * r, d), xhat2, inv2, gain2)
+            gx1[:, keep] += gx2.reshape(b, r, d)
+            go = gx1[:, keep].reshape(b * r, d)
+            gctx = np.transpose((gx1.reshape(b * t, d) @ ad.mT(wo)).reshape(b, t, h, dh),
+                                (0, 2, 1, 3))
             gatt = gctx @ ad.mT(v)
             gs = att * (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * scale
             gq, gk, gv = (np.transpose(gh, (0, 2, 1, 3)).reshape(b * t, d)  # back to rows
@@ -190,10 +218,15 @@ class AttentionBlock(Module):
         self.layers = [self._child(TransformerLayer(f"{name}.{i}", d, n_heads, rng))
                        for i in range(depth)]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
+    def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
+        """x (b, t, d) -> (b, len(read), d), the positions `read` (all when
+        None); it reaches the last layer only, since every layer before it
+        feeds all t positions to the next."""
+        if not self.layers:
+            return x if read is None else ad.gather(x, (slice(None), read))
+        for layer in self.layers[:-1]:
             x = layer(x)
-        return x
+        return self.layers[-1](x, read)
 
 
 class Embedding(Module):

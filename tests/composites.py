@@ -1,13 +1,13 @@
-"""The tape composites behind chartlm's three fused ops, kept as their reference.
+"""The tape composites behind chartlm's fused ops, kept as their reference.
 
-`nn.TransformerLayer`, `inside_outside.CompatHead` and each direction of
-`nn.BiLstm` record one tape node whose VJP replays these composites' tape
-VJPs in the tape's order. The functions here build the same computations
-from many tape nodes, the way the model did before the fusion, so tests can
-check that each fused op equals its composite: to rounding at float64 and
-bit for bit at float32. They share every formula with the fused ops
-(`autodiff.layer_norm_np`, `gelu_np`, `sigmoid_np`, ...); no formula is
-written here.
+`nn.TransformerLayer`, `inside_outside.CompatHead` (a score, and the outside
+sweep's sibling scores) and each direction of `nn.BiLstm` record one tape
+node whose VJP replays these composites' tape VJPs in the tape's order. The
+functions here build the same computations from many tape nodes, the way
+the model did before the fusion, so tests can check that each fused op
+equals its composite: to rounding at float64 and bit for bit at float32.
+They share every formula with the fused ops (`autodiff.layer_norm_np`,
+`gelu_np`, `sigmoid_np`, ...); no formula is written here.
 """
 
 import numpy as np
@@ -18,12 +18,19 @@ from chartlm import inside_outside, nn
 
 # -- tape ops the fused ops replaced -------------------------------------------
 
+def _unary(a, fwd, dfd):
+    """Elementwise op whose derivative `dfd(y)` reads its output."""
+    a = ad.as_tensor(a)
+    out = fwd(a.data)
+    return ad._node(out, (a,), lambda g: (g * dfd(out),))
+
+
 def sigmoid(a):
-    return ad._unary(a, ad.sigmoid_np, lambda x, y: ad.sigmoid_grad(y))
+    return _unary(a, ad.sigmoid_np, ad.sigmoid_grad)
 
 
 def tanh(a):
-    return ad._unary(a, np.tanh, lambda x, y: ad.tanh_grad(y))
+    return _unary(a, np.tanh, ad.tanh_grad)
 
 
 def layer_norm(x, gain, bias):
@@ -56,19 +63,29 @@ def attention(attn, x):
     return ad.reshape(attn.wo(merged), (b, t, d))
 
 
-def transformer_layer(layer, x):
-    """`nn.TransformerLayer.__call__` as a composite."""
+def transformer_layer(layer, x, read=None):
+    """`nn.TransformerLayer.__call__` as a composite: the whole layer, then a
+    read of the positions `read`."""
     x = x + attention(layer.attn, layer_norm(x, layer.ln1.gain, layer.ln1.bias))
     b, t, d = x.shape
     h = ad.reshape(x, (b * t, d))
     ff = layer.fc2(ad.gelu(layer.fc1(layer_norm(h, layer.ln2.gain, layer.ln2.bias))))
-    return x + ad.reshape(ff, (b, t, d))
+    out = x + ad.reshape(ff, (b, t, d))
+    return out if read is None else ad.gather(out, (slice(None), read))
 
 
 def compat(head, x, y, which):
     """`inside_outside.CompatHead.__call__` as a composite."""
     ml, mr = head.maps[which]
     return ad.tsum(residual_mlp(ml, x) * residual_mlp(mr, y), axis=-1) * (1.0 / np.sqrt(head.d))
+
+
+def sibling_scores(head, parent, parent_b, left, right, left_a, right_a):
+    """`inside_outside.CompatHead.sibling_scores` as a composite: two
+    `compat` calls and their adds."""
+    b_left = right_a + compat(head, parent, right, "outside") + parent_b
+    b_right = left_a + compat(head, parent, left, "outside") + parent_b
+    return ad.concat([b_left, b_right], axis=0)
 
 
 def lstm_direction(lstm, x, cell, reverse):
@@ -94,6 +111,7 @@ def lstm_direction(lstm, x, cell, reverse):
 # each fused method and the composite that can stand in for it
 FUSED = [(nn.TransformerLayer, "__call__", transformer_layer),
          (inside_outside.CompatHead, "__call__", compat),
+         (inside_outside.CompatHead, "sibling_scores", sibling_scores),
          (nn.BiLstm, "_run_direction", lstm_direction)]
 
 

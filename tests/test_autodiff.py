@@ -295,3 +295,63 @@ def test_index_scatter_backward():
     expect = np.zeros((3, 4))
     expect[1] = [1, 2, 3, 4]
     np.testing.assert_array_equal(p.grad, expect)
+
+
+@pytest.mark.parametrize("key", [(slice(None), 1), (slice(None), 1, slice(1, 4)), 2,
+                                 (np.int64(1), slice(None))])
+def test_basic_key_scatter_has_the_bits_of_add_at(key):
+    # a basic read scatters with `full[key] += g`: the same 0 + g per
+    # element as np.add.at, so -0.0 becomes +0.0 on both paths
+    a = Parameter("a", np.ones((3, 3, 5), dtype=np.float32))
+    g = np.random.default_rng(10).standard_normal(a.data[key].shape).astype(np.float32)
+    g.reshape(-1)[::3] = -0.0
+    ad.gather(a, key).backward(g)
+    expect = np.zeros_like(a.data)
+    np.add.at(expect, key, g)
+    assert a.grad.tobytes() == expect.tobytes()
+    assert not np.signbit(a.grad[a.grad == 0]).any()
+
+
+# ---------------------------------------------------------------------------
+# the plain-array formulas' shortcuts keep numpy's bits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_grad_from_the_forward_equals_the_erf_formula(dtype):
+    from math import pi, sqrt
+
+    from scipy.special import erf
+    x = (np.random.default_rng(11).standard_normal(20000) * 3).astype(dtype)
+    x[:4] = [0.0, -0.0, 8.0, -8.0]
+    out, e = ad.gelu_np(x)
+    ref = 0.5 * (1.0 + erf(x / sqrt(2.0))) + x * (1.0 / sqrt(2.0 * pi)) * np.exp(-0.5 * x * x)
+    assert ad.gelu_grad(x, e).dtype == dtype
+    assert ad.gelu_grad(x, e).tobytes() == ref.tobytes()
+    assert out.tobytes() == (0.5 * x * (1.0 + erf(x / sqrt(2.0)))).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3), (1, 4, 3, 3), (30, 4, 3, 3)])
+def test_width_3_softmax_has_the_bits_of_the_reductions(shape, dtype):
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal((200,) + shape) * 4).astype(dtype)
+    x[:50, ..., 1:] = np.where(rng.random(x[:50, ..., 1:].shape) < 0.5, -np.inf,
+                               x[:50, ..., 1:])
+    x[50:60] = -np.inf
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - np.where(np.isfinite(m), m, 0.0))
+    with np.errstate(invalid="ignore"):
+        assert ad.softmax_np(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 64), (9, 64), (2, 3, 64), (5, 7)])
+def test_layer_norm_means_have_the_bits_of_np_mean(shape, dtype):
+    rng = np.random.default_rng(13)
+    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    gain, bias = np.ones(shape[-1], dtype), np.zeros(shape[-1], dtype)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+    _, xhat, inv_np = ad.layer_norm_np(x, gain, bias)
+    assert inv_np.tobytes() == inv.tobytes()
+    assert xhat.tobytes() == (xc * inv).tobytes()

@@ -79,6 +79,9 @@ def test_compose_depth0_returns_slot_plus_role():
     np.testing.assert_allclose(
         compose(l, r, p, params, mode="outside", target_slot=ROLE_RIGHT).data,
         r.data + params.roles.data[ROLE_RIGHT], atol=1e-12)
+    slots = ad.stack([ad.reshape(v, (1, 6)) for v in (l, r, p)], axis=1)
+    np.testing.assert_array_equal(params(slots, [ROLE_RIGHT, ROLE_LEFT]).data,
+                                  params(slots).data[:, [ROLE_RIGHT, ROLE_LEFT]])
 
 
 def test_compose_mode_errors():

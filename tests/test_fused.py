@@ -64,18 +64,20 @@ def _assert_bit_identical(build, inputs, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("depth", [1, 2])
-@pytest.mark.parametrize("b,t", [(1, 3), (5, 3), (1, 15)])
-def test_transformer_layers_equal_the_composite(b, t, depth):
+@pytest.mark.parametrize("b,t,read", [(1, 3, None), (5, 3, None), (1, 15, None),
+                                      (1, 3, [2]), (5, 3, [2]), (1, 3, [0, 1]),
+                                      (5, 3, [0, 1]), (2, 15, [9, 3, 4])])
+def test_transformer_layers_equal_the_composite(b, t, read, depth):
     block = _perturbed(nn.AttentionBlock("blk", 8, 2, depth, np.random.default_rng(0)), 1)
     x = Parameter("x", np.random.default_rng(2).standard_normal((b, t, 8)))
 
     def composite():
         y = x
-        for layer in block.layers:
+        for layer in block.layers[:-1]:
             y = composites.transformer_layer(layer, y)
-        return y
+        return composites.transformer_layer(block.layers[-1], y, read)
 
-    _assert_close(lambda: block(x), composite, [x] + block.parameters())
+    _assert_close(lambda: block(x, read), composite, [x] + block.parameters())
 
 
 @pytest.mark.parametrize("head", ["inside", "outside"])
@@ -88,6 +90,20 @@ def test_compat_head_equals_the_composite(b, head):
     _assert_close(lambda: compat(x, y, head),
                   lambda: composites.compat(compat, x, y, head),
                   [x, y] + [p for m in compat.maps[head] for p in m.parameters()])
+
+
+@pytest.mark.parametrize("b", [1, 5, 15])
+def test_sibling_scores_equal_the_composite(b):
+    compat = _perturbed(CompatHead("c", 8, np.random.default_rng(3)), 4)
+    rng = np.random.default_rng(6)
+    parent, left, right = (Parameter(name, rng.standard_normal((b, 8)))
+                           for name in ("parent", "left", "right"))
+    parent_b, left_a, right_a = (Parameter(name, rng.standard_normal(b))
+                                 for name in ("parent_b", "left_a", "right_a"))
+    args = (parent, parent_b, left, right, left_a, right_a)
+    _assert_close(lambda: compat.sibling_scores(*args),
+                  lambda: composites.sibling_scores(compat, *args),
+                  list(args) + [p for m in compat.maps["outside"] for p in m.parameters()])
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -116,13 +132,16 @@ def _input(shape, seed):
     return Parameter("x", np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
 
 
-def test_transformer_layer_is_bit_identical_when_shared(monkeypatch):
+@pytest.mark.parametrize("b,read", [(3, None), (3, [2]), (1, [2]), (3, [0, 1]), (1, [0, 1])])
+def test_transformer_layer_is_bit_identical_when_shared(b, read, monkeypatch):
+    # (1, [2]) reads one row: the fused layer then runs every position
     layer = _float32(nn.TransformerLayer("t", 8, 2, np.random.default_rng(10)), 11)
-    x = _input((3, 3, 8), 12)
+    x = _input((b, 3, 8), 12)
 
     def build():
         u = x * 1.5
-        return layer(u) * u + layer(layer(u))
+        picked = u if read is None else u[:, read]
+        return layer(u, read) * picked + layer(layer(u), read)
 
     _assert_bit_identical(build, [x] + layer.parameters(), monkeypatch)
 
@@ -137,6 +156,24 @@ def test_compat_head_is_bit_identical_when_shared(monkeypatch):
                 + compat(u, u, "outside") + ad.tsum(u * y, axis=-1))
 
     _assert_bit_identical(build, [x, y] + compat.parameters(), monkeypatch)
+
+
+@pytest.mark.parametrize("b", [1, 6])
+def test_sibling_scores_are_bit_identical_when_shared(b, monkeypatch):
+    # as in the outside sweep, the score inputs are reads of shared scores,
+    # and the vectors feed other ops too
+    compat = _float32(CompatHead("c", 8, np.random.default_rng(13)), 14)
+    x, y = _input((b, 8), 15), _input((b, 8), 16)
+    a = _input((b,), 17)
+    pick = np.arange(b)[::-1].copy()
+
+    def build():
+        u, s = x * 1.5, a * a
+        scores = compat.sibling_scores(u, ad.gather(s, pick), y, u, s[:], ad.gather(a, pick))
+        return ad.concat([scores, compat(u, y, "outside") + ad.tsum(u * y, axis=-1) + s],
+                         axis=0)
+
+    _assert_bit_identical(build, [x, y, a] + compat.parameters(), monkeypatch)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17])
@@ -177,12 +214,43 @@ def test_model_step_is_bit_identical_to_the_composites(forward, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the BLAS facts the fused transformer layer's read relies on, at float32
+# ---------------------------------------------------------------------------
+
+def _shapes(seed, count=60):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng, int(rng.integers(2, 97)), int(rng.choice([16, 64, 256])), \
+            int(rng.choice([16, 64, 256]))
+
+
+def test_row_subsets_of_a_product_keep_their_bits():
+    for rng, n, k, m in _shapes(21):
+        x = rng.standard_normal((n, k)).astype(np.float32)
+        w = rng.standard_normal((k, m)).astype(np.float32)
+        rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        assert (x[rows] @ w).tobytes() == (x @ w)[rows].tobytes(), (n, k, m, rows)
+
+
+def test_weight_gradients_ignore_zero_rows():
+    for rng, n, k, m in _shapes(22):
+        x = rng.standard_normal((n, k)).astype(np.float32)
+        g = rng.standard_normal((n, m)).astype(np.float32)
+        nonzero = rng.random(n) < 0.5
+        nonzero[int(rng.integers(n))] = True
+        g[~nonzero] = 0.0
+        assert (x[nonzero].T @ g[nonzero]).tobytes() == (x.T @ g).tobytes(), (n, k, m)
+        assert g[nonzero].sum(axis=0).tobytes() == g.sum(axis=0).tobytes(), (n, m)
+
+
+# ---------------------------------------------------------------------------
 # tape size
 # ---------------------------------------------------------------------------
 
 # Nodes of one default-config forward_pretrain on the sentence below, counted
-# from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705.
-TAPE_NODES = 705
+# from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705,
+# and 655 once the outside sweep's two compat scores per pair became one node.
+TAPE_NODES = 655
 
 
 def test_forward_tape_stays_fused():

@@ -205,9 +205,9 @@ def test_engine_counters_equal_the_compose_calls_made(mode, share, layers, monke
     pairs_per_call = []
     compose = ComposeParams.__call__
 
-    def counting_compose(self, slots):
+    def counting_compose(self, slots, read):
         pairs_per_call.append(slots.shape[0])
-        return compose(self, slots)
+        return compose(self, slots, read)
 
     monkeypatch.setattr(ComposeParams, "__call__", counting_compose)
     model = _model(seed=3, layers=layers, share=share)
