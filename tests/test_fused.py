@@ -63,11 +63,7 @@ def _assert_bit_identical(build, inputs, monkeypatch):
 # float64: forward and every input's gradient
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("depth", [1, 2])
-@pytest.mark.parametrize("b,t,read", [(1, 3, None), (5, 3, None), (1, 15, None),
-                                      (1, 3, [2]), (5, 3, [2]), (1, 3, [0, 1]),
-                                      (5, 3, [0, 1]), (2, 15, [9, 3, 4])])
-def test_transformer_layers_equal_the_composite(b, t, read, depth):
+def _assert_block_close(b, t, depth, read):
     block = _perturbed(nn.AttentionBlock("blk", 8, 2, depth, np.random.default_rng(0)), 1)
     x = Parameter("x", np.random.default_rng(2).standard_normal((b, t, 8)))
 
@@ -78,6 +74,20 @@ def test_transformer_layers_equal_the_composite(b, t, read, depth):
         return composites.transformer_layer(block.layers[-1], y, read)
 
     _assert_close(lambda: block(x, read), composite, [x] + block.parameters())
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("b,t", [(1, 3), (5, 3), (1, 15)])
+def test_transformer_layers_equal_the_composite(b, t, depth):
+    _assert_block_close(b, t, depth, None)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("b,t,read", [(1, 3, [2]), (5, 3, [2]), (1, 3, [0, 1]),
+                                      (5, 3, [0, 1]), (2, 15, [9, 3, 4])])
+def test_transformer_layers_read_equals_the_composite_read(b, t, read, depth):
+    # (1, 3, [2]) reads one row: the fused layer then runs every position
+    _assert_block_close(b, t, depth, read)
 
 
 @pytest.mark.parametrize("head", ["inside", "outside"])
@@ -132,9 +142,7 @@ def _input(shape, seed):
     return Parameter("x", np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
 
 
-@pytest.mark.parametrize("b,read", [(3, None), (3, [2]), (1, [2]), (3, [0, 1]), (1, [0, 1])])
-def test_transformer_layer_is_bit_identical_when_shared(b, read, monkeypatch):
-    # (1, [2]) reads one row: the fused layer then runs every position
+def _assert_layer_bit_identical(b, read, monkeypatch):
     layer = _float32(nn.TransformerLayer("t", 8, 2, np.random.default_rng(10)), 11)
     x = _input((b, 3, 8), 12)
 
@@ -144,6 +152,15 @@ def test_transformer_layer_is_bit_identical_when_shared(b, read, monkeypatch):
         return layer(u, read) * picked + layer(layer(u), read)
 
     _assert_bit_identical(build, [x] + layer.parameters(), monkeypatch)
+
+
+def test_transformer_layer_is_bit_identical_when_shared(monkeypatch):
+    _assert_layer_bit_identical(3, None, monkeypatch)
+
+
+@pytest.mark.parametrize("b,read", [(3, [2]), (1, [2]), (3, [0, 1]), (1, [0, 1])])
+def test_transformer_layer_read_is_bit_identical_when_shared(b, read, monkeypatch):
+    _assert_layer_bit_identical(b, read, monkeypatch)
 
 
 def test_compat_head_is_bit_identical_when_shared(monkeypatch):
