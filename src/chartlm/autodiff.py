@@ -17,10 +17,12 @@ times and gets k gradients, in the order the tape would add them: summing
 them inside the VJP instead would reorder float additions.
 
 Fused ops follow this contract outside this module: `nn.TransformerLayer`,
-`inside_outside.CompatHead` (one score, and the outside sweep's two sibling
-scores per pair) and each direction of `nn.BiLstm`. Each records one node
-whose VJP replays the tape VJPs of the composite it replaced, bit for bit;
-the composites are kept as the tests' reference in tests/composites.py. The
+`inside_outside.CompatHead.inside_scores` (the inside sweep's split totals)
+and `.sibling_scores` (the outside sweep's two child scores per pair), and
+each direction of `nn.BiLstm`. They own their weights as fixed tuples of
+Parameters. Each records one node whose VJP replays the tape VJPs of the
+composite it replaced, bit for bit; the composites are kept as the tests'
+reference in tests/composites.py. The
 plain-array formulas below (layer norm, GELU, sigmoid, tanh) are the one
 copy they, the tape ops and the reference share.
 """

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -87,13 +88,20 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, dict]:
         _check_header(header)
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            name, nbytes = entry["name"], entry["nbytes"]
+            name, nbytes, spec = entry["name"], entry["nbytes"], entry["dtype"]
+            unknown = ValueError(f"unknown dtype {spec!r} for tensor {name}")
             try:  # numpy parses some strings as Python (",f4" is a SyntaxError)
-                dtype = np.dtype(entry["dtype"])
+                with warnings.catch_warnings():  # and warns on others ("a")
+                    warnings.simplefilter("error")
+                    dtype = np.dtype(spec)
             except Exception:
-                raise ValueError(f"unknown dtype {entry['dtype']!r} for tensor {name}") from None
+                raise unknown from None
+            if dtype.hasobject:  # "|O", "T"; numpy crashes byte-swapping "0T"
+                raise unknown
             if dtype.newbyteorder("<") != dtype:  # saves are little-endian only, fields too
-                raise ValueError(f"big-endian dtype {entry['dtype']!r} for tensor {name}")
+                raise ValueError(f"big-endian dtype {spec!r} for tensor {name}")
+            if dtype.str != spec or dtype.kind not in "biufc":  # only what a save writes
+                raise unknown
             if nbytes > size - fh.tell():
                 raise ValueError(f"truncated checkpoint at tensor {name}")
             if nbytes != math.prod(entry["shape"]) * dtype.itemsize:

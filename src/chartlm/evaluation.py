@@ -72,11 +72,6 @@ def word_level(pred: Node, gold: Node) -> tuple[set[Span], list[tuple[str, Span]
     return collapse_spans(bracket_spans(pred), mapping), labeled_spans(gold)
 
 
-def sentence_f1(pred: Node, gold: Node) -> float:
-    """Unlabeled bracket F1 in [0, 100] at word level; gold may be n-ary."""
-    return _f1(*word_level(pred, gold))
-
-
 class PairError(ValueError):
     """Pair `index` (0-based) of a corpus cannot be scored, for `reason`."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import AttentionBlock, Module, ResidualMlp, _normal
+from .nn import AttentionBlock, Module, _normal
 from .trees import Span, descend
 
 ROLE_LEFT, ROLE_RIGHT, ROLE_PARENT = 0, 1, 2
@@ -49,37 +49,43 @@ class ComposeParams(Module):
         return self.block(slots + ad.reshape(self.roles, (1, 3, self.d)), read)
 
 
-def _residual_mlp(m: ResidualMlp, v: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """v + W2 gelu(W1 v), and what `_residual_mlp_vjp` reads."""
-    pre = v @ m.fc1.w.data + m.fc1.b.data
+def _residual_mlp(m: tuple, v: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """v + W2 gelu(W1 v) for a map's weights m = (W1, b1, W2, b2), and what
+    `_residual_mlp_vjp` reads."""
+    w1, b1, w2, b2 = (p.data for p in m)
+    pre = v @ w1 + b1
     act, e = ad.gelu_np(pre)
-    return v + (act @ m.fc2.w.data + m.fc2.b.data), (v, pre, act, e)
+    return v + (act @ w2 + b2), (v, pre, act, e)
 
 
-def _residual_mlp_vjp(m: ResidualMlp, saved: tuple, gm: np.ndarray) -> tuple[list, list]:
+def _residual_mlp_vjp(m: tuple, saved: tuple, gm: np.ndarray) -> tuple[list, list]:
     """The input's gradients (residual path, then fc1) and the weights'."""
     v, pre, act, e = saved
-    gpre = (gm @ ad.mT(m.fc2.w.data)) * ad.gelu_grad(pre, e)
-    return ([gm, gpre @ ad.mT(m.fc1.w.data)],
+    gpre = (gm @ ad.mT(m[2].data)) * ad.gelu_grad(pre, e)
+    return ([gm, gpre @ ad.mT(m[0].data)],
             [ad.mT(v) @ gpre, gpre.sum(axis=0), ad.mT(act) @ gm, gm.sum(axis=0)])
 
 
 class CompatHead(Module):
     """Split/parent plausibility: MLP_L(x) . MLP_R(y) / sqrt(d).
 
-    One pair of residual MLPs for the inside head and one for the outside
-    head; the same instances serve every layer of the stack.
+    Each map is a residual MLP x + W2 gelu(W1 x) (zero-init W2: the identity
+    at init). `inside` and `outside` hold the (MLP_L, MLP_R) weights, each
+    map's as (W1, b1, W2, b2), of the inside sweep's one fused op,
+    `inside_scores`, and the outside sweep's, `sibling_scores`. The same
+    weights serve every layer of the stack.
     """
 
     def __init__(self, name: str, d: int, rng: np.random.Generator):
         super().__init__()
         self.d = d
-        self.maps = {
-            "inside": (self._child(ResidualMlp(f"{name}.alpha.l", d, rng)),
-                       self._child(ResidualMlp(f"{name}.alpha.r", d, rng))),
-            "outside": (self._child(ResidualMlp(f"{name}.beta.l", d, rng)),
-                        self._child(ResidualMlp(f"{name}.beta.r", d, rng))),
-        }
+
+        def residual_mlp(prefix):
+            return (self._linear(f"{prefix}.fc1", d, d, rng)
+                    + self._linear(f"{prefix}.fc2", d, d, rng, zero_init=True))
+
+        self.inside = (residual_mlp(f"{name}.alpha.l"), residual_mlp(f"{name}.alpha.r"))
+        self.outside = (residual_mlp(f"{name}.beta.l"), residual_mlp(f"{name}.beta.r"))
 
     def _score(self, y, lx, sx, maps):
         """One compat score's forward from MLP_L(x) = lx, and its VJP: the
@@ -96,34 +102,41 @@ class CompatHead(Module):
 
         return (lx * ry).sum(axis=-1) * scale, vjp
 
-    def __call__(self, x: Tensor, y: Tensor, head: str) -> Tensor:
-        """(B, d) x (B, d) -> (B,) scaled inner products, as one tape node;
-        x and y each feed a map's residual path and its fc1, so each is an
-        input twice."""
-        if x.shape[-1] != self.d or y.shape[-1] != self.d:
+    def inside_scores(self, left: Tensor, right: Tensor, left_a: Tensor,
+                      right_a: Tensor) -> Tensor:
+        """compat(left, right) + left_a + right_a, (B,), as one tape node: the
+        inside sweep's split totals. The VJP is the tape's for the composite
+        (tests/composites.py); left and right each feed a map's residual path
+        and its fc1, so each is an input twice."""
+        if any(t.shape[-1] != self.d for t in (left, right)):
             raise ValueError(f"compatibility expects dim {self.d}")
-        maps = self.maps[head]
-        params = tuple(p for m in maps for p in m.parameters())
-        out, vjp = self._score(y, *_residual_mlp(maps[0], x.data), maps)
-        return ad._node(out, (x, x, y, y) + params, vjp)
+        maps = self.inside
+        score, vjp_score = self._score(right, *_residual_mlp(maps[0], left.data), maps)
+
+        def vjp(g):
+            return [*vjp_score(g), g, g]
+
+        return ad._node((score + left_a.data) + right_a.data,
+                        (left, left, right, right) + maps[0] + maps[1] + (left_a, right_a),
+                        vjp)
 
     def sibling_scores(self, parent: Tensor, parent_b: Tensor, left: Tensor, right: Tensor,
                        left_a: Tensor, right_a: Tensor) -> Tensor:
         """The outside scores of each pair's left child, then of its right
         child, (2B,), as one tape node: the left child's is its sibling's
-        inside score + compat(parent, right) + the parent's outside score,
-        and the right child's the same with left. MLP_L(parent) runs once.
+        inside score + compat(parent, right) under the outside maps + the
+        parent's outside score, and the right child's the same with left.
+        MLP_L(parent) runs once.
 
-        The VJP is the tape's for two `__call__`s and their adds (the
+        The VJP is the tape's for two compat scores and their adds (the
         composite in tests/composites.py), the left child's first. Inputs
         are listed so that a backward pass reaches them in that tape's
         order: the left child's terms, the right child's, then parent_b.
         """
-        for t in (parent, left, right):
-            if t.shape[-1] != self.d:
-                raise ValueError(f"compatibility expects dim {self.d}")
-        maps = self.maps["outside"]
-        params = tuple(p for m in maps for p in m.parameters())
+        if any(t.shape[-1] != self.d for t in (parent, left, right)):
+            raise ValueError(f"compatibility expects dim {self.d}")
+        maps = self.outside
+        weights = maps[0] + maps[1]
         lx, sx = _residual_mlp(maps[0], parent.data)
         score_l, vjp_l = self._score(right, lx, sx, maps)
         score_r, vjp_r = self._score(left, lx, sx, maps)
@@ -135,8 +148,8 @@ class CompatHead(Module):
 
         out = np.concatenate([(right_a.data + score_l) + parent_b.data,
                               (left_a.data + score_r) + parent_b.data])
-        return ad._node(out, (right_a, parent, parent, right, right) + params
-                        + (left_a, parent, parent, left, left) + params
+        return ad._node(out, (right_a, parent, parent, right, right) + weights
+                        + (left_a, parent, parent, left, left) + weights
                         + (parent_b, parent_b), vjp)
 
 
@@ -350,8 +363,8 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
             composed = stack.alpha[l](ad.stack([left, right, parent_slot], axis=1),
                                       [ROLE_PARENT])
             composed = ad.reshape(composed, (len(bp.pair_cell), stack.d))
-            totals = stack.compat(left, right, "inside") \
-                + ad.gather(scores, bp.pair_left) + ad.gather(scores, bp.pair_right)
+            totals = stack.compat.inside_scores(left, right, ad.gather(scores, bp.pair_left),
+                                                ad.gather(scores, bp.pair_right))
             cell_vec, cell_score = _softmax_pool(composed, totals, bp.score_pad)
             arena = ad.concat([arena, cell_vec], axis=0)
             scores = ad.concat([scores, cell_score], axis=0)

@@ -28,6 +28,16 @@ class Module:
         self._params.append(p)
         return p
 
+    def _linear(self, name: str, din: int, dout: int, rng: np.random.Generator,
+                zero_init: bool = False) -> tuple[Parameter, Parameter]:
+        """Register `{name}.w` (din, dout) and `{name}.b` (dout,) of x @ w + b."""
+        w = np.zeros((din, dout)) if zero_init else _normal(rng, (din, dout))
+        return self._param(f"{name}.w", w), self._param(f"{name}.b", np.zeros(dout))
+
+    def _norm(self, name: str, d: int) -> tuple[Parameter, Parameter]:
+        """Register `{name}.gain` and `{name}.bias` of a LayerNorm over d."""
+        return self._param(f"{name}.gain", np.ones(d)), self._param(f"{name}.bias", np.zeros(d))
+
     def _child(self, module: "Module") -> "Module":
         self._children.append(module)
         return module
@@ -57,24 +67,12 @@ def _normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, name: str, din: int, dout: int, rng: np.random.Generator,
-                 zero_init: bool = False):
+    def __init__(self, name: str, din: int, dout: int, rng: np.random.Generator):
         super().__init__()
-        w = np.zeros((din, dout)) if zero_init else _normal(rng, (din, dout))
-        self.w = self._param(f"{name}.w", w)
-        self.b = self._param(f"{name}.b", np.zeros(dout))
+        self.w, self.b = self._linear(name, din, dout, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w) + self.b
-
-
-class LayerNorm(Module):
-    """Gain and bias of a LayerNorm over the last axis (a parameter holder)."""
-
-    def __init__(self, name: str, d: int):
-        super().__init__()
-        self.gain = self._param(f"{name}.gain", np.ones(d))
-        self.bias = self._param(f"{name}.bias", np.zeros(d))
 
 
 class Mlp(Module):
@@ -89,47 +87,28 @@ class Mlp(Module):
         return self.fc2(ad.gelu(self.fc1(x)))
 
 
-class ResidualMlp(Module):
-    """Weights of x + W2 gelu(W1 x) (a parameter holder; `CompatHead` runs
-    it): zero-init W2 makes it the identity at init."""
-
-    def __init__(self, name: str, d: int, rng: np.random.Generator):
-        super().__init__()
-        self.fc1 = self._child(Linear(f"{name}.fc1", d, d, rng))
-        self.fc2 = self._child(Linear(f"{name}.fc2", d, d, rng, zero_init=True))
-
-
-class MultiHeadAttention(Module):
-    """Projections of multi-head self-attention (a parameter holder;
-    `TransformerLayer` runs it)."""
-
-    def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator):
-        super().__init__()
-        if d % n_heads != 0:
-            raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
-        self.d, self.h = d, n_heads
-        self.dh = d // n_heads
-        self.wq = self._child(Linear(f"{name}.wq", d, d, rng))
-        self.wk = self._child(Linear(f"{name}.wk", d, d, rng))
-        self.wv = self._child(Linear(f"{name}.wv", d, d, rng))
-        self.wo = self._child(Linear(f"{name}.wo", d, d, rng))
-
-
 class TransformerLayer(Module):
     """Pre-norm self-attention + GELU feed-forward of width 4d, one tape node.
 
     The VJP replays the tape's VJPs of the composite (tests/composites.py)
     in the tape's order, so gradients match it bit for bit. x feeds the
     residual and ln1, so it is an input twice: residual gradient first.
+    The layer owns its 16 weights, in `params`: ln1's gain and bias, the
+    (w, b) of wq, wk, wv and wo, ln2's gain and bias, then ffn1's and ffn2's.
     """
 
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator):
         super().__init__()
-        self.ln1 = self._child(LayerNorm(f"{name}.ln1", d))
-        self.attn = self._child(MultiHeadAttention(f"{name}.attn", d, n_heads, rng))
-        self.ln2 = self._child(LayerNorm(f"{name}.ln2", d))
-        self.fc1 = self._child(Linear(f"{name}.ffn1", d, 4 * d, rng))
-        self.fc2 = self._child(Linear(f"{name}.ffn2", 4 * d, d, rng))
+        if d % n_heads != 0:
+            raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
+        self.h, self.dh = n_heads, d // n_heads
+        self._norm(f"{name}.ln1", d)
+        for proj in ("wq", "wk", "wv", "wo"):
+            self._linear(f"{name}.attn.{proj}", d, d, rng)
+        self._norm(f"{name}.ln2", d)
+        self._linear(f"{name}.ffn1", d, 4 * d, rng)
+        self._linear(f"{name}.ffn2", 4 * d, d, rng)
+        self.params = tuple(self._params)
 
     def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
         """x (b, t, d) -> (b, len(read), d): the positions `read` (all when
@@ -144,14 +123,13 @@ class TransformerLayer(Module):
         back in the full (b*t)-row shape, zeros elsewhere, before those.
         """
         b, t, d = x.shape
-        h, dh = self.attn.h, self.attn.dh
+        h, dh = self.h, self.dh
         whole = read is None
         read = list(range(t)) if whole else read
         keep = read if b * len(read) > 1 else list(range(t))  # the rows computed
         r = len(keep)
-        params = tuple(self.parameters())
         (gain1, bias1, wq, bq, wk, bk, wv, bv, wo, bo,
-         gain2, bias2, w1, b1, w2, b2) = (p.data for p in params)
+         gain2, bias2, w1, b1, w2, b2) = (p.data for p in self.params)
         scale = x.dtype.type(1.0 / np.sqrt(dh))
 
         y1, xhat1, inv1 = ad.layer_norm_np(x.data, gain1, bias1)
@@ -207,7 +185,7 @@ class TransformerLayer(Module):
                     ggain2, gbias2, ad.mT(y2) @ ga1, ga1.sum(axis=0), ad.mT(act) @ gff,
                     gff.sum(axis=0))
 
-        return ad._node(out, (x, x) + params, vjp)
+        return ad._node(out, (x, x) + self.params, vjp)
 
 
 class AttentionBlock(Module):

@@ -91,11 +91,6 @@ class Vocab:
             raise ValueError(f"{path}: vocabulary ids must be dense, starting at 0")
         return cls(sorted(id_of, key=id_of.__getitem__), source=path)
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.tokens):
-                fh.write(f"{tok} {i}\n")
-
 
 def numbered_sentences(path: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) of each non-blank line, whitespace-tokenized."""

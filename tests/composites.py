@@ -1,13 +1,16 @@
 """The tape composites behind chartlm's fused ops, kept as their reference.
 
-`nn.TransformerLayer`, `inside_outside.CompatHead` (a score, and the outside
-sweep's sibling scores) and each direction of `nn.BiLstm` record one tape
+`nn.TransformerLayer`, `inside_outside.CompatHead` (`inside_scores`, the
+inside sweep's split totals, and `sibling_scores`, the outside sweep's two
+child scores per pair) and each direction of `nn.BiLstm` record one tape
 node whose VJP replays these composites' tape VJPs in the tape's order. The
-functions here build the same computations from many tape nodes, the way
-the model did before the fusion, so tests can check that each fused op
-equals its composite: to rounding at float64 and bit for bit at float32.
-They share every formula with the fused ops (`autodiff.layer_norm_np`,
-`gelu_np`, `sigmoid_np`, ...); no formula is written here.
+fused ops own their weights, and the functions here read the same
+Parameters (`TransformerLayer.params`, `CompatHead.inside` and `.outside`)
+to build the same computations from many tape nodes, the way the model did
+before the fusion, so tests can check that each fused op equals its
+composite: to rounding at float64 and bit for bit at float32. They share
+every formula with the fused ops (`autodiff.layer_norm_np`, `gelu_np`,
+`sigmoid_np`, ...); no formula is written here.
 """
 
 import numpy as np
@@ -43,48 +46,65 @@ def layer_norm(x, gain, bias):
 
 # -- composites ------------------------------------------------------------------
 
+def linear(x, w, b):
+    """x @ w + b, as `nn.Linear` computes it."""
+    return ad.matmul(x, w) + b
+
+
 def residual_mlp(m, x):
-    """x + W2 gelu(W1 x) for an `nn.ResidualMlp`."""
-    return x + m.fc2(ad.gelu(m.fc1(x)))
+    """x + W2 gelu(W1 x) for a `CompatHead` map's weights m = (W1, b1, W2, b2)."""
+    w1, b1, w2, b2 = m
+    return x + linear(ad.gelu(linear(x, w1, b1)), w2, b2)
 
 
-def attention(attn, x):
-    """Multi-head self-attention of an `nn.MultiHeadAttention` over x (b, t, d)."""
+def attention(layer, x):
+    """Multi-head self-attention with an `nn.TransformerLayer`'s projections
+    over x (b, t, d)."""
     b, t, d = x.shape
+    wq, bq, wk, bk, wv, bv, wo, bo = layer.params[2:10]
 
-    def heads(lin):
-        y = lin(ad.reshape(x, (b * t, d)))
-        return ad.transpose(ad.reshape(y, (b, t, attn.h, attn.dh)), (0, 2, 1, 3))
+    def heads(w, bias):
+        y = linear(ad.reshape(x, (b * t, d)), w, bias)
+        return ad.transpose(ad.reshape(y, (b, t, layer.h, layer.dh)), (0, 2, 1, 3))
 
-    q, k, v = heads(attn.wq), heads(attn.wk), heads(attn.wv)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(attn.dh))
+    q, k, v = heads(wq, bq), heads(wk, bk), heads(wv, bv)
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(layer.dh))
     ctx = ad.matmul(ad.softmax(scores, axis=-1), v)  # (b, h, t, dh)
     merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * t, d))
-    return ad.reshape(attn.wo(merged), (b, t, d))
+    return ad.reshape(linear(merged, wo, bo), (b, t, d))
 
 
 def transformer_layer(layer, x, read=None):
     """`nn.TransformerLayer.__call__` as a composite: the whole layer, then a
     read of the positions `read`."""
-    x = x + attention(layer.attn, layer_norm(x, layer.ln1.gain, layer.ln1.bias))
+    gain1, bias1 = layer.params[:2]
+    gain2, bias2, w1, b1, w2, b2 = layer.params[10:]
+    x = x + attention(layer, layer_norm(x, gain1, bias1))
     b, t, d = x.shape
     h = ad.reshape(x, (b * t, d))
-    ff = layer.fc2(ad.gelu(layer.fc1(layer_norm(h, layer.ln2.gain, layer.ln2.bias))))
+    ff = linear(ad.gelu(linear(layer_norm(h, gain2, bias2), w1, b1)), w2, b2)
     out = x + ad.reshape(ff, (b, t, d))
     return out if read is None else ad.gather(out, (slice(None), read))
 
 
-def compat(head, x, y, which):
-    """`inside_outside.CompatHead.__call__` as a composite."""
-    ml, mr = head.maps[which]
+def compat(head, maps, x, y):
+    """MLP_L(x) . MLP_R(y) / sqrt(d) for `maps`, a `CompatHead`'s `inside`
+    or `outside` pair of maps."""
+    ml, mr = maps
     return ad.tsum(residual_mlp(ml, x) * residual_mlp(mr, y), axis=-1) * (1.0 / np.sqrt(head.d))
+
+
+def inside_scores(head, left, right, left_a, right_a):
+    """`inside_outside.CompatHead.inside_scores` as a composite: a `compat`
+    call under the inside maps and its adds."""
+    return compat(head, head.inside, left, right) + left_a + right_a
 
 
 def sibling_scores(head, parent, parent_b, left, right, left_a, right_a):
     """`inside_outside.CompatHead.sibling_scores` as a composite: two
-    `compat` calls and their adds."""
-    b_left = right_a + compat(head, parent, right, "outside") + parent_b
-    b_right = left_a + compat(head, parent, left, "outside") + parent_b
+    `compat` calls under the outside maps and their adds."""
+    b_left = right_a + compat(head, head.outside, parent, right) + parent_b
+    b_right = left_a + compat(head, head.outside, parent, left) + parent_b
     return ad.concat([b_left, b_right], axis=0)
 
 
@@ -110,7 +130,7 @@ def lstm_direction(lstm, x, cell, reverse):
 
 # each fused method and the composite that can stand in for it
 FUSED = [(nn.TransformerLayer, "__call__", transformer_layer),
-         (inside_outside.CompatHead, "__call__", compat),
+         (inside_outside.CompatHead, "inside_scores", inside_scores),
          (inside_outside.CompatHead, "sibling_scores", sibling_scores),
          (nn.BiLstm, "_run_direction", lstm_direction)]
 

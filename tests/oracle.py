@@ -20,7 +20,7 @@ import numpy as np
 from chartlm import autodiff as ad
 from chartlm.autodiff import Tensor
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT, CioStack,
-                                    StackResult)
+                                    StackResult, _residual_mlp)
 from chartlm.trees import Node, Span, descend
 
 ORACLE_MAX_N = 12
@@ -35,9 +35,10 @@ def _compose_np(stack: CioStack, layer: int, kind: str, left: np.ndarray,
 
 
 def _compat_np(stack: CioStack, kind: str, x: np.ndarray, y: np.ndarray) -> float:
-    with ad.no_grad():
-        out = stack.compat(Tensor(x[None, :]), Tensor(y[None, :]), kind)
-    return float(out.data[0])
+    ml, mr = stack.compat.inside if kind == "inside" else stack.compat.outside
+    lx, _ = _residual_mlp(ml, x[None, :])
+    ry, _ = _residual_mlp(mr, y[None, :])
+    return float((lx * ry).sum(axis=-1)[0] * (1.0 / np.sqrt(stack.d)))
 
 
 @dataclass

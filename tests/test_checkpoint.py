@@ -1,10 +1,12 @@
 """Checkpoint format: roundtrips, corruption detection, parameter loading."""
 
 import errno
+import hashlib
 import json
 import os
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +109,21 @@ def test_every_truncation_raises_value_error(tmp_path):
 
 
 def test_unknown_dtype_is_value_error(tmp_path):
-    for dtype in ("<q9", ",f4"):  # numpy raises TypeError, then SyntaxError
+    # numpy raises TypeError, then SyntaxError, then warns; "f4" is not the
+    # "<f4" a save writes; strings and objects are no number kind, and numpy
+    # crashes byte-swapping an empty subarray of its variable-width strings ("0T")
+    for dtype in ("<q9", ",f4", "a", "f4", "|S0", "|O", "T", "0T"):
         header = json.dumps({"tensors": [{"name": "w", "shape": [1], "dtype": dtype,
                                           "nbytes": 8}],
                              "config": {}, "extra": {}}).encode("utf-8")
         path = tmp_path / "dtype.ckpt"
         path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header + b"\0" * 8)
-        with pytest.raises(ValueError, match=f"unknown dtype '{dtype}' for tensor w"):
-            load_checkpoint(str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError,
+                               match=re.escape(f"unknown dtype '{dtype}' for tensor w")):
+                load_checkpoint(str(path))
+        assert [str(w.message) for w in caught] == [], dtype
 
 
 def test_big_endian_dtype_is_value_error(tmp_path):
@@ -317,3 +326,16 @@ def test_save_load_empty_extra_defaults(tmp_path):
     save_checkpoint(path, {}, {"k": 1})
     tensors, config, extra = load_checkpoint(path)
     assert tensors == {} and config == {"k": 1} and extra == {}
+
+
+# sha1 of [(name, shape)] over the default model's parameters, in order: a
+# change to how any module registers its weights that renames, reshapes or
+# reorders a checkpoint's tensors changes it
+PARAMETER_LAYOUT = "8291d188763703c389e6a8df9ed583b47bbd1451"
+
+
+def test_default_parameter_layout_is_pinned():
+    params = ChartLM(ReCatConfig(), np.random.default_rng(0)).parameters()
+    layout = json.dumps([(p.name, list(p.shape)) for p in params]).encode()
+    assert len(params) == 98
+    assert hashlib.sha1(layout).hexdigest() == PARAMETER_LAYOUT

@@ -14,6 +14,7 @@ from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT,
 from chartlm.pruning import (apply_nonsplittable, build_cell_batches,
                              prune_schedule, split_order, tree_schedule)
 from chartlm.trees import format_sexpr, tree_from_splits
+import composites
 from oracle import (ORACLE_MAX_N, ParentEdge, best_tree_exhaustive,
                     cumulative_outside_reference, direct_outside_check,
                     full_chart_reference, parents_from_splits)
@@ -57,8 +58,9 @@ def compose(left, right, third, params, mode="inside", target_slot=None):
 
 
 def compatibility(x, y, head_pair, head="inside"):
-    """Scalar compatibility of two d-vectors."""
-    out = head_pair(ad.reshape(x, (1, head_pair.d)), ad.reshape(y, (1, head_pair.d)), head)
+    """Scalar compatibility of two d-vectors under the head's `head` maps."""
+    out = composites.compat(head_pair, getattr(head_pair, head),
+                            ad.reshape(x, (1, head_pair.d)), ad.reshape(y, (1, head_pair.d)))
     return ad.reshape(out, ())
 
 
@@ -136,8 +138,8 @@ def test_compat_at_init_is_scaled_dot():
 
 def test_compat_heads_are_independent():
     stack = _stack(d=4, seed=5)
-    for mlp in (m for pair in stack.compat.maps.values() for m in pair):
-        mlp.fc2.w.data[...] = np.random.default_rng(6).standard_normal((4, 4)) * 0.3
+    for _, _, w2, _ in stack.compat.inside + stack.compat.outside:
+        w2.data[...] = np.random.default_rng(6).standard_normal((4, 4)) * 0.3
     x = Tensor(np.ones(4))
     a = float(compatibility(x, x, stack.compat, "inside").data)
     b = float(compatibility(x, x, stack.compat, "outside").data)
@@ -152,8 +154,12 @@ def test_compat_gradients():
             p.data[...] = rng.standard_normal(p.data.shape) * 0.2
     x = Tensor(rng.standard_normal((3, 4)))
     y = Tensor(rng.standard_normal((3, 4)))
+    a = Tensor(rng.standard_normal(3))
+    # both fused ops: the inside totals of (x, y), and x's outside score as
+    # y's parent from both sides
     report = ad.gradient_check(
-        lambda: ad.tsum(stack.compat(x, y, "inside") + stack.compat(y, x, "outside")),
+        lambda: ad.tsum(stack.compat.inside_scores(x, y, a, a))
+        + ad.tsum(stack.compat.sibling_scores(y, a, x, x, a, a)),
         stack.compat.parameters(), rng, samples_per_param=4)
     assert max(report.values()) < 1e-4
 
@@ -381,9 +387,11 @@ def test_tree_schedule_outside_rows_are_the_single_candidate():
             left, right = Tensor(inside[bp.pair_left]), Tensor(inside[bp.pair_right])
             parent = Tensor(outside[bp.pair_cell])
             y = stack.beta[l](ad.stack([left, right, parent], axis=1)).data
-            b_left = a[bp.pair_right] + stack.compat(parent, right, "outside").data \
+            b_left = a[bp.pair_right] \
+                + composites.compat(stack.compat, stack.compat.outside, parent, right).data \
                 + b[bp.pair_cell]
-            b_right = a[bp.pair_left] + stack.compat(parent, left, "outside").data \
+            b_right = a[bp.pair_left] \
+                + composites.compat(stack.compat, stack.compat.outside, parent, left).data \
                 + b[bp.pair_cell]
             np.testing.assert_array_equal(outside[bp.pair_left], y[:, ROLE_LEFT])
             np.testing.assert_array_equal(outside[bp.pair_right], y[:, ROLE_RIGHT])

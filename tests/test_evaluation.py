@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartlm.evaluation import (bracket_spans, collapse_spans, corpus_scores, labeled_spans,
-                                piece_to_word, sentence_f1)
+                                piece_to_word)
 from chartlm.trees import (left_branching, parse_sexpr, random_binary,
                            right_branching)
 
 
 def _words(n):
     return [f"w{i}" for i in range(1, n + 1)]
+
+
+def sentence_f1(pred, gold):
+    """One pair's F1: the corpus mean over that pair alone."""
+    return corpus_scores([pred], [gold])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,20 @@ def test_transformer_layers_read_equals_the_composite_read(b, t, read, depth):
 @pytest.mark.parametrize("head", ["inside", "outside"])
 @pytest.mark.parametrize("b", [1, 5, 15])
 def test_compat_head_equals_the_composite(b, head):
+    # each head's fused op on two vectors x, y; the outside head scores x
+    # as the parent of y (left) and of x itself (right)
     compat = _perturbed(CompatHead("c", 8, np.random.default_rng(3)), 4)
     rng = np.random.default_rng(5)
     x = Parameter("x", rng.standard_normal((b, 8)))
     y = Parameter("y", rng.standard_normal((b, 8)))
-    _assert_close(lambda: compat(x, y, head),
-                  lambda: composites.compat(compat, x, y, head),
-                  [x, y] + [p for m in compat.maps[head] for p in m.parameters()])
+    s, s_l, s_r = (Parameter(name, rng.standard_normal(b)) for name in ("s", "s_l", "s_r"))
+    if head == "inside":
+        name, args, inputs = "inside_scores", (x, y, s_l, s_r), [x, y, s_l, s_r]
+    else:
+        name, args, inputs = "sibling_scores", (x, s, y, x, s_l, s_r), [x, y, s, s_l, s_r]
+    _assert_close(lambda: getattr(compat, name)(*args),
+                  lambda: getattr(composites, name)(compat, *args),
+                  inputs + [p for m in getattr(compat, head) for p in m])
 
 
 @pytest.mark.parametrize("b", [1, 5, 15])
@@ -113,7 +120,7 @@ def test_sibling_scores_equal_the_composite(b):
     args = (parent, parent_b, left, right, left_a, right_a)
     _assert_close(lambda: compat.sibling_scores(*args),
                   lambda: composites.sibling_scores(compat, *args),
-                  list(args) + [p for m in compat.maps["outside"] for p in m.parameters()])
+                  list(args) + [p for m in compat.outside for p in m])
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -164,15 +171,22 @@ def test_transformer_layer_read_is_bit_identical_when_shared(b, read, monkeypatc
 
 
 def test_compat_head_is_bit_identical_when_shared(monkeypatch):
+    # both heads on the same vectors, each vector on both sides of a score,
+    # and score inputs that are reads of one shared tensor
     compat = _float32(CompatHead("c", 8, np.random.default_rng(13)), 14)
     x, y = _input((6, 8), 15), _input((6, 8), 16)
+    a = _input((6,), 17)
+    pick = np.arange(6)[::-1].copy()
 
     def build():
-        u = x * 1.5
-        return (compat(u, y, "inside") + compat(y, u, "outside")
-                + compat(u, u, "outside") + ad.tsum(u * y, axis=-1))
+        u, s = x * 1.5, a * a
+        inside = (compat.inside_scores(u, y, s[:], ad.gather(s, pick))
+                  + compat.inside_scores(y, u, a[:], s[:]) + ad.tsum(u * y, axis=-1))
+        outside = (compat.sibling_scores(u, s[:], u, y, ad.gather(a, pick), s[:])
+                   * compat.inside_scores(u, u, a[:], a[:])[0])
+        return ad.concat([inside, outside], axis=0)
 
-    _assert_bit_identical(build, [x, y] + compat.parameters(), monkeypatch)
+    _assert_bit_identical(build, [x, y, a] + compat.parameters(), monkeypatch)
 
 
 @pytest.mark.parametrize("b", [1, 6])
@@ -187,8 +201,8 @@ def test_sibling_scores_are_bit_identical_when_shared(b, monkeypatch):
     def build():
         u, s = x * 1.5, a * a
         scores = compat.sibling_scores(u, ad.gather(s, pick), y, u, s[:], ad.gather(a, pick))
-        return ad.concat([scores, compat(u, y, "outside") + ad.tsum(u * y, axis=-1) + s],
-                         axis=0)
+        again = compat.sibling_scores(y, ad.gather(a, pick), u, y, a[:], ad.gather(s, pick))
+        return ad.concat([scores, again, ad.tsum(u * y, axis=-1) + s], axis=0)
 
     _assert_bit_identical(build, [x, y, a] + compat.parameters(), monkeypatch)
 
@@ -265,9 +279,10 @@ def test_weight_gradients_ignore_zero_rows():
 # ---------------------------------------------------------------------------
 
 # Nodes of one default-config forward_pretrain on the sentence below, counted
-# from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705,
-# and 655 once the outside sweep's two compat scores per pair became one node.
-TAPE_NODES = 655
+# from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705;
+# 655 once the outside sweep's two compat scores per pair became one node, and
+# 635 once the inside sweep's score and its two adds did.
+TAPE_NODES = 635
 
 
 def test_forward_tape_stays_fused():

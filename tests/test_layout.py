@@ -1,10 +1,13 @@
 """`src/chartlm` holds only what the command line, perfbench and `scripts/`
 run: every module is imported by one of them, directly or through other
 chartlm modules, and no module imports the test references that live in
-`tests/` (`oracle.py`, `composites.py`)."""
+`tests/` (`oracle.py`, `composites.py`). Every fused op, a method outside
+`autodiff` that records a tape node itself, has its composite there."""
 
 import ast
 from pathlib import Path
+
+import composites
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chartlm"
@@ -51,3 +54,23 @@ def test_no_package_module_imports_a_test_reference():
                                 if TEST_REFERENCES & set(name.split(".")))
                  for module, path in MODULES.items()}
     assert {module: names for module, names in offenders.items() if names} == {}
+
+
+def _records_a_node(function: ast.AST) -> bool:
+    return any(isinstance(node, ast.Call)
+               and (getattr(node.func, "attr", None) == "_node"
+                    or getattr(node.func, "id", None) == "_node")
+               for node in ast.walk(function))
+
+
+def test_every_fused_op_has_its_composite():
+    fused = set()
+    for module, path in MODULES.items():
+        if module == "chartlm.autodiff":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+            fused |= {(getattr(owner, "name", None), node.name) for node in owner.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and _records_a_node(node)}
+    assert fused == {(owner.__name__, attr) for owner, attr, _ in composites.FUSED}

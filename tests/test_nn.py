@@ -10,6 +10,7 @@ import chartlm.model  # noqa: F401  (registers every Module subclass)
 from chartlm import autodiff as ad
 from chartlm import nn
 from chartlm.autodiff import Tensor
+from chartlm.inside_outside import CompatHead
 
 
 def _gelu(x):
@@ -95,24 +96,24 @@ def test_attention_is_permutation_equivariant():
 
 def test_attention_rejects_bad_head_count():
     with pytest.raises(ValueError, match="divisible"):
-        nn.MultiHeadAttention("a", 8, 3, np.random.default_rng(0))
+        nn.TransformerLayer("t", 8, 3, np.random.default_rng(0))
 
 
 def test_residual_mlp_is_identity_at_init():
     rng = np.random.default_rng(4)
-    m = nn.ResidualMlp("m", 6, rng)
+    m = CompatHead("c", 6, rng).inside[0]
     x = rng.standard_normal((3, 6))
     np.testing.assert_array_equal(composites.residual_mlp(m, Tensor(x)).data, x)
 
 
 def test_residual_mlp_gradients_flow_through_both_layers():
     rng = np.random.default_rng(5)
-    m = nn.ResidualMlp("m", 4, rng)
-    # perturb fc2 away from zero so fc1 receives signal
-    m.fc2.w.data[...] = rng.standard_normal((4, 4)) * 0.1
+    m = CompatHead("c", 4, rng).outside[1]
+    # perturb W2 away from zero so W1 receives signal
+    m[2].data[...] = rng.standard_normal((4, 4)) * 0.1
     x = rng.standard_normal((2, 4))
     report = ad.gradient_check(lambda: ad.tsum(composites.residual_mlp(m, Tensor(x)) * x),
-                               m.parameters(), rng, samples_per_param=4)
+                               list(m), rng, samples_per_param=4)
     assert max(report.values()) < 1e-6
 
 

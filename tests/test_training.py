@@ -44,7 +44,8 @@ def _trainer(corpus=None, seed=3, out_dir=None, **tkw):
 
 def test_vocab_roundtrip(tmp_path):
     path = str(tmp_path / "vocab.txt")
-    VOCAB.to_file(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{tok} {i}\n" for i, tok in enumerate(VOCAB.tokens))
     back = Vocab.from_file(path)
     assert back.tokens == VOCAB.tokens
     assert back.mask_id == 0
