@@ -9,7 +9,8 @@ on. Training runs in float32; oracle and gradient checks build float64 graphs.
 
 The op contract: an op computes its output array, then returns
 `_node(data, inputs, vjp)`. `vjp(g)` maps the output's gradient `g` to one
-gradient per input, in `inputs` order, constants included. `_node` alone
+gradient per input, in `inputs` order, constants included; None stands for
+an input use the op's backward did not reach, and adds nothing. `_node` alone
 decides whether the result is recorded, and `Tensor.backward` alone decides
 which inputs receive their gradient and adds it up, so an op (a fused one
 too) is its forward plus one VJP. An input the op uses k times is passed k
@@ -18,13 +19,15 @@ them inside the VJP instead would reorder float additions.
 
 Fused ops follow this contract outside this module: `nn.TransformerLayer`,
 `inside_outside.CompatHead.inside_scores` (the inside sweep's split totals)
-and `.sibling_scores` (the outside sweep's two child scores per pair), and
-each direction of `nn.BiLstm`. They own their weights as fixed tuples of
-Parameters. Each records one node whose VJP replays the tape VJPs of the
-composite it replaced, bit for bit; the composites are kept as the tests'
-reference in tests/composites.py. The
-plain-array formulas below (layer norm, GELU, sigmoid, tanh) are the one
-copy they, the tape ops and the reference share.
+and `.sibling_scores` (the outside sweep's two child scores per pair), each
+direction of `nn.BiLstm`, and `inside_outside.CioStack.layer`, one node with
+four outputs per inside-outside layer, which runs the others' plain-array
+forwards (`forward_np`, `inside_scores_np`, `sibling_scores_np`) and calls
+their VJPs. They own their weights as fixed tuples of Parameters. Each
+records one node whose VJP replays the tape VJPs of the composite it
+replaced, bit for bit; the composites are kept as the tests' reference in
+tests/composites.py. The plain-array formulas below (layer norm, GELU,
+sigmoid, tanh) are the one copy they, the tape ops and the reference share.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ class Tensor:
             self.grad += g
 
     def backward(self, seed: Array | None = None) -> None:
-        """Reverse-topological sweep from this tensor, filling `.grad`."""
+        """Reverse-topological sweep from this tensor, filling `.grad`. A node
+        that no gradient reached (every VJP that could have fed it returned
+        None) is skipped."""
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar")
@@ -118,9 +123,9 @@ class Tensor:
                     stack.append((p, False))
         self._accum(seed)
         for node in reversed(topo):
-            if node._bw is not None:
+            if node._bw is not None and node.grad is not None:
                 for p, g in zip(node._prev, node._bw(node.grad)):
-                    if p.requires_grad:
+                    if g is not None and p.requires_grad:
                         p._accum(g)
 
     # -- operator sugar -----------------------------------------------------
@@ -186,12 +191,37 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _node(data, inputs: tuple[Tensor, ...], vjp: Callable[[Array], Sequence[Array]]) -> Tensor:
+def _node(data, inputs: tuple[Tensor, ...], vjp: Callable):
     """The op result `data`, recorded on the tape with `vjp` when grad is on
-    and some input requires grad; a plain constant otherwise."""
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        return Tensor(data, True, inputs, vjp)
-    return Tensor(data)
+    and some input requires grad; a plain constant otherwise.
+
+    `data` may be a tuple of arrays, for an op with several outputs: the
+    result is then a tuple of tensors that share one node, and `vjp`
+    receives a list with each output's gradient, None for an output the
+    backward pass did not reach. A reached output's step hands its gradient
+    to that list and marks the node reached; the node runs `vjp` once every
+    reached output is complete. (The list, not the outputs, is what the
+    node holds, so the tape stays free of reference cycles.)
+    """
+    recorded = _grad_enabled and any(t.requires_grad for t in inputs)
+    if not isinstance(data, tuple):
+        return Tensor(data, True, inputs, vjp) if recorded else Tensor(data)
+    if not recorded:
+        return tuple(Tensor(d) for d in data)
+    grads: list = [None] * len(data)
+    node = Tensor(np.zeros(0), True, inputs, lambda _: vjp(grads))
+    return tuple(Tensor(d, True, (node,), _hand_over(grads, i)) for i, d in enumerate(data))
+
+
+_REACHED = np.zeros(0)
+
+
+def _hand_over(grads: list, i: int) -> Callable:
+    """Output i's step of a several-output node."""
+    def vjp(g):
+        grads[i] = g
+        return (_REACHED,)
+    return vjp
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:

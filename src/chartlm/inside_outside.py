@@ -1,14 +1,16 @@
 """Chart encoder: pruned inside pass, contextual outside pass, tree induction.
 
 Each layer runs one bottom-up (inside) and one top-down (outside) sweep over
-the cells `build_cell_batches` kept. Cell vectors live in a flat arena (leaf
-rows first, then cells in wave order) so a whole wave is one gather /
-compose / scatter round. The outside sweep walks the waves in reverse and
-grows a second arena, of outside candidates: row 0 is the layer's learned
-root vector, then each wave appends the candidates it emits for its cells'
-children. Both sweeps pool a cell's candidates (one per split inside, one
-per parent path outside) the same way: one gather from the arena, then a
-masked softmax over their scores weights the candidate vectors and scores.
+the cells `build_cell_batches` kept, in plain numpy, and records the layer
+as one tape node (`CioStack.layer`). Cell vectors live in a flat arena
+allocated once per layer (leaf rows first, then cells in wave order), so a
+whole wave is one gather / compose / write round. The outside sweep walks
+the waves in reverse and fills a second arena, of outside candidates: row 0
+is the layer's learned root vector, then each wave writes the candidates it
+emits for its cells' children. Both sweeps pool a cell's candidates (one per
+split inside, one per parent path outside) the same way: one gather from
+the arena, then a softmax over their scores, with the -inf mask of the
+empty slots built once per plan, weights the candidate vectors and scores.
 """
 
 from __future__ import annotations
@@ -40,13 +42,22 @@ class ComposeParams(Module):
         self.roles = self._param(f"{name}.roles", _normal(rng, (3, d)))
         self.block = self._child(AttentionBlock(f"{name}.block", d, heads, depth, rng))
 
-    def __call__(self, slots: Tensor, read: list[int] | None = None) -> Tensor:
+    def __call__(self, slots: np.ndarray, read: list[int] | None = None):
         """slots (B, 3, d) -> (B, len(read), d), the slots `read` of the output
         (all three when None): the inside sweep reads the parent slot, the
-        outside sweep both child slots."""
+        outside sweep both child slots. Returns the output and its VJP, which
+        maps the output's gradient to the slots', the role embeddings' and
+        a list of the block weights' (`block.params` order)."""
         if slots.shape[-2:] != (3, self.d):
             raise ValueError(f"compose expects (*, 3, {self.d}) slots, got {slots.shape}")
-        return self.block(slots + ad.reshape(self.roles, (1, 3, self.d)), read)
+        out, vjp_block = self.block.forward_np(slots + self.roles.data.reshape(1, 3, self.d), read)
+
+        def vjp(g):
+            g_slots, g_weights = vjp_block(g)
+            return (g_slots, ad._unbroadcast(g_slots, (1, 3, self.d)).reshape(3, self.d),
+                    g_weights)
+
+        return out, vjp
 
 
 def _residual_mlp(m: tuple, v: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -92,7 +103,7 @@ class CompatHead(Module):
         gradients of x twice and y twice (residual path first: the tape's
         order for the composite, tests/composites.py), then the weights'."""
         scale = lx.dtype.type(1.0 / np.sqrt(self.d))
-        ry, sy = _residual_mlp(maps[1], y.data)
+        ry, sy = _residual_mlp(maps[1], y)
 
         def vjp(g):
             gp = np.broadcast_to(np.expand_dims(g * scale, -1), lx.shape)
@@ -102,42 +113,41 @@ class CompatHead(Module):
 
         return (lx * ry).sum(axis=-1) * scale, vjp
 
-    def inside_scores(self, left: Tensor, right: Tensor, left_a: Tensor,
-                      right_a: Tensor) -> Tensor:
-        """compat(left, right) + left_a + right_a, (B,), as one tape node: the
-        inside sweep's split totals. The VJP is the tape's for the composite
-        (tests/composites.py); left and right each feed a map's residual path
-        and its fc1, so each is an input twice."""
-        if any(t.shape[-1] != self.d for t in (left, right)):
+    def _check(self, *vectors: Tensor) -> None:
+        if any(t.shape[-1] != self.d for t in vectors):
             raise ValueError(f"compatibility expects dim {self.d}")
+
+    def inside_scores_np(self, left, right, left_a, right_a):
+        """compat(left, right) + left_a + right_a on plain arrays, (B,): the
+        inside sweep's split totals, and their VJP, whose gradients follow
+        `inside_scores`' inputs."""
         maps = self.inside
-        score, vjp_score = self._score(right, *_residual_mlp(maps[0], left.data), maps)
+        score, vjp_score = self._score(right, *_residual_mlp(maps[0], left), maps)
 
         def vjp(g):
             return [*vjp_score(g), g, g]
 
-        return ad._node((score + left_a.data) + right_a.data,
-                        (left, left, right, right) + maps[0] + maps[1] + (left_a, right_a),
-                        vjp)
+        return (score + left_a) + right_a, vjp
 
-    def sibling_scores(self, parent: Tensor, parent_b: Tensor, left: Tensor, right: Tensor,
-                       left_a: Tensor, right_a: Tensor) -> Tensor:
+    def inside_scores(self, left: Tensor, right: Tensor, left_a: Tensor,
+                      right_a: Tensor) -> Tensor:
+        """`inside_scores_np` as one tape node. The VJP is the tape's for the
+        composite (tests/composites.py); left and right each feed a map's
+        residual path and its fc1, so each is an input twice."""
+        self._check(left, right)
+        out, vjp = self.inside_scores_np(left.data, right.data, left_a.data, right_a.data)
+        return ad._node(out, (left, left, right, right) + self.inside[0] + self.inside[1]
+                        + (left_a, right_a), vjp)
+
+    def sibling_scores_np(self, parent, parent_b, left, right, left_a, right_a):
         """The outside scores of each pair's left child, then of its right
-        child, (2B,), as one tape node: the left child's is its sibling's
-        inside score + compat(parent, right) under the outside maps + the
-        parent's outside score, and the right child's the same with left.
-        MLP_L(parent) runs once.
-
-        The VJP is the tape's for two compat scores and their adds (the
-        composite in tests/composites.py), the left child's first. Inputs
-        are listed so that a backward pass reaches them in that tape's
-        order: the left child's terms, the right child's, then parent_b.
-        """
-        if any(t.shape[-1] != self.d for t in (parent, left, right)):
-            raise ValueError(f"compatibility expects dim {self.d}")
+        child, (2B,), on plain arrays, and their VJP: the left child's is its
+        sibling's inside score + compat(parent, right) under the outside
+        maps + the parent's outside score, and the right child's the same
+        with left. MLP_L(parent) runs once. The VJP's gradients follow
+        `sibling_scores`' inputs."""
         maps = self.outside
-        weights = maps[0] + maps[1]
-        lx, sx = _residual_mlp(maps[0], parent.data)
+        lx, sx = _residual_mlp(maps[0], parent)
         score_l, vjp_l = self._score(right, lx, sx, maps)
         score_r, vjp_r = self._score(left, lx, sx, maps)
         b = len(score_l)
@@ -146,8 +156,20 @@ class CompatHead(Module):
             g_l, g_r = g[:b], g[b:]
             return [g_l, *vjp_l(g_l), g_r, *vjp_r(g_r), g_l, g_r]
 
-        out = np.concatenate([(right_a.data + score_l) + parent_b.data,
-                              (left_a.data + score_r) + parent_b.data])
+        return np.concatenate([(right_a + score_l) + parent_b,
+                               (left_a + score_r) + parent_b]), vjp
+
+    def sibling_scores(self, parent: Tensor, parent_b: Tensor, left: Tensor, right: Tensor,
+                       left_a: Tensor, right_a: Tensor) -> Tensor:
+        """`sibling_scores_np` as one tape node. The VJP is the tape's for two
+        compat scores and their adds (the composite in tests/composites.py),
+        the left child's first. Inputs are listed so that a backward pass
+        reaches them in that tape's order: the left child's terms, the right
+        child's, then parent_b."""
+        self._check(parent, left, right)
+        out, vjp = self.sibling_scores_np(parent.data, parent_b.data, left.data, right.data,
+                                          left_a.data, right_a.data)
+        weights = self.outside[0] + self.outside[1]
         return ad._node(out, (right_a, parent, parent, right, right) + weights
                         + (left_a, parent, parent, left, left) + weights
                         + (parent_b, parent_b), vjp)
@@ -184,23 +206,302 @@ class CioStack(Module):
         self.roots = [self._param(f"{name}.{l}.root", _normal(rng, (d,)))
                       for l in range(layers)]
 
+    def layer(self, l: int, x: Tensor, prev_out: Tensor, plan: "EnginePlan") -> "LayerState":
+        """Layer l on leaf embeddings x (n, d), with prev_out (rows, d) in the
+        inside sweep's parent slots, as one tape node whose four outputs are
+        the LayerState fields.
+
+        The VJP walks the waves in reverse and calls the fused ops' VJPs. It
+        adds every gradient in the order the per-op tape (tests/composites.py)
+        adds it when backward reaches the layer through `outside` first, as
+        the next layer and the node encoder do, so the two agree bit for bit:
+        - an arena's gradient is one buffer (`_ArenaGrad`), and a gather's
+          scatter lands on the rows it read, in the tape's order;
+        - each input is listed once per use, in the order the tape reached
+          its uses: prev_out and x get full-size gather gradients (prev_out
+          in its own layout), the weights get each fused call's, outside
+          sweep first, and the role embeddings follow the order in which
+          the tape found the compose calls;
+        - a use the backward did not reach gets None, as the tape skips it.
+        """
+        n, d, rows = plan.n, self.d, plan.rows
+        dtype = x.data.dtype
+        alpha, beta, compat = self.alpha[l], self.beta[l], self.compat
+        batches = plan.batches
+        T = len(batches)
+        parent_in = prev_out.data
+
+        # ---- inside sweep: each batch's cells pool their splits' candidates
+        inside = np.empty((rows, d), dtype=dtype)
+        inside[:n] = x.data
+        a = np.zeros(rows, dtype=dtype)
+        pair_scores = np.empty(plan.pairs, dtype=dtype)
+        inside_steps = []
+        for bp in batches:
+            left, right = inside[bp.pair_left], inside[bp.pair_right]
+            composed, compose_vjp = alpha(
+                np.stack([left, right, parent_in[bp.pair_cell]], axis=1), [ROLE_PARENT])
+            totals, totals_vjp = compat.inside_scores_np(left, right, a[bp.pair_left],
+                                                         a[bp.pair_right])
+            inside[bp.cells], a[bp.cells], pool_vjp = _pool(
+                composed.reshape(len(left), d), totals, bp.split_pool)
+            pair_scores[bp.pairs] = totals
+            if ad._grad_enabled:  # the VJPs hold their wave's arrays
+                inside_steps.append((compose_vjp, totals_vjp, pool_vjp))
+
+        # ---- outside sweep, last wave first: one compose per (parent,
+        # split) serves both children through slots 0 and 1; the candidates
+        # go to the arena from row starts[t] on, left children then right
+        cand_v = np.empty((plan.candidates, d), dtype=dtype)
+        cand_s = np.zeros(plan.candidates, dtype=dtype)
+        cand_v[0] = self.roots[l].data
+        outside = np.empty((rows, d), dtype=dtype)
+        b = np.empty(rows, dtype=dtype)
+        outside_steps, starts = [None] * T, [0] * T
+        c = 1
+        for t in reversed(range(T)):
+            bp = batches[t]
+            outside[bp.cells], b[bp.cells], pool_vjp = _pool(cand_v, cand_s, bp.parent_pool)
+            left, right = inside[bp.pair_left], inside[bp.pair_right]
+            parent, parent_b = outside[bp.cells][bp.pair_cell_pos], b[bp.cells][bp.pair_cell_pos]
+            y, compose_vjp = beta(np.stack([left, right, parent], axis=1),
+                                  [ROLE_LEFT, ROLE_RIGHT])
+            p = len(left)
+            cand_s[c:c + 2 * p], sibling_vjp = compat.sibling_scores_np(
+                parent, parent_b, left, right, a[bp.pair_left], a[bp.pair_right])
+            cand_v[c:c + p], cand_v[c + p:c + 2 * p] = y[:, 0], y[:, 1]
+            if ad._grad_enabled:
+                outside_steps[t], starts[t] = (pool_vjp, compose_vjp, sibling_vjp), c
+            c += 2 * p
+        outside[:n], b[:n], leaf_vjp = _pool(cand_v, cand_s, plan.leaf_pool)
+
+        # the compose calls, as (sweep, wave), in the order the tape reaches
+        # their role adds
+        if alpha is beta and T:
+            roles_order = ([("o", t) for t in range(T - 1)] + [("i", t) for t in range(T)]
+                           + [("o", T - 1)])
+        else:
+            roles_order = [("i", t) for t in range(T)] + [("o", t) for t in range(T)]
+        outer = compat.outside[0] + compat.outside[1]
+        inner = compat.inside[0] + compat.inside[1]
+        inputs = ((x,) * (3 if T else 1) + (prev_out,) * T + (self.roots[l],)
+                  + tuple((beta if sweep == "o" else alpha).roles for sweep, _ in roles_order)
+                  + beta.block.params * T + alpha.block.params * T
+                  + (outer + outer) * T + inner * T)
+
+        def vjp(grads):
+            g_in, g_a, g_out, g_b = grads
+            arena, score = _ArenaGrad(g_in, (rows, d), dtype), _ArenaGrad(g_a, (rows,), dtype)
+            g_cand = [np.zeros_like(cand_v), np.zeros_like(cand_s)]
+            cand_reached = [False, False]  # the candidate arenas, vectors and scores
+
+            def pool_back(pool_vjp, pool, g_vec, g_score):
+                for i, g_rows in enumerate(pool_vjp(g_vec, g_score)):
+                    if g_rows is not None:
+                        g_cand[i][pool.rows] += g_rows
+                        cand_reached[i] = True
+
+            # ---- outside sweep, last candidates first
+            pool_back(leaf_vjp, plan.leaf_pool, None if g_out is None else g_out[:n],
+                      None if g_b is None else g_b[:n])
+            g_roles, g_compose, g_siblings = {}, {}, [None] * T
+            for t in range(T):
+                bp = batches[t]
+                pool_vjp, compose_vjp, sibling_vjp = outside_steps[t]
+                c, p = starts[t], len(bp.pair_left)
+                g_left, g_right, g_parent, g_parent_b = [], [], [], []
+                if cand_reached[1]:  # the scores emitted here
+                    g = sibling_vjp(g_cand[1][c:c + 2 * p])
+                    g_siblings[t] = g[5:13] + g[18:26]
+                    g_left += g[16:18]
+                    g_right += g[3:5]
+                    g_parent += g[1:3] + g[14:16]
+                    g_parent_b += g[26:28]
+                    score.level(rows)
+                    score.add(bp.pair_right, g[0], bp.unique_children)
+                    score.add(bp.pair_left, g[13], bp.unique_children)
+                if cand_reached[0]:  # the vectors emitted here
+                    g_y = np.zeros((p, 2, d), dtype=dtype)
+                    g_y[:, 0] += g_cand[0][c:c + p]
+                    g_y[:, 1] += g_cand[0][c + p:c + 2 * p]
+                    g_slots, g_roles["o", t], g_compose["o", t] = compose_vjp(g_y)
+                    g_left.append(g_slots[:, 0])
+                    g_right.append(g_slots[:, 1])
+                    g_parent.append(g_slots[:, 2])
+                if g_left:
+                    arena.level(rows)
+                    arena.add(bp.pair_left, _total(g_left), bp.unique_children)
+                    arena.add(bp.pair_right, _total(g_right), bp.unique_children)
+                pool_back(pool_vjp, bp.parent_pool,
+                          _pooled_grad(g_out, bp.cells, outside[bp.cells], bp.pair_cell_pos,
+                                       g_parent),
+                          _pooled_grad(g_b, bp.cells, b[bp.cells], bp.pair_cell_pos,
+                                       g_parent_b))
+            g_root = g_cand[0][0] if cand_reached[0] else None
+
+            # ---- inside sweep, last wave first
+            g_totals, g_prev, g_x = [None] * T, [None] * T, [g_in]
+            for t in reversed(range(T)):
+                bp = batches[t]
+                compose_vjp, totals_vjp, pool_vjp = inside_steps[t]
+                p = len(bp.pair_left)
+                g_vec, g_score = pool_vjp(arena.rows(bp.cells), score.rows(bp.cells))
+                g_left, g_right = [], []
+                if g_score is not None:
+                    g_tot = np.zeros(p, dtype=dtype)
+                    g_tot[bp.split_pool.rows] += g_score
+                    g_t = totals_vjp(g_tot)
+                    g_totals[t] = g_t[4:12]
+                    g_left += g_t[0:2]
+                    g_right += g_t[2:4]
+                if g_vec is not None:
+                    g_comp = np.zeros((p, d), dtype=dtype)
+                    g_comp[bp.split_pool.rows] += g_vec
+                    g_slots, g_roles["i", t], g_compose["i", t] = compose_vjp(
+                        g_comp.reshape(p, 1, d))
+                    g_left.append(g_slots[:, 0])
+                    g_right.append(g_slots[:, 1])
+                    g_prev[t] = _scattered(parent_in, bp.pair_cell, [g_slots[:, 2]])
+                if t == 0:  # the reads of x, after its rows of the arena
+                    g_x = [arena.rows(slice(0, n))] + [
+                        _scattered(x.data, idx, g) for idx, g in ((bp.pair_left, g_left),
+                                                                  (bp.pair_right, g_right))]
+                    break
+                if g_left:
+                    arena.level(bp.cells.start)
+                    arena.add(bp.pair_left, _total(g_left), bp.unique_children)
+                    arena.add(bp.pair_right, _total(g_right), bp.unique_children)
+                if g_score is not None:
+                    score.level(bp.cells.start)
+                    score.add(bp.pair_left, g_t[12], bp.unique_children)
+                    score.add(bp.pair_right, g_t[13], bp.unique_children)
+
+            nones = [None] * len(alpha.block.params)
+            return (g_x + g_prev + [g_root]
+                    + [g_roles.get(key) for key in roles_order]
+                    + [g for t in range(T) for g in g_compose.get(("o", t), nones)]
+                    + [g for t in reversed(range(T)) for g in g_compose.get(("i", t), nones)]
+                    + [g for t in range(T) for g in g_siblings[t] or [None] * 16]
+                    + [g for t in reversed(range(T)) for g in g_totals[t] or [None] * 8])
+
+        fields = ad._node((inside, a, outside, b), inputs, vjp)
+        return LayerState(*fields, pair_scores=pair_scores)
+
+
+def _total(grads: list[np.ndarray]) -> np.ndarray:
+    """A tensor's gradient from its uses' gradients, added in order as the
+    tape's accumulation does: a copy of the first, then the rest in place."""
+    out = np.array(grads[0], copy=True)
+    for g in grads[1:]:
+        out += g
+    return out
+
+
+def _scattered(source: np.ndarray, idx: np.ndarray, grads: list) -> np.ndarray | None:
+    """A gather's VJP: its uses' total gradient added at idx into zeros
+    like the gathered source, layout included; None when no use was
+    reached."""
+    if not grads:
+        return None
+    full = np.zeros_like(source)
+    np.add.at(full, idx, _total(grads))
+    return full
+
+
+def _pooled_grad(g_field, cells: slice, pooled: np.ndarray, pos: np.ndarray,
+                 g_reads: list) -> np.ndarray | None:
+    """The gradient of a wave's `pooled` outside rows: the layer output's
+    rows, and the scatter of the pair reads' gradient (either may be
+    missing)."""
+    parts = [] if g_field is None else [g_field[cells]]
+    if g_reads:
+        parts.append(_scattered(pooled, pos, g_reads))
+    return _total(parts) if parts else None
+
+
+class _ArenaGrad:
+    """One arena's gradient through a sweep's backward: the layer output's
+    gradient, if reached, then each gather's scatter on the rows it read.
+
+    The tape grew the arena by concat, and each gather's VJP scattered into
+    zeros as large as the arena at that wave. So the first scatter of a
+    wave (`level`) also turns every -0.0 below the wave's rows to +0.0, and
+    after that, adding a scatter on its rows only gives the same bits."""
+
+    def __init__(self, g_field, shape: tuple, dtype):
+        self.reached = self.signed = g_field is not None  # signed: may hold -0.0
+        self.g = np.array(g_field, copy=True) if self.reached else np.zeros(shape, dtype)
+
+    def level(self, rows: int) -> None:
+        """Start a wave's scatters into the arena's first `rows` rows."""
+        self.reached = True
+        if self.signed:
+            self.g[:rows] += 0.0
+            self.signed = False
+
+    def add(self, idx: np.ndarray, g: np.ndarray, unique: bool) -> None:
+        """Add a gather's scatter of g at idx (np.add.at into zeros)."""
+        if unique:
+            self.g[idx] += g
+        else:
+            rows, inverse = np.unique(idx, return_inverse=True)
+            part = np.zeros((len(rows),) + g.shape[1:], dtype=g.dtype)
+            np.add.at(part, inverse, g)
+            self.g[rows] += part
+
+    def rows(self, cells: slice) -> np.ndarray | None:
+        """The gradient of rows `cells`, None if the arena was not reached."""
+        return self.g[cells] if self.reached else None
+
 
 # ---------------------------------------------------------------------------
 # static per-sentence plan
 # ---------------------------------------------------------------------------
 
 @dataclass
+class Pool:
+    """Index arrays of one softmax pool, one output row per group of
+    candidates: `pad` (C, W) holds each row's candidates, its empty slots
+    repeating its first one; `mask` is 0 at a candidate and -inf at an
+    empty slot (None when W is 1); `keep` marks pad's candidates, and `rows`
+    lists them in pad's row order, each once, since no candidate is in two
+    groups."""
+
+    pad: np.ndarray
+    mask: np.ndarray | None
+    keep: np.ndarray | None
+    rows: np.ndarray
+
+
+def _pool_of(groups: list[list[int]]) -> Pool:
+    width = max(map(len, groups))
+    if width == 1:
+        rows = np.array([g[0] for g in groups], dtype=np.intp)
+        return Pool(rows[:, None], None, None, rows)
+    # an empty slot repeats its row's first candidate, so a gather stays in
+    # range; the mask zeroes its softmax weight
+    pad = np.array([g + g[:1] * (width - len(g)) for g in groups], dtype=np.intp)
+    keep = np.arange(width) < np.array([len(g) for g in groups])[:, None]
+    # float32 holds 0 and -inf exactly, and adds to either precision
+    mask = np.where(keep, np.float32(0.0), np.float32(-np.inf))
+    return Pool(pad, mask, keep, pad[keep])
+
+
+@dataclass
 class BatchPlan:
     """Precomputed index arrays for one cell batch."""
 
     spans: list[Span]
+    cells: slice                # arena rows of its cells
+    pairs: slice                # its pairs' positions in the plan's pair order
     pair_left: np.ndarray       # (P,) arena row of each split's left child
     pair_right: np.ndarray      # (P,)
     pair_cell: np.ndarray       # (P,) arena row of the owning cell
     pair_cell_pos: np.ndarray   # (P,) position of the owning cell inside the batch
-    score_pad: np.ndarray       # (C, W) each cell's pair indices (see _pad_matrix)
-    pool_pad: np.ndarray | None = None  # (C, U) each cell's rows of the outside
-    # candidate arena (see _pad_matrix); set once every batch is planned
+    unique_children: bool       # no arena row is a left child twice, or a right child twice
+    split_pool: Pool            # each cell's pairs
+    parent_pool: Pool | None = None  # each cell's rows of the outside candidate
+    # arena; set once every batch is planned
 
 
 @dataclass
@@ -212,35 +513,36 @@ class EnginePlan:
     spans: list[Span]
     row_of: dict[Span, int]
     batches: list[BatchPlan]    # non-leaf batches in execution order
-    leaf_pool: np.ndarray       # (n, U) the leaves' rows of the outside candidate arena
+    leaf_pool: Pool             # the leaves' rows of the outside candidate arena
+    pair_offset: np.ndarray     # (rows + 1,) row r's pairs are pair_offset[r]:pair_offset[r + 1]
 
     @property
     def rows(self) -> int:
         return len(self.spans)
 
+    @property
+    def pairs(self) -> int:
+        return int(self.pair_offset[-1])
+
+    @property
+    def candidates(self) -> int:
+        """Rows of the outside candidate arena: the root, then two per pair."""
+        return 1 + 2 * self.pairs
+
     def non_leaf_batches(self) -> int:
         return len(self.batches)
-
-
-def _pad_matrix(groups: list[list[int]]) -> np.ndarray:
-    """One row per group, as wide as the widest; a row's empty slots repeat
-    its first index, so a gather stays in range and _softmax_pool masks them."""
-    out = np.empty((len(groups), max(len(g) for g in groups)), dtype=np.intp)
-    for r, g in enumerate(groups):
-        out[r, :len(g)] = g
-        out[r, len(g):] = g[0]
-    return out
 
 
 def plan_engine(waves: list[dict[Span, tuple[int, ...]]]) -> EnginePlan:
     """Lower `build_cell_batches`' waves to flat gather/scatter index arrays.
 
     The waves were checked when they were built, so this only lays out
-    rows: leaves first, then each wave's cells. It also fixes the outside
-    candidate routing. The candidate arena's row 0 is the root; then each
-    wave, last first, emits one candidate per child of each of its pairs
-    (left children then right children, in pair order), so a cell's
-    candidates are exactly the rows its parent paths emitted.
+    rows: leaves first, then each wave's cells, and pairs cell by cell in
+    the same order. It also fixes the outside candidate routing. The
+    candidate arena's row 0 is the root; then each wave, last first, emits
+    one candidate per child of each of its pairs (left children then right
+    children, in pair order), so a cell's candidates are exactly the rows
+    its parent paths emitted.
     """
     n = next(iter(waves[-1]))[1] if waves else 1
     splits = {span: ks for wave in waves for span, ks in wave.items()}
@@ -248,6 +550,7 @@ def plan_engine(waves: list[dict[Span, tuple[int, ...]]]) -> EnginePlan:
     row_of = {s: r for r, s in enumerate(spans)}
 
     plans: list[BatchPlan] = []
+    first_row, first_pair = n, 0
     for wave in waves:
         pl, pr, pc, pp = [], [], [], []
         groups: list[list[int]] = []
@@ -262,12 +565,16 @@ def plan_engine(waves: list[dict[Span, tuple[int, ...]]]) -> EnginePlan:
             groups.append(group)
         plans.append(BatchPlan(
             spans=list(wave),
+            cells=slice(first_row, first_row + len(wave)),
+            pairs=slice(first_pair, first_pair + len(pl)),
             pair_left=np.array(pl, dtype=np.intp),
             pair_right=np.array(pr, dtype=np.intp),
             pair_cell=np.array(pc, dtype=np.intp),
             pair_cell_pos=np.array(pp, dtype=np.intp),
-            score_pad=_pad_matrix(groups),
+            unique_children=len(set(pl)) == len(pl) and len(set(pr)) == len(pr),
+            split_pool=_pool_of(groups),
         ))
+        first_row, first_pair = first_row + len(wave), first_pair + len(pl)
 
     # candidate-arena row c pools into arena row targets[c]
     targets = np.concatenate([[row_of[(1, n)]]] + [
@@ -276,10 +583,12 @@ def plan_engine(waves: list[dict[Span, tuple[int, ...]]]) -> EnginePlan:
     for c, r in enumerate(targets):
         parents[r].append(c)
     for bp in plans:
-        bp.pool_pad = _pad_matrix([parents[row_of[s]] for s in bp.spans])
+        bp.parent_pool = _pool_of([parents[row_of[s]] for s in bp.spans])
 
-    return EnginePlan(n=n, splits=splits, spans=spans, row_of=row_of,
-                      batches=plans, leaf_pool=_pad_matrix(parents[:n]))
+    pair_counts = [0] * n + [len(ks) for ks in splits.values()]
+    return EnginePlan(n=n, splits=splits, spans=spans, row_of=row_of, batches=plans,
+                      leaf_pool=_pool_of(parents[:n]),
+                      pair_offset=np.concatenate([[0], np.cumsum(pair_counts)]).astype(np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -305,38 +614,62 @@ class LayerState:
     inside_score: Tensor    # (rows,)   a
     outside: Tensor         # (rows, d) e-check
     outside_score: Tensor   # (rows,)   b
+    pair_scores: np.ndarray  # (pairs,) a[k] of every kept split, in the plan's pair order
 
 
 @dataclass
 class StackResult:
     plan: EnginePlan
     layers: list[LayerState]
-    pair_scores: dict[Span, np.ndarray]  # last-layer a[k] per kept split
     stats: EngineStats
 
     @property
     def final(self) -> LayerState:
         return self.layers[-1]
 
+    @property
+    def pair_scores(self) -> np.ndarray:
+        """The last layer's split totals, for tree induction."""
+        return self.final.pair_scores
 
-def _softmax_pool(vecs: Tensor, scores: Tensor, pad: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted sum of candidates, one output row per row of `pad`.
 
-    vecs (R, d) and scores (R,) hold the candidates; pad (C, W) indexes them,
-    a row's empty slots repeating its first index (_pad_matrix). Returns the
-    (C, d) vectors and the (C,) expected scores. An empty slot's softmax
-    weight is exactly 0, so its duplicate adds exactly 0 to both outputs and
-    to every gradient.
+def _pool(vecs: np.ndarray, scores: np.ndarray, pool: Pool):
+    """Softmax-weighted sum of candidates, one output row per row of
+    `pool.pad`: the (C, d) vectors, the (C,) expected scores, and the VJP.
+
+    An empty slot's softmax weight is exactly 0, so it adds exactly 0 to
+    both outputs and every gradient. The VJP maps the two outputs'
+    gradients (None for one the backward did not reach) to those of the
+    candidates `pool.rows`, vectors' then scores' (None where not reached),
+    replaying the tape's VJPs of the composite (tests/composites.py).
     """
-    if pad.shape[1] == 1:  # a one-candidate softmax weighs exactly 1
-        idx = pad[:, 0]
-        return ad.gather(vecs, idx), ad.gather(scores, idx)
-    empty = pad == pad[:, :1]
-    empty[:, 0] = False
-    s = ad.gather(scores, pad)                                    # (C, W)
-    w = ad.softmax(s + np.where(empty, -np.inf, 0.0), axis=1)
-    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * ad.gather(vecs, pad), axis=1)
-    return vec, ad.tsum(w * s, axis=1)
+    if pool.mask is None:  # a one-candidate softmax weighs exactly 1
+        idx = pool.rows
+        return vecs[idx], scores[idx], lambda g_vec, g_score: (g_vec, g_score)
+    s = scores[pool.pad]                                          # (C, W)
+    w = ad.softmax_np(s + pool.mask, axis=1)
+    w3 = w.reshape(w.shape + (1,))
+    gathered = vecs[pool.pad]                                     # (C, W, d)
+    prod = w3 * gathered
+    ws = w * s
+
+    def vjp(g_vec, g_score):
+        if g_vec is None and g_score is None:
+            return None, None
+        g_w, g_s, g_rows = [], [], None
+        if g_vec is not None:  # tsum, mul and reshape
+            g_prod = np.array(np.broadcast_to(np.expand_dims(g_vec, 1), prod.shape), copy=True)
+            g_w.append(ad._unbroadcast(g_prod * gathered, w3.shape).reshape(w.shape))
+            g_rows = (g_prod * w3)[pool.keep]
+        if g_score is not None:  # tsum and mul
+            g_ws = np.array(np.broadcast_to(np.expand_dims(g_score, 1), ws.shape), copy=True)
+            g_w.append(g_ws * s)
+            g_s.append(g_ws * w)
+        g_w = _total(g_w)
+        g_s.append(w * (g_w - (g_w * w).sum(axis=1, keepdims=True)))  # softmax
+        return g_rows, _total(g_s)[pool.keep]
+
+    return prod.sum(axis=1), ws.sum(axis=1), vjp
 
 
 def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
@@ -345,70 +678,18 @@ def run_stack(x: Tensor, stack: CioStack, plan: EnginePlan,
     n = plan.n
     if x.shape != (n, stack.d):
         raise ValueError(f"expected ({n}, {stack.d}) leaf embeddings, got {x.shape}")
-    dtype = x.data.dtype
-    rows = plan.rows
     layers: list[LayerState] = []
-    pair_scores: dict[Span, np.ndarray] = {}
-
-    prev_out = ad.broadcast_to(ad.reshape(stack.outside0, (1, stack.d)), (rows, stack.d))
+    prev_out = ad.broadcast_to(ad.reshape(stack.outside0, (1, stack.d)), (plan.rows, stack.d))
     for l in range(stack.num_layers):
-        last = l == stack.num_layers - 1
-        # ---- inside sweep: each batch's cells pool their splits' candidates
-        arena = x
-        scores = Tensor(np.zeros(n, dtype=dtype))
-        for bp in plan.batches:
-            left = ad.gather(arena, bp.pair_left)
-            right = ad.gather(arena, bp.pair_right)
-            parent_slot = ad.gather(prev_out, bp.pair_cell)
-            composed = stack.alpha[l](ad.stack([left, right, parent_slot], axis=1),
-                                      [ROLE_PARENT])
-            composed = ad.reshape(composed, (len(bp.pair_cell), stack.d))
-            totals = stack.compat.inside_scores(left, right, ad.gather(scores, bp.pair_left),
-                                                ad.gather(scores, bp.pair_right))
-            cell_vec, cell_score = _softmax_pool(composed, totals, bp.score_pad)
-            arena = ad.concat([arena, cell_vec], axis=0)
-            scores = ad.concat([scores, cell_score], axis=0)
-            if last:  # the raw a[k] of each kept split, for tree induction
-                for span, pad in zip(bp.spans, bp.score_pad):
-                    pair_scores[span] = totals.data[pad[:len(plan.splits[span])]]
-
-        # ---- outside sweep ------------------------------------------------
-        cand_v = ad.reshape(stack.roots[l], (1, stack.d))
-        cand_s = Tensor(np.zeros(1, dtype=dtype))
-        out_vecs, out_scores = [], []
-        for bp in reversed(plan.batches):
-            out_vec, out_b = _softmax_pool(cand_v, cand_s, bp.pool_pad)
-            out_vecs.append(out_vec)
-            out_scores.append(out_b)
-
-            # emit candidates: one compose per (parent, split) serves both
-            # children through slots 0 and 1
-            left = ad.gather(arena, bp.pair_left)
-            right = ad.gather(arena, bp.pair_right)
-            parent_out = ad.gather(out_vec, bp.pair_cell_pos)
-            parent_b = ad.gather(out_b, bp.pair_cell_pos)
-            y = stack.beta[l](ad.stack([left, right, parent_out], axis=1),
-                              [ROLE_LEFT, ROLE_RIGHT])
-            cand_b = stack.compat.sibling_scores(
-                parent_out, parent_b, left, right,
-                ad.gather(scores, bp.pair_left), ad.gather(scores, bp.pair_right))
-            cand_v = ad.concat([cand_v, y[:, 0, :], y[:, 1, :]], axis=0)  # y's left, right
-            cand_s = ad.concat([cand_s, cand_b], axis=0)
-
-        leaf_out, leaf_b = _softmax_pool(cand_v, cand_s, plan.leaf_pool)
-        outside = ad.concat([leaf_out] + out_vecs[::-1], axis=0)
-        outside_b = ad.concat([leaf_b] + out_scores[::-1], axis=0)
-
-        layers.append(LayerState(inside=arena, inside_score=scores,
-                                 outside=outside, outside_score=outside_b))
-        prev_out = outside
+        layers.append(stack.layer(l, x, prev_out, plan))
+        prev_out = layers[-1].outside
 
     # per layer: one inside and one outside compose call per batch
     stats = stats if stats is not None else EngineStats()
     stats.batched_calls += 2 * stack.num_layers * len(plan.batches)
-    stats.pairs_composed += 2 * stack.num_layers * sum(len(bp.pair_left) for bp in plan.batches)
-    stats.cells_encoded += stack.num_layers * (rows - n)
-    return StackResult(plan=plan, layers=layers, pair_scores=pair_scores, stats=stats)
+    stats.pairs_composed += 2 * stack.num_layers * plan.pairs
+    stats.cells_encoded += stack.num_layers * (plan.rows - n)
+    return StackResult(plan=plan, layers=layers, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +704,12 @@ def induce_order(result: StackResult, forbidden: set[int] | None = None) -> dict
     in preorder. A forbidden boundary is only chosen when every kept split
     of the span is forbidden (the forced move inside a multi-piece word).
     """
-    splits = result.plan.splits
+    plan = result.plan
 
     def pick(i: int, j: int) -> int:
-        ks, scores = splits[(i, j)], result.pair_scores[(i, j)]
+        r = plan.row_of[(i, j)]
+        ks = plan.splits[(i, j)]
+        scores = result.pair_scores[plan.pair_offset[r]:plan.pair_offset[r + 1]]
         best = int(np.argmax(scores))
         if forbidden and ks[best] in forbidden:
             ok = [t for t, k in enumerate(ks) if k not in forbidden]

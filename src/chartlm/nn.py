@@ -112,8 +112,15 @@ class TransformerLayer(Module):
 
     def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
         """x (b, t, d) -> (b, len(read), d): the positions `read` (all when
-        None) of the layer's output. Attention runs over all t positions;
-        `wo`, the residual, ln2 and the feed-forward only on the read ones.
+        None) of the layer's output, as one tape node (see `forward_np`)."""
+        out, vjp = self.forward_np(x.data, read)
+        return ad._node(out, (x, x) + self.params, vjp)
+
+    def forward_np(self, x: np.ndarray, read: list[int] | None = None):
+        """The layer on a plain array: its output and its VJP, which maps the
+        output's gradient to those of x (residual path, then ln1) and of
+        the 16 weights. Attention runs over all t positions; `wo`, the
+        residual, ln2 and the feed-forward only on the read ones.
 
         Two BLAS facts keep this equal to the full layer followed by a read
         (tests/test_fused.py): rows of X @ W are the full product's rows
@@ -132,7 +139,7 @@ class TransformerLayer(Module):
          gain2, bias2, w1, b1, w2, b2) = (p.data for p in self.params)
         scale = x.dtype.type(1.0 / np.sqrt(dh))
 
-        y1, xhat1, inv1 = ad.layer_norm_np(x.data, gain1, bias1)
+        y1, xhat1, inv1 = ad.layer_norm_np(x, gain1, bias1)
         rows = y1.reshape(b * t, d)
 
         def heads(w, bias):  # (b*t, d) rows -> (b, h, t, dh) view
@@ -142,7 +149,7 @@ class TransformerLayer(Module):
         kt = np.transpose(k, (0, 1, 3, 2))
         att = ad.softmax_np((q @ kt) * scale, axis=-1)
         merged = np.transpose(att @ v, (0, 2, 1, 3))[:, keep].reshape(b * r, d)
-        x1 = x.data[:, keep] + (merged @ wo + bo).reshape(b, r, d)
+        x1 = x[:, keep] + (merged @ wo + bo).reshape(b, r, d)
         y2, xhat2, inv2 = ad.layer_norm_np(x1.reshape(b * r, d), gain2, bias2)
         a1 = y2 @ w1 + b1
         act, e1 = ad.gelu_np(a1)
@@ -185,7 +192,7 @@ class TransformerLayer(Module):
                     ggain2, gbias2, ad.mT(y2) @ ga1, ga1.sum(axis=0), ad.mT(act) @ gff,
                     gff.sum(axis=0))
 
-        return ad._node(out, (x, x) + self.params, vjp)
+        return out, vjp
 
 
 class AttentionBlock(Module):
@@ -195,6 +202,34 @@ class AttentionBlock(Module):
         super().__init__()
         self.layers = [self._child(TransformerLayer(f"{name}.{i}", d, n_heads, rng))
                        for i in range(depth)]
+        self.params = tuple(p for layer in self.layers for p in layer.params)
+
+    def forward_np(self, x: np.ndarray, read: list[int] | None = None):
+        """`__call__` on a plain array: the output and its VJP, which maps the
+        output's gradient to x's and to a list of the weights' (`params`
+        order), summing each layer's two input gradients as the tape does."""
+        vjps = []
+        for i, layer in enumerate(self.layers):
+            x, vjp = layer.forward_np(x, read if i == len(self.layers) - 1 else None)
+            vjps.append(vjp)
+        if not self.layers and read is not None:
+            x, full = x[:, read], x
+        else:
+            full = None
+
+        def vjp(g):
+            if full is not None:  # the read's scatter
+                g, g_read = np.zeros_like(full), g
+                np.add.at(g, (slice(None), read), g_read)
+            weights = []
+            for layer_vjp in reversed(vjps):
+                g_res, g_ln, *g_w = layer_vjp(g)
+                g = np.array(g_res, copy=True)
+                g += g_ln
+                weights[:0] = g_w
+            return g, weights
+
+        return x, vjp
 
     def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
         """x (b, t, d) -> (b, len(read), d), the positions `read` (all when

@@ -2,15 +2,18 @@
 
 `nn.TransformerLayer`, `inside_outside.CompatHead` (`inside_scores`, the
 inside sweep's split totals, and `sibling_scores`, the outside sweep's two
-child scores per pair) and each direction of `nn.BiLstm` record one tape
+child scores per pair), each direction of `nn.BiLstm` and
+`inside_outside.CioStack.layer` (one inside-outside layer) record one tape
 node whose VJP replays these composites' tape VJPs in the tape's order. The
 fused ops own their weights, and the functions here read the same
-Parameters (`TransformerLayer.params`, `CompatHead.inside` and `.outside`)
-to build the same computations from many tape nodes, the way the model did
-before the fusion, so tests can check that each fused op equals its
-composite: to rounding at float64 and bit for bit at float32. They share
-every formula with the fused ops (`autodiff.layer_norm_np`, `gelu_np`,
-`sigmoid_np`, ...); no formula is written here.
+Parameters (`TransformerLayer.params`, `CompatHead.inside` and `.outside`,
+`ComposeParams.roles`) to build the same computations from many tape nodes,
+the way the model did before the fusion, so tests can check that each
+fused op equals its composite: to rounding at float64 and bit for bit at
+float32. `cio_layer` is the per-op engine: each wave's gathers, compose,
+scores and pools on the tape, and arenas grown by a concat per wave. They
+share every formula with the fused ops (`autodiff.layer_norm_np`,
+`gelu_np`, `sigmoid_np`, ...); no formula is written here.
 """
 
 import numpy as np
@@ -128,10 +131,86 @@ def lstm_direction(lstm, x, cell, reverse):
     return ad.concat(outs, axis=0)  # (n, h)
 
 
+def compose(params, slots, read=None):
+    """`inside_outside.ComposeParams` as a composite on a (B, 3, d) slots
+    tensor: the role add, then the block."""
+    if slots.shape[-2:] != (3, params.d):
+        raise ValueError(f"compose expects (*, 3, {params.d}) slots, got {slots.shape}")
+    return params.block(slots + ad.reshape(params.roles, (1, 3, params.d)), read)
+
+
+def softmax_pool(vecs, scores, pool):
+    """`inside_outside._pool` as a composite: the (C, d) vectors and the (C,)
+    expected scores of `pool`'s rows, as tensors."""
+    pad = pool.pad
+    if pool.mask is None:  # a one-candidate softmax weighs exactly 1
+        idx = pad[:, 0]
+        return ad.gather(vecs, idx), ad.gather(scores, idx)
+    s = ad.gather(scores, pad)                                    # (C, W)
+    w = ad.softmax(s + np.where(pool.keep, 0.0, -np.inf), axis=1)
+    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * ad.gather(vecs, pad), axis=1)
+    return vec, ad.tsum(w * s, axis=1)
+
+
+def cio_layer(stack, l, x, prev_out, plan):
+    """`inside_outside.CioStack.layer` as a composite: the per-op engine, each
+    wave's gathers, compose, score and pool on the tape, and each arena
+    grown by a concat per wave."""
+    n, d = plan.n, stack.d
+    dtype = x.data.dtype
+    # ---- inside sweep: each batch's cells pool their splits' candidates
+    arena = x
+    scores = ad.Tensor(np.zeros(n, dtype=dtype))
+    pair_scores = []
+    for bp in plan.batches:
+        left = ad.gather(arena, bp.pair_left)
+        right = ad.gather(arena, bp.pair_right)
+        parent_slot = ad.gather(prev_out, bp.pair_cell)
+        composed = compose(stack.alpha[l], ad.stack([left, right, parent_slot], axis=1),
+                           [inside_outside.ROLE_PARENT])
+        composed = ad.reshape(composed, (len(bp.pair_cell), d))
+        totals = stack.compat.inside_scores(left, right, ad.gather(scores, bp.pair_left),
+                                            ad.gather(scores, bp.pair_right))
+        cell_vec, cell_score = softmax_pool(composed, totals, bp.split_pool)
+        arena = ad.concat([arena, cell_vec], axis=0)
+        scores = ad.concat([scores, cell_score], axis=0)
+        pair_scores.append(totals.data)
+
+    # ---- outside sweep ------------------------------------------------
+    cand_v = ad.reshape(stack.roots[l], (1, d))
+    cand_s = ad.Tensor(np.zeros(1, dtype=dtype))
+    out_vecs, out_scores = [], []
+    for bp in reversed(plan.batches):
+        out_vec, out_b = softmax_pool(cand_v, cand_s, bp.parent_pool)
+        out_vecs.append(out_vec)
+        out_scores.append(out_b)
+        # emit candidates: one compose per (parent, split) serves both
+        # children through slots 0 and 1
+        left = ad.gather(arena, bp.pair_left)
+        right = ad.gather(arena, bp.pair_right)
+        parent_out = ad.gather(out_vec, bp.pair_cell_pos)
+        parent_b = ad.gather(out_b, bp.pair_cell_pos)
+        y = compose(stack.beta[l], ad.stack([left, right, parent_out], axis=1),
+                    [inside_outside.ROLE_LEFT, inside_outside.ROLE_RIGHT])
+        cand_b = stack.compat.sibling_scores(
+            parent_out, parent_b, left, right,
+            ad.gather(scores, bp.pair_left), ad.gather(scores, bp.pair_right))
+        cand_v = ad.concat([cand_v, y[:, 0, :], y[:, 1, :]], axis=0)  # y's left, right
+        cand_s = ad.concat([cand_s, cand_b], axis=0)
+
+    leaf_out, leaf_b = softmax_pool(cand_v, cand_s, plan.leaf_pool)
+    return inside_outside.LayerState(
+        inside=arena, inside_score=scores,
+        outside=ad.concat([leaf_out] + out_vecs[::-1], axis=0),
+        outside_score=ad.concat([leaf_b] + out_scores[::-1], axis=0),
+        pair_scores=np.concatenate([np.zeros(0, dtype)] + pair_scores))
+
+
 # each fused method and the composite that can stand in for it
 FUSED = [(nn.TransformerLayer, "__call__", transformer_layer),
          (inside_outside.CompatHead, "inside_scores", inside_scores),
          (inside_outside.CompatHead, "sibling_scores", sibling_scores),
+         (inside_outside.CioStack, "layer", cio_layer),
          (nn.BiLstm, "_run_direction", lstm_direction)]
 
 

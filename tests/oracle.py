@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from chartlm import autodiff as ad
-from chartlm.autodiff import Tensor
 from chartlm.inside_outside import (ROLE_LEFT, ROLE_PARENT, ROLE_RIGHT, CioStack,
                                     StackResult, _residual_mlp)
 from chartlm.trees import Node, Span, descend
@@ -29,9 +28,7 @@ ORACLE_MAX_N = 12
 def _compose_np(stack: CioStack, layer: int, kind: str, left: np.ndarray,
                 right: np.ndarray, third: np.ndarray, slot: int) -> np.ndarray:
     params = stack.alpha[layer] if kind == "inside" else stack.beta[layer]
-    with ad.no_grad():
-        slots = Tensor(np.stack([left, right, third])[None, :, :])
-        return params(slots).data[0, slot].copy()
+    return params(np.stack([left, right, third])[None, :, :])[0][0, slot].copy()
 
 
 def _compat_np(stack: CioStack, kind: str, x: np.ndarray, y: np.ndarray) -> float:

@@ -45,7 +45,7 @@ def compose(left, right, third, params, mode="inside", target_slot=None):
     slots = ad.stack([ad.reshape(left, (1, params.d)),
                       ad.reshape(right, (1, params.d)),
                       ad.reshape(third, (1, params.d))], axis=1)
-    out = params(slots)
+    out = composites.compose(params, slots)
     if mode == "inside":
         slot = ROLE_PARENT
     elif mode == "outside":
@@ -81,9 +81,9 @@ def test_compose_depth0_returns_slot_plus_role():
     np.testing.assert_allclose(
         compose(l, r, p, params, mode="outside", target_slot=ROLE_RIGHT).data,
         r.data + params.roles.data[ROLE_RIGHT], atol=1e-12)
-    slots = ad.stack([ad.reshape(v, (1, 6)) for v in (l, r, p)], axis=1)
-    np.testing.assert_array_equal(params(slots, [ROLE_RIGHT, ROLE_LEFT]).data,
-                                  params(slots).data[:, [ROLE_RIGHT, ROLE_LEFT]])
+    slots = np.stack([v.data[None] for v in (l, r, p)], axis=1)
+    np.testing.assert_array_equal(params(slots, [ROLE_RIGHT, ROLE_LEFT])[0],
+                                  params(slots)[0][:, [ROLE_RIGHT, ROLE_LEFT]])
 
 
 def test_compose_mode_errors():
@@ -94,7 +94,7 @@ def test_compose_mode_errors():
     with pytest.raises(ValueError, match="mode"):
         compose(v, v, v, params, mode="sideways")
     with pytest.raises(ValueError, match="slots"):
-        params(Tensor(np.zeros((1, 2, 4))))
+        params(np.zeros((1, 2, 4)))
 
 
 def test_compose_equal_roles_makes_children_exchangeable():
@@ -190,25 +190,47 @@ def test_fold_single_candidate_is_identity():
 # candidate pools and routing
 # ---------------------------------------------------------------------------
 
-def _pad_row_pool(vecs, scores, pad):
+_POOL = inside_outside._pool
+
+
+def _pad_row_pool(vecs, scores, pool):
     """Reference pool: empty slots (those after a row's candidates, which
     repeat its first index) read an appended constant row instead, with a
-    -inf score for the softmax and 0 in the weighted sums."""
-    if pad.shape[1] == 1:
-        idx = pad[:, 0]
-        return ad.gather(vecs, idx), ad.gather(scores, idx)
-    empty = pad == pad[:, :1]
-    empty[:, 0] = False
-    idx = np.where(empty, scores.shape[0], pad)
+    -inf score for the softmax and 0 in the weighted sums. Its VJP is the
+    tape's for that composite, with the appended row's gradient dropped."""
+    if pool.mask is None:
+        return _POOL(vecs, scores, pool)
+    idx = np.where(pool.keep, pool.pad, len(scores))
 
     def padded(values, fill):
-        row = Tensor(np.full((1,) + values.shape[1:], fill, dtype=values.dtype))
-        flat = ad.gather(ad.concat([values, row], axis=0), idx.reshape(-1))
-        return ad.reshape(flat, idx.shape + values.shape[1:])
+        row = np.full((1,) + values.shape[1:], fill, dtype=values.dtype)
+        return np.concatenate([values, row])[idx]
 
-    w = ad.softmax(padded(scores, -np.inf), axis=1)
-    vec = ad.tsum(ad.reshape(w, w.shape + (1,)) * padded(vecs, 0.0), axis=1)
-    return vec, ad.tsum(w * padded(scores, 0.0), axis=1)
+    s_inf, s_zero, v = padded(scores, -np.inf), padded(scores, 0.0), padded(vecs, 0.0)
+    w = ad.softmax_np(s_inf, axis=1)
+    w3 = w.reshape(w.shape + (1,))
+    prod, ws = w3 * v, w * s_zero
+
+    def scatter(g, values):
+        full = np.zeros((len(values) + 1,) + values.shape[1:], dtype=values.dtype)
+        np.add.at(full, idx, g)
+        return full[:-1][pool.rows]
+
+    def vjp(g_vec, g_score):
+        g_w, g_s, g_rows = [], [], None
+        if g_vec is not None:
+            g_prod = np.array(np.broadcast_to(np.expand_dims(g_vec, 1), prod.shape), copy=True)
+            g_w.append(ad._unbroadcast(g_prod * v, w3.shape).reshape(w.shape))
+            g_rows = scatter(g_prod * w3, vecs)
+        if g_score is not None:
+            g_ws = np.array(np.broadcast_to(np.expand_dims(g_score, 1), ws.shape), copy=True)
+            g_w.append(g_ws * s_zero)
+            g_s.append(scatter(g_ws * w, scores))
+        g_w = sum(g_w[1:], g_w[0].copy())
+        g_s.append(scatter(w * (g_w - (g_w * w).sum(axis=1, keepdims=True)), scores))
+        return g_rows, sum(g_s[1:], g_s[0].copy())
+
+    return prod.sum(axis=1), ws.sum(axis=1), vjp
 
 
 def _schedules():
@@ -225,7 +247,7 @@ def _schedules():
 def test_stack_equals_pad_row_pooling_bit_for_bit(n, waves, monkeypatch):
     # duplicate-index padding must change no bit of any output or gradient
     def run(pool):
-        monkeypatch.setattr(inside_outside, "_softmax_pool", pool)
+        monkeypatch.setattr(inside_outside, "_pool", pool)
         stack = _stack(layers=2, seed=36, share=False)
         rng = np.random.default_rng(37)
         for p in stack.parameters():
@@ -239,10 +261,10 @@ def test_stack_equals_pad_row_pooling_bit_for_bit(n, waves, monkeypatch):
                 loss = loss + ad.tsum(t * rng.standard_normal(t.shape))
                 arrays.append(t.data)
         loss.backward()
-        arrays += [result.pair_scores[s] for s in sorted(result.pair_scores)]
+        arrays.append(result.pair_scores)
         return arrays + [x.grad] + [p.grad for p in stack.parameters()]
 
-    new = run(inside_outside._softmax_pool)
+    new = run(_POOL)
     ref = run(_pad_row_pool)
     assert len(new) == len(ref)
     for a, b in zip(new, ref):
@@ -269,10 +291,10 @@ def assert_plan_routes_each_parent_edge(waves):
         for slot in (ROLE_LEFT, ROLE_RIGHT):
             emitted += [ParentEdge(plan.spans[c], plan.spans[left][1], slot)
                         for c, left in zip(bp.pair_cell, bp.pair_left)]
-    pools = {plan.spans[r]: row for r, row in enumerate(plan.leaf_pool)}
+    pools = {plan.spans[r]: row for r, row in enumerate(plan.leaf_pool.pad)}
     for bp in plan.batches:
-        assert bp.pool_pad.shape[0] == len(bp.spans)
-        pools.update(zip(bp.spans, bp.pool_pad))
+        assert bp.parent_pool.pad.shape[0] == len(bp.spans)
+        pools.update(zip(bp.spans, bp.parent_pool.pad))
     assert sorted(pools) == sorted(plan.spans)
     edges = parents_from_splits(plan.splits)
     for span, row in pools.items():
@@ -386,7 +408,7 @@ def test_tree_schedule_outside_rows_are_the_single_candidate():
         for bp in plan.batches:
             left, right = Tensor(inside[bp.pair_left]), Tensor(inside[bp.pair_right])
             parent = Tensor(outside[bp.pair_cell])
-            y = stack.beta[l](ad.stack([left, right, parent], axis=1)).data
+            y = stack.beta[l](np.stack([left.data, right.data, parent.data], axis=1))[0]
             b_left = a[bp.pair_right] \
                 + composites.compat(stack.compat, stack.compat.outside, parent, right).data \
                 + b[bp.pair_cell]
@@ -482,7 +504,8 @@ def test_equal_candidates_average():
     row23 = plan.row_of[(2, 3)]
     np.testing.assert_allclose(state.inside.data[row12], state.inside.data[row23],
                                atol=1e-12)
-    w = result.pair_scores[(1, 3)]
+    r = plan.row_of[(1, 3)]
+    w = result.pair_scores[plan.pair_offset[r]:plan.pair_offset[r + 1]]
     assert w[0] == pytest.approx(w[1], abs=1e-12)
 
 

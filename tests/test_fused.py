@@ -5,13 +5,18 @@ times."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composites
 from chartlm import autodiff as ad
 from chartlm import nn
 from chartlm.autodiff import Parameter
-from chartlm.inside_outside import CompatHead
+from chartlm.inside_outside import CioStack, CompatHead, plan_engine, run_stack
 from chartlm.model import ChartLM, ReCatConfig
+from chartlm.pruning import (apply_nonsplittable, build_cell_batches, prune_schedule,
+                             split_order, tree_schedule)
+from chartlm.training import MASK_TOKEN, TrainConfig, Trainer, Vocab
 
 TOL = 1e-10
 
@@ -244,6 +249,102 @@ def test_model_step_is_bit_identical_to_the_composites(forward, monkeypatch):
         assert _bits(a) == _bits(b), name
 
 
+@pytest.mark.parametrize("phase", ["masked", "fast"])
+def test_train_step_is_bit_identical_to_the_composites(phase, monkeypatch):
+    # a float32 step on a small corpus: the same record, and every gradient
+    # the same bytes, signed zeros included
+    vocab = Vocab([MASK_TOKEN] + [f"w{i}" for i in range(14)])
+    rng = np.random.default_rng(23)
+    corpus = [[f"w{int(i)}" for i in rng.integers(0, 14, size=rng.integers(1, 10))]
+              for _ in range(12)]
+
+    def step():
+        model = ChartLM(ReCatConfig(d=16, heads=2, parser_dim=8, parser_hidden=8,
+                                    vocab_size=len(vocab)), np.random.default_rng(24))
+        trainer = Trainer(model, TrainConfig(seed=25, phase=phase, batch_tokens=48),
+                          corpus, vocab)
+        record = trainer.train_step(trainer.batches[0])
+        del record["wall_ms"]
+        return record, [(p.name, _bits(p.grad)) for p in model.parameters()]
+
+    fused = step()
+    with monkeypatch.context() as m:
+        composites.use_composites(m)
+        composite = step()
+    assert fused[0] == composite[0]
+    assert fused[1] == composite[1]
+
+
+# ---------------------------------------------------------------------------
+# the layer op against the per-op engine, on random charts
+# ---------------------------------------------------------------------------
+
+def _random_plan(n, window, forbidden, fast, rng):
+    scores = apply_nonsplittable(rng.standard_normal(max(n - 1, 0)), forbidden)
+    order = split_order(scores, n)
+    if fast:
+        return plan_engine(tree_schedule(n, order))
+    return plan_engine(build_cell_batches(prune_schedule(n, window, order)))
+
+
+FIELDS = ["inside", "inside_score", "outside_score", "outside"]
+
+
+def _layer_run(build, inputs, read, weights):
+    """A layer's four fields and pair scores, then every input's gradient of
+    a weighted sum of the fields `read`. `outside` comes last in the sum, so
+    the backward pass reaches the layer through it first, as the next layer
+    and the node encoder do."""
+    for t in inputs:
+        t.grad = None
+    state = build()
+    loss = ad.Tensor(np.zeros((), dtype=weights[0].dtype))
+    for name, w in zip(FIELDS, weights):
+        if name in read:
+            loss = loss + ad.tsum(getattr(state, name) * w)
+    loss.backward()
+    return ([getattr(state, name).data for name in FIELDS] + [state.pair_scores],
+            [t.grad for t in inputs])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 6, 20]), window=st.sampled_from([2, 3, None]),
+       fast=st.booleans(), share=st.booleans(), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+def test_layer_op_equals_the_per_op_engine(n, window, fast, share, seed, data):
+    # float64 to 1e-10 and float32 bit for bit: the four fields, the pair
+    # scores, and the gradients of x, the parent slots and every weight, for
+    # a loss over `outside` and any of the other fields
+    forbidden = set(data.draw(st.lists(st.integers(1, n - 1), max_size=n - 2), "forbidden")
+                    if n > 2 else [])
+    read = data.draw(st.sets(st.sampled_from(FIELDS[:3])), "read") | {"outside"}
+    rng = np.random.default_rng(seed)
+    if window is None:  # the full chart, where that stays small
+        window = max(n, 2) if n < 8 else 3
+    plan = _random_plan(n, window, forbidden, fast, rng)
+    for dtype in (np.float64, np.float32):
+        stack = _perturbed(CioStack("cio", 2, 8, 2, 1, share, np.random.default_rng(seed)),
+                           seed + 1)
+        stack.astype(dtype)
+        rng = np.random.default_rng(seed + 2)
+        x = Parameter("x", rng.standard_normal((n, 8)).astype(dtype))
+        prev = Parameter("prev", rng.standard_normal((plan.rows, 8)).astype(dtype))
+        weights = [rng.standard_normal(shape).astype(dtype)
+                   for shape in ((plan.rows, 8), plan.rows, plan.rows, (plan.rows, 8))]
+        inputs = [x, prev] + stack.parameters()
+        fused = _layer_run(lambda: stack.layer(1, x, prev, plan), inputs, read, weights)
+        composite = _layer_run(lambda: composites.cio_layer(stack, 1, x, prev, plan),
+                               inputs, read, weights)
+        for a, b in zip(fused[0] + fused[1], composite[0] + composite[1]):
+            assert (a is None) == (b is None)
+            if a is None:
+                continue
+            if dtype == np.float32:
+                assert _bits(a) == _bits(b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
+
+
 # ---------------------------------------------------------------------------
 # the BLAS facts the fused transformer layer's read relies on, at float32
 # ---------------------------------------------------------------------------
@@ -280,9 +381,10 @@ def test_weight_gradients_ignore_zero_rows():
 
 # Nodes of one default-config forward_pretrain on the sentence below, counted
 # from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705;
-# 655 once the outside sweep's two compat scores per pair became one node, and
-# 635 once the inside sweep's score and its two adds did.
-TAPE_NODES = 635
+# 655 once the outside sweep's two compat scores per pair became one node, 635
+# once the inside sweep's score and its two adds did, and 201 once each
+# inside-outside layer did.
+TAPE_NODES = 201
 
 
 def test_forward_tape_stays_fused():
@@ -298,3 +400,26 @@ def test_forward_tape_stays_fused():
                 seen.add(id(p))
                 todo.append(p)
     assert len(seen) <= TAPE_NODES
+
+
+def _engine_nodes(n):
+    """Recorded nodes between a sentence's leaf embeddings and its last
+    layer's fields: the parameters and x are leaves, so they do not count."""
+    stack = CioStack("cio", 2, 8, 2, 1, True, np.random.default_rng(26))
+    x = Parameter("x", np.random.default_rng(27).standard_normal((n, 8)))
+    plan = _random_plan(n, 2, set(), False, np.random.default_rng(28))
+    final = run_stack(x, stack, plan).final
+    seen = set()
+    todo = [final.inside, final.inside_score, final.outside, final.outside_score]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._prev:
+            seen.add(id(node))
+            todo += node._prev
+    return len(seen)
+
+
+def test_engine_nodes_do_not_grow_with_the_sentence():
+    # the last layer's node and its four outputs, the first layer's node and
+    # the output the last one reads, and outside0's reshape and broadcast
+    assert _engine_nodes(4) == _engine_nodes(64) == 9
