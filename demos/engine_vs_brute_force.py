@@ -42,10 +42,10 @@ for l in range(layers):
     worst = 0.0
     for span, row in plan.row_of.items():
         worst = max(worst,
-                    float(np.max(np.abs(got.inside.data[row] - ref.inside[span]))),
-                    abs(float(got.inside_score.data[row]) - ref.inside_score[span]),
+                    float(np.max(np.abs(got.inside[row] - ref.inside[span]))),
+                    abs(float(got.inside_score[row]) - ref.inside_score[span]),
                     float(np.max(np.abs(got.outside.data[row] - ref.outside[span]))),
-                    abs(float(got.outside_score.data[row]) - ref.outside_score[span]))
+                    abs(float(got.outside_score[row]) - ref.outside_score[span]))
     print(f"layer {l}: worst |engine - reference| = {worst:.3e}")
 
 # tree induction: recursive argmax from the root vs exhaustive enumeration

@@ -18,16 +18,16 @@ times and gets k gradients, in the order the tape would add them: summing
 them inside the VJP instead would reorder float additions.
 
 Fused ops follow this contract outside this module: `nn.TransformerLayer`,
-`inside_outside.CompatHead.inside_scores` (the inside sweep's split totals)
-and `.sibling_scores` (the outside sweep's two child scores per pair), each
-direction of `nn.BiLstm`, and `inside_outside.CioStack.layer`, one node with
-four outputs per inside-outside layer, which runs the others' plain-array
-forwards (`forward_np`, `inside_scores_np`, `sibling_scores_np`) and calls
-their VJPs. They own their weights as fixed tuples of Parameters. Each
-records one node whose VJP replays the tape VJPs of the composite it
-replaced, bit for bit; the composites are kept as the tests' reference in
-tests/composites.py. The plain-array formulas below (layer norm, GELU,
-sigmoid, tanh) are the one copy they, the tape ops and the reference share.
+each direction of `nn.BiLstm`, and `inside_outside.CioStack.layer`, one
+node per inside-outside layer whose output is the layer's outside vectors.
+The layer runs plain-array forwards that each return their VJP
+(`TransformerLayer.forward_np`, `CompatHead.inside_scores_np` and
+`.sibling_scores_np`) and calls those VJPs. The fused ops own their weights
+as fixed tuples of Parameters. Each records one node whose VJP replays the
+tape VJPs of the composite it replaced, bit for bit; the composites are
+kept as the tests' reference in tests/composites.py. The plain-array
+formulas below (layer norm, GELU, sigmoid, tanh) are the one copy they,
+the tape ops and the reference share.
 """
 
 from __future__ import annotations
@@ -191,37 +191,12 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _node(data, inputs: tuple[Tensor, ...], vjp: Callable):
+def _node(data: Array, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     """The op result `data`, recorded on the tape with `vjp` when grad is on
-    and some input requires grad; a plain constant otherwise.
-
-    `data` may be a tuple of arrays, for an op with several outputs: the
-    result is then a tuple of tensors that share one node, and `vjp`
-    receives a list with each output's gradient, None for an output the
-    backward pass did not reach. A reached output's step hands its gradient
-    to that list and marks the node reached; the node runs `vjp` once every
-    reached output is complete. (The list, not the outputs, is what the
-    node holds, so the tape stays free of reference cycles.)
-    """
-    recorded = _grad_enabled and any(t.requires_grad for t in inputs)
-    if not isinstance(data, tuple):
-        return Tensor(data, True, inputs, vjp) if recorded else Tensor(data)
-    if not recorded:
-        return tuple(Tensor(d) for d in data)
-    grads: list = [None] * len(data)
-    node = Tensor(np.zeros(0), True, inputs, lambda _: vjp(grads))
-    return tuple(Tensor(d, True, (node,), _hand_over(grads, i)) for i, d in enumerate(data))
-
-
-_REACHED = np.zeros(0)
-
-
-def _hand_over(grads: list, i: int) -> Callable:
-    """Output i's step of a several-output node."""
-    def vjp(g):
-        grads[i] = g
-        return (_REACHED,)
-    return vjp
+    and some input requires grad; a plain constant otherwise."""
+    if _grad_enabled and any(t.requires_grad for t in inputs):
+        return Tensor(data, True, inputs, vjp)
+    return Tensor(data)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:

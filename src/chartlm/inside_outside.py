@@ -82,9 +82,9 @@ class CompatHead(Module):
 
     Each map is a residual MLP x + W2 gelu(W1 x) (zero-init W2: the identity
     at init). `inside` and `outside` hold the (MLP_L, MLP_R) weights, each
-    map's as (W1, b1, W2, b2), of the inside sweep's one fused op,
-    `inside_scores`, and the outside sweep's, `sibling_scores`. The same
-    weights serve every layer of the stack.
+    map's as (W1, b1, W2, b2), of the inside sweep's scores,
+    `inside_scores_np`, and the outside sweep's, `sibling_scores_np`. The
+    same weights serve every layer of the stack.
     """
 
     def __init__(self, name: str, d: int, rng: np.random.Generator):
@@ -113,14 +113,13 @@ class CompatHead(Module):
 
         return (lx * ry).sum(axis=-1) * scale, vjp
 
-    def _check(self, *vectors: Tensor) -> None:
-        if any(t.shape[-1] != self.d for t in vectors):
-            raise ValueError(f"compatibility expects dim {self.d}")
-
     def inside_scores_np(self, left, right, left_a, right_a):
         """compat(left, right) + left_a + right_a on plain arrays, (B,): the
-        inside sweep's split totals, and their VJP, whose gradients follow
-        `inside_scores`' inputs."""
+        inside sweep's split totals, and their VJP. The VJP replays the
+        tape's for the composite (tests/composites.py). Left and right each
+        feed a map's residual path and its fc1, so its gradients are those
+        of left, left, right, right, the MLP_L then MLP_R weights, left_a
+        and right_a."""
         maps = self.inside
         score, vjp_score = self._score(right, *_residual_mlp(maps[0], left), maps)
 
@@ -129,23 +128,17 @@ class CompatHead(Module):
 
         return (score + left_a) + right_a, vjp
 
-    def inside_scores(self, left: Tensor, right: Tensor, left_a: Tensor,
-                      right_a: Tensor) -> Tensor:
-        """`inside_scores_np` as one tape node. The VJP is the tape's for the
-        composite (tests/composites.py); left and right each feed a map's
-        residual path and its fc1, so each is an input twice."""
-        self._check(left, right)
-        out, vjp = self.inside_scores_np(left.data, right.data, left_a.data, right_a.data)
-        return ad._node(out, (left, left, right, right) + self.inside[0] + self.inside[1]
-                        + (left_a, right_a), vjp)
-
     def sibling_scores_np(self, parent, parent_b, left, right, left_a, right_a):
         """The outside scores of each pair's left child, then of its right
         child, (2B,), on plain arrays, and their VJP: the left child's is its
         sibling's inside score + compat(parent, right) under the outside
         maps + the parent's outside score, and the right child's the same
-        with left. MLP_L(parent) runs once. The VJP's gradients follow
-        `sibling_scores`' inputs."""
+        with left. MLP_L(parent) runs once. The VJP replays the tape's for
+        two compat scores and their adds (the composite in
+        tests/composites.py), the left child's first, and its gradients
+        follow that tape's order: right_a, parent twice, right twice and the
+        outside maps' weights for the left child's score, then the same with
+        left_a and left for the right child's, then parent_b twice."""
         maps = self.outside
         lx, sx = _residual_mlp(maps[0], parent)
         score_l, vjp_l = self._score(right, lx, sx, maps)
@@ -158,21 +151,6 @@ class CompatHead(Module):
 
         return np.concatenate([(right_a + score_l) + parent_b,
                                (left_a + score_r) + parent_b]), vjp
-
-    def sibling_scores(self, parent: Tensor, parent_b: Tensor, left: Tensor, right: Tensor,
-                       left_a: Tensor, right_a: Tensor) -> Tensor:
-        """`sibling_scores_np` as one tape node. The VJP is the tape's for two
-        compat scores and their adds (the composite in tests/composites.py),
-        the left child's first. Inputs are listed so that a backward pass
-        reaches them in that tape's order: the left child's terms, the right
-        child's, then parent_b."""
-        self._check(parent, left, right)
-        out, vjp = self.sibling_scores_np(parent.data, parent_b.data, left.data, right.data,
-                                          left_a.data, right_a.data)
-        weights = self.outside[0] + self.outside[1]
-        return ad._node(out, (right_a, parent, parent, right, right) + weights
-                        + (left_a, parent, parent, left, left) + weights
-                        + (parent_b, parent_b), vjp)
 
 
 class CioStack(Module):
@@ -208,13 +186,13 @@ class CioStack(Module):
 
     def layer(self, l: int, x: Tensor, prev_out: Tensor, plan: "EnginePlan") -> "LayerState":
         """Layer l on leaf embeddings x (n, d), with prev_out (rows, d) in the
-        inside sweep's parent slots, as one tape node whose four outputs are
-        the LayerState fields.
+        inside sweep's parent slots. `outside`, which the next layer and the
+        node encoder read, is one tape node; the other LayerState fields are
+        plain arrays.
 
         The VJP walks the waves in reverse and calls the fused ops' VJPs. It
         adds every gradient in the order the per-op tape (tests/composites.py)
-        adds it when backward reaches the layer through `outside` first, as
-        the next layer and the node encoder do, so the two agree bit for bit:
+        adds it, so the two agree bit for bit:
         - an arena's gradient is one buffer (`_ArenaGrad`), and a gather's
           scatter lands on the rows it read, in the tape's order;
         - each input is listed once per use, in the order the tape reached
@@ -289,9 +267,8 @@ class CioStack(Module):
                   + beta.block.params * T + alpha.block.params * T
                   + (outer + outer) * T + inner * T)
 
-        def vjp(grads):
-            g_in, g_a, g_out, g_b = grads
-            arena, score = _ArenaGrad(g_in, (rows, d), dtype), _ArenaGrad(g_a, (rows,), dtype)
+        def vjp(g_out):
+            arena, score = _ArenaGrad((rows, d), dtype), _ArenaGrad((rows,), dtype)
             g_cand = [np.zeros_like(cand_v), np.zeros_like(cand_s)]
             cand_reached = [False, False]  # the candidate arenas, vectors and scores
 
@@ -302,8 +279,7 @@ class CioStack(Module):
                         cand_reached[i] = True
 
             # ---- outside sweep, last candidates first
-            pool_back(leaf_vjp, plan.leaf_pool, None if g_out is None else g_out[:n],
-                      None if g_b is None else g_b[:n])
+            pool_back(leaf_vjp, plan.leaf_pool, g_out[:n], None)
             g_roles, g_compose, g_siblings = {}, {}, [None] * T
             for t in range(T):
                 bp = batches[t]
@@ -317,7 +293,6 @@ class CioStack(Module):
                     g_right += g[3:5]
                     g_parent += g[1:3] + g[14:16]
                     g_parent_b += g[26:28]
-                    score.level(rows)
                     score.add(bp.pair_right, g[0], bp.unique_children)
                     score.add(bp.pair_left, g[13], bp.unique_children)
                 if cand_reached[0]:  # the vectors emitted here
@@ -329,18 +304,18 @@ class CioStack(Module):
                     g_right.append(g_slots[:, 1])
                     g_parent.append(g_slots[:, 2])
                 if g_left:
-                    arena.level(rows)
                     arena.add(bp.pair_left, _total(g_left), bp.unique_children)
                     arena.add(bp.pair_right, _total(g_right), bp.unique_children)
-                pool_back(pool_vjp, bp.parent_pool,
-                          _pooled_grad(g_out, bp.cells, outside[bp.cells], bp.pair_cell_pos,
-                                       g_parent),
-                          _pooled_grad(g_b, bp.cells, b[bp.cells], bp.pair_cell_pos,
-                                       g_parent_b))
+                g_vec = g_out[bp.cells]  # the output's rows, then the pair reads'
+                if g_parent:
+                    g_vec = _total([g_vec, _scattered(outside[bp.cells], bp.pair_cell_pos,
+                                                      g_parent)])
+                pool_back(pool_vjp, bp.parent_pool, g_vec,
+                          _scattered(b[bp.cells], bp.pair_cell_pos, g_parent_b))
             g_root = g_cand[0][0] if cand_reached[0] else None
 
             # ---- inside sweep, last wave first
-            g_totals, g_prev, g_x = [None] * T, [None] * T, [g_in]
+            g_totals, g_prev, g_x = [None] * T, [None] * T, [None]
             for t in reversed(range(T)):
                 bp = batches[t]
                 compose_vjp, totals_vjp, pool_vjp = inside_steps[t]
@@ -368,11 +343,9 @@ class CioStack(Module):
                                                                   (bp.pair_right, g_right))]
                     break
                 if g_left:
-                    arena.level(bp.cells.start)
                     arena.add(bp.pair_left, _total(g_left), bp.unique_children)
                     arena.add(bp.pair_right, _total(g_right), bp.unique_children)
                 if g_score is not None:
-                    score.level(bp.cells.start)
                     score.add(bp.pair_left, g_t[12], bp.unique_children)
                     score.add(bp.pair_right, g_t[13], bp.unique_children)
 
@@ -384,8 +357,7 @@ class CioStack(Module):
                     + [g for t in range(T) for g in g_siblings[t] or [None] * 16]
                     + [g for t in reversed(range(T)) for g in g_totals[t] or [None] * 8])
 
-        fields = ad._node((inside, a, outside, b), inputs, vjp)
-        return LayerState(*fields, pair_scores=pair_scores)
+        return LayerState(inside, a, ad._node(outside, inputs, vjp), b, pair_scores)
 
 
 def _total(grads: list[np.ndarray]) -> np.ndarray:
@@ -408,39 +380,19 @@ def _scattered(source: np.ndarray, idx: np.ndarray, grads: list) -> np.ndarray |
     return full
 
 
-def _pooled_grad(g_field, cells: slice, pooled: np.ndarray, pos: np.ndarray,
-                 g_reads: list) -> np.ndarray | None:
-    """The gradient of a wave's `pooled` outside rows: the layer output's
-    rows, and the scatter of the pair reads' gradient (either may be
-    missing)."""
-    parts = [] if g_field is None else [g_field[cells]]
-    if g_reads:
-        parts.append(_scattered(pooled, pos, g_reads))
-    return _total(parts) if parts else None
-
-
 class _ArenaGrad:
-    """One arena's gradient through a sweep's backward: the layer output's
-    gradient, if reached, then each gather's scatter on the rows it read.
+    """One arena's gradient through a sweep's backward: each gather's
+    scatter on the rows it read, added into zeros as large as the arena
+    (the tape scattered into zeros as large as the arena at that wave,
+    which gives the same bits)."""
 
-    The tape grew the arena by concat, and each gather's VJP scattered into
-    zeros as large as the arena at that wave. So the first scatter of a
-    wave (`level`) also turns every -0.0 below the wave's rows to +0.0, and
-    after that, adding a scatter on its rows only gives the same bits."""
-
-    def __init__(self, g_field, shape: tuple, dtype):
-        self.reached = self.signed = g_field is not None  # signed: may hold -0.0
-        self.g = np.array(g_field, copy=True) if self.reached else np.zeros(shape, dtype)
-
-    def level(self, rows: int) -> None:
-        """Start a wave's scatters into the arena's first `rows` rows."""
-        self.reached = True
-        if self.signed:
-            self.g[:rows] += 0.0
-            self.signed = False
+    def __init__(self, shape: tuple, dtype):
+        self.reached = False
+        self.g = np.zeros(shape, dtype)
 
     def add(self, idx: np.ndarray, g: np.ndarray, unique: bool) -> None:
         """Add a gather's scatter of g at idx (np.add.at into zeros)."""
+        self.reached = True
         if unique:
             self.g[idx] += g
         else:
@@ -610,11 +562,11 @@ class EngineStats:
 class LayerState:
     """Arena-shaped results of one layer (rows = leaves then batch cells)."""
 
-    inside: Tensor          # (rows, d) e-hat
-    inside_score: Tensor    # (rows,)   a
-    outside: Tensor         # (rows, d) e-check
-    outside_score: Tensor   # (rows,)   b
-    pair_scores: np.ndarray  # (pairs,) a[k] of every kept split, in the plan's pair order
+    inside: np.ndarray        # (rows, d) e-hat
+    inside_score: np.ndarray  # (rows,)   a
+    outside: Tensor           # (rows, d) e-check, the layer's one tape node
+    outside_score: np.ndarray  # (rows,)   b
+    pair_scores: np.ndarray   # (pairs,) a[k] of every kept split, in the plan's pair order
 
 
 @dataclass

@@ -110,10 +110,9 @@ class TransformerLayer(Module):
         self._linear(f"{name}.ffn2", 4 * d, d, rng)
         self.params = tuple(self._params)
 
-    def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
-        """x (b, t, d) -> (b, len(read), d): the positions `read` (all when
-        None) of the layer's output, as one tape node (see `forward_np`)."""
-        out, vjp = self.forward_np(x.data, read)
+    def __call__(self, x: Tensor) -> Tensor:
+        """x (b, t, d) -> (b, t, d), as one tape node (see `forward_np`)."""
+        out, vjp = self.forward_np(x.data)
         return ad._node(out, (x, x) + self.params, vjp)
 
     def forward_np(self, x: np.ndarray, read: list[int] | None = None):
@@ -205,9 +204,12 @@ class AttentionBlock(Module):
         self.params = tuple(p for layer in self.layers for p in layer.params)
 
     def forward_np(self, x: np.ndarray, read: list[int] | None = None):
-        """`__call__` on a plain array: the output and its VJP, which maps the
-        output's gradient to x's and to a list of the weights' (`params`
-        order), summing each layer's two input gradients as the tape does."""
+        """`__call__` on a plain array, reading the positions `read` (all when
+        None) of the output: the read reaches the last layer only, since
+        every layer before it feeds all t positions to the next. Returns the
+        output and its VJP, which maps the output's gradient to x's and to a
+        list of the weights' (`params` order), summing each layer's two input
+        gradients as the tape does."""
         vjps = []
         for i, layer in enumerate(self.layers):
             x, vjp = layer.forward_np(x, read if i == len(self.layers) - 1 else None)
@@ -231,15 +233,11 @@ class AttentionBlock(Module):
 
         return x, vjp
 
-    def __call__(self, x: Tensor, read: list[int] | None = None) -> Tensor:
-        """x (b, t, d) -> (b, len(read), d), the positions `read` (all when
-        None); it reaches the last layer only, since every layer before it
-        feeds all t positions to the next."""
-        if not self.layers:
-            return x if read is None else ad.gather(x, (slice(None), read))
-        for layer in self.layers[:-1]:
+    def __call__(self, x: Tensor) -> Tensor:
+        """x (b, t, d) -> (b, t, d)."""
+        for layer in self.layers:
             x = layer(x)
-        return self.layers[-1](x, read)
+        return x
 
 
 class Embedding(Module):

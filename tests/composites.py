@@ -1,19 +1,22 @@
 """The tape composites behind chartlm's fused ops, kept as their reference.
 
-`nn.TransformerLayer`, `inside_outside.CompatHead` (`inside_scores`, the
-inside sweep's split totals, and `sibling_scores`, the outside sweep's two
-child scores per pair), each direction of `nn.BiLstm` and
+`nn.TransformerLayer`, each direction of `nn.BiLstm` and
 `inside_outside.CioStack.layer` (one inside-outside layer) record one tape
-node whose VJP replays these composites' tape VJPs in the tape's order. The
-fused ops own their weights, and the functions here read the same
-Parameters (`TransformerLayer.params`, `CompatHead.inside` and `.outside`,
-`ComposeParams.roles`) to build the same computations from many tape nodes,
-the way the model did before the fusion, so tests can check that each
-fused op equals its composite: to rounding at float64 and bit for bit at
-float32. `cio_layer` is the per-op engine: each wave's gathers, compose,
-scores and pools on the tape, and arenas grown by a concat per wave. They
-share every formula with the fused ops (`autodiff.layer_norm_np`,
-`gelu_np`, `sigmoid_np`, ...); no formula is written here.
+node whose VJP replays these composites' tape VJPs in the tape's order. So
+do the plain-array entry points the layer calls, `TransformerLayer.forward_np`
+with a read, and the compatibility head's `CompatHead.inside_scores_np` (the
+inside sweep's split totals) and `.sibling_scores_np` (the outside sweep's
+two child scores per pair): `record` makes each of those one tape node, so
+tests can take its gradients. The fused ops own their weights, and the
+functions here read the same Parameters (`TransformerLayer.params`,
+`CompatHead.inside` and `.outside`, `ComposeParams.roles`) to build the same
+computations from many tape nodes, the way the model did before the fusion,
+so tests can check that each fused op equals its composite: to rounding at
+float64 and bit for bit at float32. `cio_layer` is the per-op engine: each
+wave's gathers, compose, scores and pools on the tape, and arenas grown by a
+concat per wave. They share every formula with the fused ops
+(`autodiff.layer_norm_np`, `gelu_np`, `sigmoid_np`, ...); no formula is
+written here.
 """
 
 import numpy as np
@@ -47,6 +50,53 @@ def layer_norm(x, gain, bias):
                     lambda g: ad.layer_norm_vjp(g, xhat, inv, gain.data))
 
 
+# -- plain-array forwards as tape nodes -----------------------------------------
+
+def record(forward, inputs):
+    """A plain-array forward's `(out, vjp)` as one tape node whose VJP's
+    gradients go to `inputs`, in order: an input used k times is listed k
+    times."""
+    out, vjp = forward
+    return ad._node(out, tuple(inputs), vjp)
+
+
+def layer_read(layer, x, read):
+    """`nn.TransformerLayer.forward_np(x, read)` on tensor x: x feeds the
+    residual and ln1, so it is an input twice."""
+    return record(layer.forward_np(x.data, read), (x, x) + layer.params)
+
+
+def block_read(block, x, read):
+    """`nn.AttentionBlock` on tensor x, reading the positions `read` (all
+    when None) of the output through its last layer's `layer_read`."""
+    if read is None:
+        return block(x)
+    *body, last = block.layers
+    for layer in body:
+        x = layer(x)
+    return layer_read(last, x, read)
+
+
+def fused_inside_scores(head, left, right, left_a, right_a):
+    """`inside_outside.CompatHead.inside_scores_np` on tensors: left and
+    right each feed a map's residual path and its fc1, so each is an input
+    twice."""
+    return record(head.inside_scores_np(left.data, right.data, left_a.data, right_a.data),
+                  (left, left, right, right) + head.inside[0] + head.inside[1]
+                  + (left_a, right_a))
+
+
+def fused_sibling_scores(head, parent, parent_b, left, right, left_a, right_a):
+    """`inside_outside.CompatHead.sibling_scores_np` on tensors, its inputs
+    listed in the order the composite's tape reaches them: the left child's
+    terms, the right child's, then parent_b."""
+    weights = head.outside[0] + head.outside[1]
+    return record(head.sibling_scores_np(parent.data, parent_b.data, left.data, right.data,
+                                         left_a.data, right_a.data),
+                  (right_a, parent, parent, right, right) + weights
+                  + (left_a, parent, parent, left, left) + weights + (parent_b, parent_b))
+
+
 # -- composites ------------------------------------------------------------------
 
 def linear(x, w, b):
@@ -78,8 +128,9 @@ def attention(layer, x):
 
 
 def transformer_layer(layer, x, read=None):
-    """`nn.TransformerLayer.__call__` as a composite: the whole layer, then a
-    read of the positions `read`."""
+    """`nn.TransformerLayer.__call__` as a composite, and with `read`,
+    `forward_np(x, read)` as one: the whole layer, then a read of the
+    positions `read`."""
     gain1, bias1 = layer.params[:2]
     gain2, bias2, w1, b1, w2, b2 = layer.params[10:]
     x = x + attention(layer, layer_norm(x, gain1, bias1))
@@ -98,13 +149,13 @@ def compat(head, maps, x, y):
 
 
 def inside_scores(head, left, right, left_a, right_a):
-    """`inside_outside.CompatHead.inside_scores` as a composite: a `compat`
-    call under the inside maps and its adds."""
+    """`inside_outside.CompatHead.inside_scores_np` as a composite: a
+    `compat` call under the inside maps and its adds."""
     return compat(head, head.inside, left, right) + left_a + right_a
 
 
 def sibling_scores(head, parent, parent_b, left, right, left_a, right_a):
-    """`inside_outside.CompatHead.sibling_scores` as a composite: two
+    """`inside_outside.CompatHead.sibling_scores_np` as a composite: two
     `compat` calls under the outside maps and their adds."""
     b_left = right_a + compat(head, head.outside, parent, right) + parent_b
     b_right = left_a + compat(head, head.outside, parent, left) + parent_b
@@ -133,10 +184,11 @@ def lstm_direction(lstm, x, cell, reverse):
 
 def compose(params, slots, read=None):
     """`inside_outside.ComposeParams` as a composite on a (B, 3, d) slots
-    tensor: the role add, then the block."""
+    tensor: the role add, then the block, whose last layer reads the slots
+    `read` (all three when None)."""
     if slots.shape[-2:] != (3, params.d):
         raise ValueError(f"compose expects (*, 3, {params.d}) slots, got {slots.shape}")
-    return params.block(slots + ad.reshape(params.roles, (1, 3, params.d)), read)
+    return block_read(params.block, slots + ad.reshape(params.roles, (1, 3, params.d)), read)
 
 
 def softmax_pool(vecs, scores, pool):
@@ -169,8 +221,8 @@ def cio_layer(stack, l, x, prev_out, plan):
         composed = compose(stack.alpha[l], ad.stack([left, right, parent_slot], axis=1),
                            [inside_outside.ROLE_PARENT])
         composed = ad.reshape(composed, (len(bp.pair_cell), d))
-        totals = stack.compat.inside_scores(left, right, ad.gather(scores, bp.pair_left),
-                                            ad.gather(scores, bp.pair_right))
+        totals = inside_scores(stack.compat, left, right, ad.gather(scores, bp.pair_left),
+                               ad.gather(scores, bp.pair_right))
         cell_vec, cell_score = softmax_pool(composed, totals, bp.split_pool)
         arena = ad.concat([arena, cell_vec], axis=0)
         scores = ad.concat([scores, cell_score], axis=0)
@@ -192,24 +244,22 @@ def cio_layer(stack, l, x, prev_out, plan):
         parent_b = ad.gather(out_b, bp.pair_cell_pos)
         y = compose(stack.beta[l], ad.stack([left, right, parent_out], axis=1),
                     [inside_outside.ROLE_LEFT, inside_outside.ROLE_RIGHT])
-        cand_b = stack.compat.sibling_scores(
-            parent_out, parent_b, left, right,
+        cand_b = sibling_scores(
+            stack.compat, parent_out, parent_b, left, right,
             ad.gather(scores, bp.pair_left), ad.gather(scores, bp.pair_right))
         cand_v = ad.concat([cand_v, y[:, 0, :], y[:, 1, :]], axis=0)  # y's left, right
         cand_s = ad.concat([cand_s, cand_b], axis=0)
 
     leaf_out, leaf_b = softmax_pool(cand_v, cand_s, plan.leaf_pool)
     return inside_outside.LayerState(
-        inside=arena, inside_score=scores,
+        inside=arena.data, inside_score=scores.data,
         outside=ad.concat([leaf_out] + out_vecs[::-1], axis=0),
-        outside_score=ad.concat([leaf_b] + out_scores[::-1], axis=0),
+        outside_score=ad.concat([leaf_b] + out_scores[::-1], axis=0).data,
         pair_scores=np.concatenate([np.zeros(0, dtype)] + pair_scores))
 
 
 # each fused method and the composite that can stand in for it
 FUSED = [(nn.TransformerLayer, "__call__", transformer_layer),
-         (inside_outside.CompatHead, "inside_scores", inside_scores),
-         (inside_outside.CompatHead, "sibling_scores", sibling_scores),
          (inside_outside.CioStack, "layer", cio_layer),
          (nn.BiLstm, "_run_direction", lstm_direction)]
 

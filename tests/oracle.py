@@ -206,10 +206,10 @@ def direct_outside_check(result: StackResult, stack: CioStack) -> float:
     parents = parents_from_splits(plan.splits)
     worst = 0.0
     for l, state in enumerate(result.layers):
-        inside = state.inside.data
-        a = state.inside_score.data
+        inside = state.inside
+        a = state.inside_score
         outside = state.outside.data
-        b = state.outside_score.data
+        b = state.outside_score
         for span, edges in parents.items():
             row = plan.row_of[span]
             cand_vecs, cand_scores = [], []

@@ -61,10 +61,10 @@ def test_criterion_1_oracle_equivalence():
             for span, row in row_of.items():
                 worst = max(
                     worst,
-                    float(np.max(np.abs(got.inside.data[row] - ref.inside[span]))),
-                    abs(float(got.inside_score.data[row]) - ref.inside_score[span]),
+                    float(np.max(np.abs(got.inside[row] - ref.inside[span]))),
+                    abs(float(got.inside_score[row]) - ref.inside_score[span]),
                     float(np.max(np.abs(got.outside.data[row] - ref.outside[span]))),
-                    abs(float(got.outside_score.data[row]) - ref.outside_score[span]))
+                    abs(float(got.outside_score[row]) - ref.outside_score[span]))
         assert list(induce_order(result).items()) == list(
             best_tree_exhaustive(oracle.final.split_scores, n).items())
     elapsed = time.perf_counter() - t_start

@@ -158,8 +158,8 @@ def test_compat_gradients():
     # both fused ops: the inside totals of (x, y), and x's outside score as
     # y's parent from both sides
     report = ad.gradient_check(
-        lambda: ad.tsum(stack.compat.inside_scores(x, y, a, a))
-        + ad.tsum(stack.compat.sibling_scores(y, a, x, x, a, a)),
+        lambda: ad.tsum(composites.fused_inside_scores(stack.compat, x, y, a, a))
+        + ad.tsum(composites.fused_sibling_scores(stack.compat, y, a, x, x, a, a)),
         stack.compat.parameters(), rng, samples_per_param=4)
     assert max(report.values()) < 1e-4
 
@@ -257,9 +257,8 @@ def test_stack_equals_pad_row_pooling_bit_for_bit(n, waves, monkeypatch):
         loss = Tensor(np.zeros(()))
         arrays = []
         for state in result.layers:
-            for t in (state.inside, state.inside_score, state.outside, state.outside_score):
-                loss = loss + ad.tsum(t * rng.standard_normal(t.shape))
-                arrays.append(t.data)
+            loss = loss + ad.tsum(state.outside * rng.standard_normal(state.outside.shape))
+            arrays += [state.inside, state.inside_score, state.outside.data, state.outside_score]
         loss.backward()
         arrays.append(result.pair_scores)
         return arrays + [x.grad] + [p.grad for p in stack.parameters()]
@@ -329,10 +328,10 @@ def test_engine_matches_full_chart_reference(n, layers, share):
         ref = oracle.layers[l]
         for span, row in plan.row_of.items():
             worst = max(worst,
-                        np.max(np.abs(got.inside.data[row] - ref.inside[span])),
-                        abs(float(got.inside_score.data[row]) - ref.inside_score[span]),
+                        np.max(np.abs(got.inside[row] - ref.inside[span])),
+                        abs(float(got.inside_score[row]) - ref.inside_score[span]),
                         np.max(np.abs(got.outside.data[row] - ref.outside[span])),
-                        abs(float(got.outside_score.data[row]) - ref.outside_score[span]))
+                        abs(float(got.outside_score[row]) - ref.outside_score[span]))
     assert worst < 1e-9
     # induced tree agrees with exhaustive search over the last layer's scores
     assert list(induce_order(result).items()) == list(best_tree_exhaustive(
@@ -368,10 +367,10 @@ def test_engine_equals_the_oracle_at_any_full_window(inputs, extra):
     oracle = full_chart_reference(x.data, stack)
     for got, ref in zip(result.layers, oracle.layers):
         for span, row in result.plan.row_of.items():
-            np.testing.assert_allclose(got.inside.data[row], ref.inside[span], atol=1e-6)
+            np.testing.assert_allclose(got.inside[row], ref.inside[span], atol=1e-6)
             np.testing.assert_allclose(got.outside.data[row], ref.outside[span], atol=1e-6)
-            assert abs(float(got.inside_score.data[row]) - ref.inside_score[span]) <= 1e-6
-            assert abs(float(got.outside_score.data[row]) - ref.outside_score[span]) <= 1e-6
+            assert abs(float(got.inside_score[row]) - ref.inside_score[span]) <= 1e-6
+            assert abs(float(got.outside_score[row]) - ref.outside_score[span]) <= 1e-6
     assert list(induce_order(result).items()) == list(best_tree_exhaustive(
         oracle.final.split_scores, n).items())
 
@@ -403,8 +402,8 @@ def test_tree_schedule_outside_rows_are_the_single_candidate():
     result = run_stack(x, stack, plan)
     checked = 0
     for l, state in enumerate(result.layers):
-        inside, a = state.inside.data, state.inside_score.data
-        outside, b = state.outside.data, state.outside_score.data
+        inside, a = state.inside, state.inside_score
+        outside, b = state.outside.data, state.outside_score
         for bp in plan.batches:
             left, right = Tensor(inside[bp.pair_left]), Tensor(inside[bp.pair_right])
             parent = Tensor(outside[bp.pair_cell])
@@ -431,13 +430,13 @@ def test_leaf_conventions():
     x, result = _run(3, stack, seed=12)
     for l, state in enumerate(result.layers):
         # leaves keep their embedding and zero score on every layer
-        np.testing.assert_array_equal(state.inside.data[:3], x.data)
-        np.testing.assert_array_equal(state.inside_score.data[:3], 0.0)
+        np.testing.assert_array_equal(state.inside[:3], x.data)
+        np.testing.assert_array_equal(state.inside_score[:3], 0.0)
         # the root's outside is the layer's learned vector with zero score
         root_row = result.plan.row_of[(1, 3)]
         np.testing.assert_array_equal(state.outside.data[root_row],
                                       stack.roots[l].data)
-        assert float(state.outside_score.data[root_row]) == 0.0
+        assert float(state.outside_score[root_row]) == 0.0
 
 
 def test_layers_differ():
@@ -466,11 +465,11 @@ def test_changing_one_token_moves_every_final_vector():
             # inside at layer 0 is local, but by the last layer the previous
             # outside has leaked the change into every composition (leaves
             # keep their raw embedding throughout, so only check non-leaves)
-            assert not np.allclose(f0.inside.data[row], f1.inside.data[row]), span
+            assert not np.allclose(f0.inside[row], f1.inside[row]), span
     # layer-0 inside of spans not covering the changed token is untouched
     l0, l1 = r0.layers[0], r1.layers[0]
     row12 = plan.row_of[(1, 2)]
-    np.testing.assert_array_equal(l0.inside.data[row12], l1.inside.data[row12])
+    np.testing.assert_array_equal(l0.inside[row12], l1.inside[row12])
 
 
 def test_single_split_cell_weight_is_one():
@@ -486,8 +485,8 @@ def test_single_split_cell_weight_is_one():
                          stack.alpha[0], mode="inside").data
         score = float(compatibility(Tensor(x.data[0]), Tensor(x.data[1]),
                                     stack.compat).data)
-    np.testing.assert_allclose(state.inside.data[row], direct, atol=1e-12)
-    assert float(state.inside_score.data[row]) == pytest.approx(score, abs=1e-12)
+    np.testing.assert_allclose(state.inside[row], direct, atol=1e-12)
+    assert float(state.inside_score[row]) == pytest.approx(score, abs=1e-12)
 
 
 def test_equal_candidates_average():
@@ -502,7 +501,7 @@ def test_equal_candidates_average():
     state = result.final
     row12 = plan.row_of[(1, 2)]
     row23 = plan.row_of[(2, 3)]
-    np.testing.assert_allclose(state.inside.data[row12], state.inside.data[row23],
+    np.testing.assert_allclose(state.inside[row12], state.inside[row23],
                                atol=1e-12)
     r = plan.row_of[(1, 3)]
     w = result.pair_scores[plan.pair_offset[r]:plan.pair_offset[r + 1]]
@@ -560,8 +559,6 @@ def test_engine_gradients_flow_to_all_groups():
     x = Tensor(rng.standard_normal((3, 4)))
     result = run_stack(x, stack, plan)
     state = result.final
-    loss = (ad.tsum(state.outside * rng.standard_normal(state.outside.shape))
-            + ad.tsum(state.inside_score) + ad.tsum(state.outside_score))
-    loss.backward()
+    ad.tsum(state.outside * rng.standard_normal(state.outside.shape)).backward()
     for p in stack.parameters():
         assert p.grad is not None and np.any(p.grad != 0), p.name

@@ -54,14 +54,21 @@ def _bits(a):
     return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
 
-def _assert_bit_identical(build, inputs, monkeypatch):
-    out_f, grads_f = _run(build, inputs)
-    with monkeypatch.context() as m:
-        composites.use_composites(m)
-        out_c, grads_c = _run(build, inputs)
+def _assert_same_bits(fused, composite, inputs):
+    out_f, grads_f = _run(fused, inputs)
+    out_c, grads_c = _run(composite, inputs)
     assert _bits(out_f) == _bits(out_c)
     for t, gf, gc in zip(inputs, grads_f, grads_c):
         assert _bits(gf) == _bits(gc), getattr(t, "name", t)
+
+
+def _assert_bit_identical(build, inputs, monkeypatch):
+    def composite():
+        with monkeypatch.context() as m:
+            composites.use_composites(m)
+            return build()
+
+    _assert_same_bits(build, composite, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,8 @@ def _assert_block_close(b, t, depth, read):
             y = composites.transformer_layer(layer, y)
         return composites.transformer_layer(block.layers[-1], y, read)
 
-    _assert_close(lambda: block(x, read), composite, [x] + block.parameters())
+    _assert_close(lambda: composites.block_read(block, x, read), composite,
+                  [x] + block.parameters())
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -109,7 +117,7 @@ def test_compat_head_equals_the_composite(b, head):
         name, args, inputs = "inside_scores", (x, y, s_l, s_r), [x, y, s_l, s_r]
     else:
         name, args, inputs = "sibling_scores", (x, s, y, x, s_l, s_r), [x, y, s, s_l, s_r]
-    _assert_close(lambda: getattr(compat, name)(*args),
+    _assert_close(lambda: getattr(composites, "fused_" + name)(compat, *args),
                   lambda: getattr(composites, name)(compat, *args),
                   inputs + [p for m in getattr(compat, head) for p in m])
 
@@ -123,7 +131,7 @@ def test_sibling_scores_equal_the_composite(b):
     parent_b, left_a, right_a = (Parameter(name, rng.standard_normal(b))
                                  for name in ("parent_b", "left_a", "right_a"))
     args = (parent, parent_b, left, right, left_a, right_a)
-    _assert_close(lambda: compat.sibling_scores(*args),
+    _assert_close(lambda: composites.fused_sibling_scores(compat, *args),
                   lambda: composites.sibling_scores(compat, *args),
                   list(args) + [p for m in compat.outside for p in m])
 
@@ -158,12 +166,19 @@ def _assert_layer_bit_identical(b, read, monkeypatch):
     layer = _float32(nn.TransformerLayer("t", 8, 2, np.random.default_rng(10)), 11)
     x = _input((b, 3, 8), 12)
 
-    def build():
+    def build(layer_read):
         u = x * 1.5
-        picked = u if read is None else u[:, read]
-        return layer(u, read) * picked + layer(layer(u), read)
+        if read is None:
+            return layer(u) * u + layer(layer(u))
+        return layer_read(layer, u, read) * u[:, read] + layer_read(layer, layer(u), read)
 
-    _assert_bit_identical(build, [x] + layer.parameters(), monkeypatch)
+    def composite():
+        with monkeypatch.context() as m:
+            composites.use_composites(m)
+            return build(composites.transformer_layer)
+
+    _assert_same_bits(lambda: build(composites.layer_read), composite,
+                      [x] + layer.parameters())
 
 
 def test_transformer_layer_is_bit_identical_when_shared(monkeypatch):
@@ -175,7 +190,16 @@ def test_transformer_layer_read_is_bit_identical_when_shared(b, read, monkeypatc
     _assert_layer_bit_identical(b, read, monkeypatch)
 
 
-def test_compat_head_is_bit_identical_when_shared(monkeypatch):
+def _assert_compat_bit_identical(build, compat, inputs):
+    """`build(inside_scores, sibling_scores)` on the compatibility head's
+    plain-array ops recorded as nodes, then on their composites."""
+    _assert_same_bits(
+        lambda: build(composites.fused_inside_scores, composites.fused_sibling_scores),
+        lambda: build(composites.inside_scores, composites.sibling_scores),
+        inputs + compat.parameters())
+
+
+def test_compat_head_is_bit_identical_when_shared():
     # both heads on the same vectors, each vector on both sides of a score,
     # and score inputs that are reads of one shared tensor
     compat = _float32(CompatHead("c", 8, np.random.default_rng(13)), 14)
@@ -183,19 +207,19 @@ def test_compat_head_is_bit_identical_when_shared(monkeypatch):
     a = _input((6,), 17)
     pick = np.arange(6)[::-1].copy()
 
-    def build():
+    def build(inside_scores, sibling_scores):
         u, s = x * 1.5, a * a
-        inside = (compat.inside_scores(u, y, s[:], ad.gather(s, pick))
-                  + compat.inside_scores(y, u, a[:], s[:]) + ad.tsum(u * y, axis=-1))
-        outside = (compat.sibling_scores(u, s[:], u, y, ad.gather(a, pick), s[:])
-                   * compat.inside_scores(u, u, a[:], a[:])[0])
+        inside = (inside_scores(compat, u, y, s[:], ad.gather(s, pick))
+                  + inside_scores(compat, y, u, a[:], s[:]) + ad.tsum(u * y, axis=-1))
+        outside = (sibling_scores(compat, u, s[:], u, y, ad.gather(a, pick), s[:])
+                   * inside_scores(compat, u, u, a[:], a[:])[0])
         return ad.concat([inside, outside], axis=0)
 
-    _assert_bit_identical(build, [x, y, a] + compat.parameters(), monkeypatch)
+    _assert_compat_bit_identical(build, compat, [x, y, a])
 
 
 @pytest.mark.parametrize("b", [1, 6])
-def test_sibling_scores_are_bit_identical_when_shared(b, monkeypatch):
+def test_sibling_scores_are_bit_identical_when_shared(b):
     # as in the outside sweep, the score inputs are reads of shared scores,
     # and the vectors feed other ops too
     compat = _float32(CompatHead("c", 8, np.random.default_rng(13)), 14)
@@ -203,13 +227,13 @@ def test_sibling_scores_are_bit_identical_when_shared(b, monkeypatch):
     a = _input((b,), 17)
     pick = np.arange(b)[::-1].copy()
 
-    def build():
+    def build(_, sibling_scores):
         u, s = x * 1.5, a * a
-        scores = compat.sibling_scores(u, ad.gather(s, pick), y, u, s[:], ad.gather(a, pick))
-        again = compat.sibling_scores(y, ad.gather(a, pick), u, y, a[:], ad.gather(s, pick))
+        scores = sibling_scores(compat, u, ad.gather(s, pick), y, u, s[:], ad.gather(a, pick))
+        again = sibling_scores(compat, y, ad.gather(a, pick), u, y, a[:], ad.gather(s, pick))
         return ad.concat([scores, again, ad.tsum(u * y, axis=-1) + s], axis=0)
 
-    _assert_bit_identical(build, [x, y, a] + compat.parameters(), monkeypatch)
+    _assert_compat_bit_identical(build, compat, [x, y, a])
 
 
 @pytest.mark.parametrize("n", [1, 2, 17])
@@ -287,24 +311,17 @@ def _random_plan(n, window, forbidden, fast, rng):
     return plan_engine(build_cell_batches(prune_schedule(n, window, order)))
 
 
-FIELDS = ["inside", "inside_score", "outside_score", "outside"]
-
-
-def _layer_run(build, inputs, read, weights):
+def _layer_run(build, inputs, w):
     """A layer's four fields and pair scores, then every input's gradient of
-    a weighted sum of the fields `read`. `outside` comes last in the sum, so
-    the backward pass reaches the layer through it first, as the next layer
-    and the node encoder do."""
+    a w-weighted sum of `outside`, the one field with a gradient."""
     for t in inputs:
         t.grad = None
     state = build()
-    loss = ad.Tensor(np.zeros((), dtype=weights[0].dtype))
-    for name, w in zip(FIELDS, weights):
-        if name in read:
-            loss = loss + ad.tsum(getattr(state, name) * w)
-    loss.backward()
-    return ([getattr(state, name).data for name in FIELDS] + [state.pair_scores],
-            [t.grad for t in inputs])
+    assert all(isinstance(v, np.ndarray)
+               for v in (state.inside, state.inside_score, state.outside_score))
+    ad.tsum(state.outside * w).backward()
+    return ([state.inside, state.inside_score, state.outside.data, state.outside_score,
+             state.pair_scores], [t.grad for t in inputs])
 
 
 @settings(max_examples=30, deadline=None)
@@ -314,10 +331,9 @@ def _layer_run(build, inputs, read, weights):
 def test_layer_op_equals_the_per_op_engine(n, window, fast, share, seed, data):
     # float64 to 1e-10 and float32 bit for bit: the four fields, the pair
     # scores, and the gradients of x, the parent slots and every weight, for
-    # a loss over `outside` and any of the other fields
+    # a loss over `outside`
     forbidden = set(data.draw(st.lists(st.integers(1, n - 1), max_size=n - 2), "forbidden")
                     if n > 2 else [])
-    read = data.draw(st.sets(st.sampled_from(FIELDS[:3])), "read") | {"outside"}
     rng = np.random.default_rng(seed)
     if window is None:  # the full chart, where that stays small
         window = max(n, 2) if n < 8 else 3
@@ -329,12 +345,10 @@ def test_layer_op_equals_the_per_op_engine(n, window, fast, share, seed, data):
         rng = np.random.default_rng(seed + 2)
         x = Parameter("x", rng.standard_normal((n, 8)).astype(dtype))
         prev = Parameter("prev", rng.standard_normal((plan.rows, 8)).astype(dtype))
-        weights = [rng.standard_normal(shape).astype(dtype)
-                   for shape in ((plan.rows, 8), plan.rows, plan.rows, (plan.rows, 8))]
+        w = rng.standard_normal((plan.rows, 8)).astype(dtype)
         inputs = [x, prev] + stack.parameters()
-        fused = _layer_run(lambda: stack.layer(1, x, prev, plan), inputs, read, weights)
-        composite = _layer_run(lambda: composites.cio_layer(stack, 1, x, prev, plan),
-                               inputs, read, weights)
+        fused = _layer_run(lambda: stack.layer(1, x, prev, plan), inputs, w)
+        composite = _layer_run(lambda: composites.cio_layer(stack, 1, x, prev, plan), inputs, w)
         for a, b in zip(fused[0] + fused[1], composite[0] + composite[1]):
             assert (a is None) == (b is None)
             if a is None:
@@ -382,9 +396,9 @@ def test_weight_gradients_ignore_zero_rows():
 # Nodes of one default-config forward_pretrain on the sentence below, counted
 # from parser_loss + mlm_loss. The composites recorded 2337; the fused ops, 705;
 # 655 once the outside sweep's two compat scores per pair became one node, 635
-# once the inside sweep's score and its two adds did, and 201 once each
-# inside-outside layer did.
-TAPE_NODES = 201
+# once the inside sweep's score and its two adds did, 201 once each
+# inside-outside layer did, and 199 once that node's one output was `outside`.
+TAPE_NODES = 199
 
 
 def test_forward_tape_stays_fused():
@@ -404,13 +418,12 @@ def test_forward_tape_stays_fused():
 
 def _engine_nodes(n):
     """Recorded nodes between a sentence's leaf embeddings and its last
-    layer's fields: the parameters and x are leaves, so they do not count."""
+    layer's `outside`: the parameters and x are leaves, so they do not count."""
     stack = CioStack("cio", 2, 8, 2, 1, True, np.random.default_rng(26))
     x = Parameter("x", np.random.default_rng(27).standard_normal((n, 8)))
     plan = _random_plan(n, 2, set(), False, np.random.default_rng(28))
-    final = run_stack(x, stack, plan).final
     seen = set()
-    todo = [final.inside, final.inside_score, final.outside, final.outside_score]
+    todo = [run_stack(x, stack, plan).final.outside]
     while todo:
         node = todo.pop()
         if id(node) not in seen and node._prev:
@@ -420,6 +433,5 @@ def _engine_nodes(n):
 
 
 def test_engine_nodes_do_not_grow_with_the_sentence():
-    # the last layer's node and its four outputs, the first layer's node and
-    # the output the last one reads, and outside0's reshape and broadcast
-    assert _engine_nodes(4) == _engine_nodes(64) == 9
+    # one node per layer, and outside0's reshape and broadcast
+    assert _engine_nodes(4) == _engine_nodes(64) == 4

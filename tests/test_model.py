@@ -167,8 +167,8 @@ def test_same_schedule_gives_bit_identical_unmasked_rows():
     for span, row in plan.row_of.items():
         if span[1] < 4:
             np.testing.assert_array_equal(
-                clean.result.layers[0].inside.data[row],
-                masked.layers[0].inside.data[row])
+                clean.result.layers[0].inside[row],
+                masked.layers[0].inside[row])
 
 
 def test_fast_encode_minimal_case_matches_standard():
